@@ -11,10 +11,13 @@ Groups and subcommands:
   cohomology compute --algebra FILE --max-level 4 | compare-twist ...
   hda check --structure FILE --max-arity 4
 
-Exit codes: 0 all checks pass, 1 check failures, 2 usage errors,
-3 internal invariant violations.  Every randomized check takes an explicit
---seed (default 0) which is echoed in the report; structured reports
-(--out) carry no wall-clock data so reruns are byte-identical.
+Exit codes: 0 all checks pass, 1 check failures, 2 usage errors (bad
+arguments, an input file that does not parse, or the rewriting step bound
+OPERAD_FORGE_MAX_STEPS reached), 3 internal errors (a broken invariant,
+including a homogeneity or ordering error raised after the inputs parsed).
+Every randomized check takes an explicit --seed (default 0) which is echoed
+in the report; structured reports (--out) carry no wall-clock data so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .coeffs import Coefficient, LAMBDA, parse_rational
+from .dif_operads import InternalInvariantError, RewriteLimitError
+from .free_operad import HomogeneityError
+from .trees import ForeignGeneratorError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -85,9 +91,18 @@ def _lambda_of(text: str) -> Coefficient:
     return Coefficient.rational(parse_rational(text))
 
 
-def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+class InputError(Exception):
+    """An input file that cannot be read or parsed."""
+
+
+def _load(parse, path: str):
+    """``parse`` applied to the text of ``path``; every failure here is a
+    bad input, whatever its type."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, TypeError, ValueError, KeyError) as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +155,7 @@ def run_dif_normalize(args) -> Report:
         nf = rw.normalize(partial_compose(d1, 1, d1))
         rep.add("d1 o1 d1 irreducible", nf == partial_compose(d1, 1, d1))
         return rep
-    x = parse_element(_read(args.infile))
+    x = _load(parse_element, args.infile)
     nf = rw.normalize(x)
     rep.add("normal form computed", True, f"{len(nf.terms)} terms")
     rep.output = json.dumps(element_records(nf), indent=1)
@@ -207,7 +222,7 @@ def run_contract_apply(args) -> Report:
         h = contraction.apply(partial_compose(m2, 2, d1))
         rep.add("H(m2 o2 d1) = 0", h.is_zero())
         return rep
-    x = parse_element(_read(args.infile))
+    x = _load(parse_element, args.infile)
     h = contraction.apply(x)
     rep.add("H applied", True, f"{len(h.terms)} terms")
     rep.output = json.dumps(element_records(h), indent=1)
@@ -288,7 +303,7 @@ def run_mc_check(args) -> Report:
         rep.add("idempotent with d=0 is Maurer-Cartan",
                 mc_residual_of_algebra(alg).is_zero())
         return rep
-    alg = load_algebra(_read(args.algebra))
+    alg = _load(load_algebra, args.algebra)
     residual = mc_residual_of_algebra(alg)
     assoc = associativity_defects(alg)
     leib = leibniz_defects(alg)
@@ -315,7 +330,7 @@ def run_mc_twist_compare(args) -> Report:
         rep.add("twisted l1 matches -dDA at level 1",
                 not da_twist_mismatches(alg, 1))
         return rep
-    alg = load_algebra(_read(args.algebra))
+    alg = _load(load_algebra, args.algebra)
     bad = da_twist_mismatches(alg, args.max_arity)
     rep.add(f"twisted l1 = translation of -dDA, levels 1..{args.max_arity}",
             not bad, "; ".join(bad[:4]))
@@ -337,8 +352,8 @@ def run_cohomology_compute(args) -> Report:
         dims = CochainComplexes(alg).cohomology_ranks(2)
         rep.add("square-zero dims (1, 2, 2)", dims == [1, 2, 2], str(dims))
         return rep
-    alg = load_algebra(_read(args.algebra))
-    bim = load_bimodule(_read(args.bimodule)) if args.bimodule else None
+    alg = _load(load_algebra, args.algebra)
+    bim = _load(load_bimodule, args.bimodule) if args.bimodule else None
     cx = CochainComplexes(alg, bim)
     dims = cx.cohomology_ranks(args.max_level)
     oracle = cx.cohomology_ranks(args.max_level, rank_fn=rank_dense_oracle)
@@ -363,7 +378,7 @@ def run_cohomology_compare_twist(args) -> Report:
         rep.add("operator twist matches dDO at level 1",
                 not do_twist_mismatches(alg, 1))
         return rep
-    alg = load_algebra(_read(args.algebra))
+    alg = _load(load_algebra, args.algebra)
     bad = da_twist_mismatches(alg, args.max_level)
     rep.add(f"twisted l1 = translation of -dDA, levels 1..{args.max_level}",
             not bad, "; ".join(bad[:4]))
@@ -393,7 +408,7 @@ def run_hda_check(args) -> Report:
         s = HdaStructure(GradedSpace({0: 1}), C.rational(1), 2)
         rep.add("zero structure passes", not check_identities(s))
         return rep
-    s = load_structure(_read(args.structure))
+    s = _load(load_structure, args.structure)
     bad = check_identities(s, args.max_arity)
     rep.add(f"structure identities up to arity {args.max_arity}", not bad,
             "; ".join(f"{name} at arity {n}" for name, n in bad))
@@ -526,7 +541,18 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report: Report = args.runner(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except InputError as exc:
+        print(f"error: bad input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RewriteLimitError as exc:
+        print(f"error: rewriting step bound OPERAD_FORGE_MAX_STEPS "
+              f"reached: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (HomogeneityError, ForeignGeneratorError,
+            InternalInvariantError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (OSError, ValueError, KeyError) as exc:   # bad argument values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal invariant violations

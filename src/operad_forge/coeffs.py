@@ -286,12 +286,6 @@ def chi_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
     return perm_sign(perm) * koszul_sign(degrees, perm)
 
 
-def merge_koszul_sign(degrees: Sequence[int], order: Sequence[int]) -> int:
-    """Sign of rearranging factors (listed with ``degrees`` in reference order)
-    into the order given by ``order`` (a permutation of indices)."""
-    return koszul_sign(degrees, order)
-
-
 def shuffles(i: int, j: int) -> Iterable[tuple[int, ...]]:
     """All (i, j)-shuffles of {0,...,i+j-1} in one-line form."""
     n = i + j

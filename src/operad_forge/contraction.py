@@ -9,8 +9,8 @@ assumed).  A monomial is *effective* when it has a typical divisor whose
 root-to-leftmost-leaf path carries no further typical divisors and no
 positive-degree vertices besides possibly the divisor root, and every leaf
 strictly to the left of that leftmost leaf sees only degree-zero,
-divisor-free vertices on its root path.  The effective divisor is unique;
-uniqueness is asserted at runtime.
+divisor-free vertices on its root path.  The effective divisor is unique
+(`Contraction.analyze_effective` shows why).
 
 H replaces the effective divisor by its generator, with the sign
 (-1)**omega, omega summing the degrees of all vertices strictly before the
@@ -33,7 +33,7 @@ from .dif_operads import (
     m_gen,
 )
 from .free_operad import OperadElement, TreeMonomial, replace_region
-from .trees import Generator, Node, leaf_owners, vertex_paths
+from .trees import DEGREE, GENS, Generator, gen_id
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,10 @@ class Contraction:
     def __init__(self, op: Difinfty):
         self.op = op
         self._typical: dict[Generator, tuple[TreeMonomial, int]] = {}
-        self._eff: dict[Node, EffectiveAnalysis] = {}
-        self._h: dict[Node, OperadElement] = {}
-        self._tbar: dict[Node, OperadElement] = {}
+        self._eff: dict[TreeMonomial, EffectiveAnalysis] = {}
+        self._h: dict[TreeMonomial, OperadElement] = {}
+        self._tbar: dict[TreeMonomial, OperadElement] = {}
+        self._m2 = gen_id(m_gen(2))
 
     # -- typical shapes ----------------------------------------------------
 
@@ -84,9 +85,7 @@ class Contraction:
             lead.weight == 2
             and base.symbol[0] == expected_kind
             and base.arity == s.arity - 1
-            and lead.gens[1].symbol == "m2"
-            and lead.node[1][0] is not None
-            and lead.node[1][0][0].symbol == "m2"
+            and lead.word[1] == self._m2   # m2 is the root's first child
         )
         if not shape_ok:
             raise InternalInvariantError(
@@ -97,82 +96,40 @@ class Contraction:
     # -- effective divisors -------------------------------------------------
 
     def analyze_effective(self, t: TreeMonomial) -> EffectiveAnalysis:
-        cached = self._eff.get(t.node)
+        """Find the effective divisor in one pass over the word.
+
+        A first-input path is a run of nonzero tokens, and the vertices on
+        the root paths of the leaves left of a run's leaf are the nonzero
+        tokens before the run.  While those are all of degree 0 and none is
+        an m2 first input, a run's only candidate is the vertex above its
+        last m2 past the run's head; it is effective when the tokens from
+        that m2 to the leaf have degree 0.  After a candidate the prefix is
+        no longer clean, which makes the effective divisor unique.
+        """
+        cached = self._eff.get(t)
         if cached is not None:
             return cached
-        paths = vertex_paths(t.node)
-        index_of = {p: k for k, p in enumerate(paths)}
-        gens = t.gens
-        owners = leaf_owners(t.node)
-        leaf_num = {pos: k + 1 for k, pos in enumerate(owners)}
-        parent = {k: (index_of[paths[k][:-1]] if paths[k] else None)
-                  for k in range(t.weight)}
-
-        def slot1_child(v: int) -> Optional[int]:
-            return index_of.get(paths[v] + (0,))
-
-        def is_typical_pair(a: int, b: Optional[int]) -> bool:
-            return b is not None and gens[b].symbol == "m2"
-
-        candidates = []
-        for v in range(t.weight):
-            w = slot1_child(v)
-            if not is_typical_pair(v, w):
-                continue
-            # path from v along first inputs down to the leftmost leaf above v
-            path = [v]
-            u = v
-            while True:
-                nxt = slot1_child(u)
-                if nxt is None:
-                    break
-                path.append(nxt)
-                u = nxt
-            leaf = leaf_num[(u, 0)]
-            ok = True
-            for u2 in path[1:]:
-                if gens[u2].degree != 0:
-                    ok = False
-                    break
-            if ok:
-                for k in range(1, len(path) - 1):
-                    if is_typical_pair(path[k], path[k + 1]):
-                        ok = False
-                        break
-            if ok:
-                for lp in range(1, leaf):
-                    owner, _slot = owners[lp - 1]
-                    chain = []
-                    u2 = owner
-                    while u2 is not None:
-                        chain.append(u2)
-                        u2 = parent[u2]
-                    chain.reverse()
-                    for u2 in chain:
-                        if gens[u2].degree != 0:
-                            ok = False
-                            break
-                    if ok:
-                        for a, b in zip(chain, chain[1:]):
-                            if paths[b] == paths[a] + (0,) and is_typical_pair(a, b):
-                                ok = False
-                                break
-                    if not ok:
-                        break
-            if ok:
-                candidates.append((leaf, v, w))
-        if not candidates:
-            result = _NOT_EFFECTIVE
-        else:
-            if len(candidates) > 1:
-                raise InternalInvariantError(
-                    f"effective divisor not unique on {t!r}: {candidates}")
-            leaf, v, w = candidates[0]
-            s = generator_above(gens[v])
-            _, c_s = self.typical_info(s)
-            omega = sum(gens[u].degree for u in range(v))
-            result = EffectiveAnalysis(True, v, w, s, c_s, leaf, omega)
-        self._eff[t.node] = result
+        word, m2 = t.word, self._m2
+        result = _NOT_EFFECTIVE
+        s = 0
+        zeros = (q for q, x in enumerate(word) if not x)
+        for leaf, z in enumerate(zeros, 1):
+            top = max((q for q in range(s + 1, z) if word[q] == m2),
+                      default=None)
+            if top is not None:
+                if all(DEGREE[word[q]] == 0 for q in range(top, z)):
+                    v = top - 1
+                    root = v - (leaf - 1)   # planar index: zeros before v
+                    s_gen = generator_above(GENS[word[v]])
+                    _, c_s = self.typical_info(s_gen)
+                    omega = sum(DEGREE[word[q]] for q in range(s, v))
+                    result = EffectiveAnalysis(True, root, root + 1, s_gen,
+                                               c_s, leaf, omega)
+                break
+            if any(DEGREE[word[q]] for q in range(s, z)):
+                break
+            s = z + 1
+        self._eff[t] = result
         return result
 
     # -- the contraction ----------------------------------------------------
@@ -191,7 +148,7 @@ class Contraction:
         return OperadElement.single(replaced, Coefficient.rational(scalar))
 
     def _tbar_of(self, t: TreeMonomial) -> OperadElement:
-        cached = self._tbar.get(t.node)
+        cached = self._tbar.get(t)
         if cached is not None:
             return cached
         an = self.analyze_effective(t)
@@ -210,22 +167,22 @@ class Contraction:
             else:
                 acc[new_t] = tot
         out = OperadElement(acc)
-        self._tbar[t.node] = out
+        self._tbar[t] = out
         return out
 
     def h_monomial(self, t: TreeMonomial) -> OperadElement:
         """H on a single monomial, by well-founded recursion on the order."""
         cache = self._h
-        if t.node in cache:
-            return cache[t.node]
+        if t in cache:
+            return cache[t]
         stack = [t]
         while stack:
             cur = stack[-1]
-            if cur.node in cache:
+            if cur in cache:
                 stack.pop()
                 continue
             if not self.analyze_effective(cur).is_effective:
-                cache[cur.node] = OperadElement.zero()
+                cache[cur] = OperadElement.zero()
                 stack.pop()
                 continue
             tbar = self._tbar_of(cur)
@@ -235,19 +192,19 @@ class Contraction:
                 if mono.order_key() >= cur_key:
                     raise InternalInvariantError(
                         f"recursion failed to decrease: {mono!r} vs {cur!r}")
-                if mono.node not in cache:
+                if mono not in cache:
                     pending.append(mono)
             if pending:
                 stack.extend(pending)
                 continue
             result = self.h_bar(cur)
             for mono, c in tbar.terms.items():
-                part = cache[mono.node]
+                part = cache[mono]
                 if not part.is_zero():
                     result = result + part.scale(c)
-            cache[cur.node] = result
+            cache[cur] = result
             stack.pop()
-        return cache[t.node]
+        return cache[t]
 
     def apply(self, x: OperadElement) -> OperadElement:
         out = OperadElement.zero()

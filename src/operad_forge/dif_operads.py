@@ -33,7 +33,7 @@ from .free_operad import (
     partial_compose,
     replace_region,
 )
-from .trees import Generator, Node
+from .trees import Generator, gen_id, subtree_end
 
 DEFAULT_REWRITE_STEPS = 100_000
 
@@ -200,8 +200,9 @@ class DifRewriter:
             max_steps = int(os.environ.get("OPERAD_FORGE_MAX_STEPS",
                                            DEFAULT_REWRITE_STEPS))
         self.max_steps = max_steps
-        self._nf_cache: dict[Node, OperadElement] = {}
+        self._nf_cache: dict[TreeMonomial, OperadElement] = {}
         m2, d1 = m_gen(2), d_gen(1)
+        self._m2, self._d1 = gen_id(m2), gen_id(d1)
         assoc_rhs = partial_compose(
             OperadElement.generator(m2), 2, OperadElement.generator(m2)
         )
@@ -213,56 +214,40 @@ class DifRewriter:
         self._assoc_rhs = assoc_rhs
         self._leibniz_rhs = md1 + md2 + mdd.scale(lam)
 
-    @staticmethod
-    def find_redexes(t: TreeMonomial) -> list[tuple[int, int, str]]:
+    def _redex_positions(self, t: TreeMonomial) -> list[tuple[int, int, str]]:
+        """(token position, vertex index, kind) of each redex root: an m2
+        or d1 token whose next token, its first input, is m2."""
+        word, m2, d1 = t.word, self._m2, self._d1
+        out = []
+        v = -1
+        for p in range(len(word) - 1):
+            x = word[p]
+            if not x:
+                continue
+            v += 1
+            if word[p + 1] == m2 and (x == m2 or x == d1):
+                out.append((p, v, "assoc" if x == m2 else "leibniz"))
+        return out
+
+    def find_redexes(self, t: TreeMonomial) -> list[tuple[int, int, str]]:
         """(vertex index, slot-1 child index, kind) for each redex root."""
-        redexes = []
-        idx = 0
-        stack = [(t.node, None)]
-        # planar DFS with explicit child indices
-        order: list[tuple[Node, int]] = []
+        return [(v, v + 1, kind) for _, v, kind in self._redex_positions(t)]
 
-        def walk(n: Node):
-            nonlocal idx
-            me = idx
-            idx += 1
-            children_idx = []
-            for c in n[1]:
-                if c is not None:
-                    children_idx.append((idx, c))
-                    walk(c)
-                else:
-                    children_idx.append((None, None))
-            first = n[1][0]
-            if first is not None and first[0].symbol == "m2":
-                child_index = children_idx[0][0]
-                if n[0].symbol == "m2":
-                    redexes.append((me, child_index, "assoc"))
-                elif n[0].symbol == "d1":
-                    redexes.append((me, child_index, "leibniz"))
+    def _pick_redex(self, t: TreeMonomial):
+        """The leftmost innermost redex as (vertex, child, kind), or None.
 
-        walk(t.node)
-        return redexes
-
-    def _pick_redex(self, redexes, t: TreeMonomial):
-        # innermost: no other redex rooted strictly inside the subtree;
-        # ties broken to the left (smallest planar index).
-        from .trees import vertex_paths
-
-        paths = vertex_paths(t.node)
-        roots = [r for r, _, _ in redexes]
-
-        def inner(r):
-            p = paths[r]
-            return not any(
-                o != r and paths[o][: len(p)] == p for o in roots
-            )
-
-        inner_redexes = [rx for rx in redexes if inner(rx[0])]
-        return min(inner_redexes, key=lambda rx: rx[0])
+        A redex is innermost when no other redex roots inside its subtree;
+        the subtree is a slice of the word, so it suffices that the next
+        redex to the right starts past the slice's end.
+        """
+        redexes = self._redex_positions(t)
+        for (p, v, kind), nxt in zip(redexes, redexes[1:] + [None]):
+            if nxt is None or nxt[0] >= subtree_end(t.word, p):
+                return v, v + 1, kind
+        return None
 
     def normalize_monomial(self, t: TreeMonomial) -> OperadElement:
-        cached = self._nf_cache.get(t.node)
+        cached = self._nf_cache.get(t)
         if cached is not None:
             return cached
         work: dict[TreeMonomial, Coefficient] = {t: Coefficient.one()}
@@ -270,8 +255,8 @@ class DifRewriter:
         steps = 0
         while work:
             cur, ccur = work.popitem()
-            redexes = self.find_redexes(cur)
-            if not redexes:
+            redex = self._pick_redex(cur)
+            if redex is None:
                 prev = done.get(cur)
                 tot = prev + ccur if prev is not None else ccur
                 if tot.is_zero():
@@ -285,7 +270,7 @@ class DifRewriter:
                     f"rewriting exceeded {self.max_steps} steps; "
                     "raise OPERAD_FORGE_MAX_STEPS if the input is this large"
                 )
-            v, w, kind = self._pick_redex(redexes, cur)
+            v, w, kind = redex
             rhs = self._assoc_rhs if kind == "assoc" else self._leibniz_rhs
             for mono, mc in rhs.terms.items():
                 sign, new_t = replace_region(cur, {v, w}, mono)
@@ -299,7 +284,7 @@ class DifRewriter:
                 else:
                     work[new_t] = tot
         out = OperadElement(done)
-        self._nf_cache[t.node] = out
+        self._nf_cache[t] = out
         return out
 
     def normalize(self, x: OperadElement) -> OperadElement:
@@ -351,10 +336,11 @@ def enumerate_monomials(max_arity: int, max_weight: int,
         for g in usable:
             if g.arity > arity_budget:
                 continue
+            head = (gen_id(g),)
             for children, w, a, deg in gen_children(
                 g.arity, weight_budget - 1, arity_budget
             ):
-                yield (g, children), w + 1, a, deg + g.degree
+                yield head + children, w + 1, a, deg + g.degree
 
     def gen_children(slots: int, weight_budget: int, arity_budget: int):
         if slots == 0:
@@ -365,20 +351,20 @@ def enumerate_monomials(max_arity: int, max_weight: int,
         # first slot a leaf
         for rest, w, a, deg in gen_children(slots - 1, weight_budget,
                                             arity_budget - 1):
-            yield (None,) + rest, w, a + 1, deg
+            yield (0,) + rest, w, a + 1, deg
         # first slot a subtree (remaining slots reserve one input each)
         for sub, sw, sa, sdeg in gen_trees(weight_budget,
                                            arity_budget - (slots - 1)):
             for rest, w, a, deg in gen_children(slots - 1, weight_budget - sw,
                                                 arity_budget - sa):
-                yield (sub,) + rest, sw + w, sa + a, sdeg + deg
+                yield sub + rest, sw + w, sa + a, sdeg + deg
 
     out = []
-    for node, w, a, deg in gen_trees(max_weight, max_arity):
+    for word, w, a, deg in gen_trees(max_weight, max_arity):
         if min_degree is not None and deg < min_degree:
             continue
         if max_degree is not None and deg > max_degree:
             continue
-        out.append(TreeMonomial(node))
+        out.append(TreeMonomial.from_word(word, a, deg, w))
     out.sort(key=lambda t: (t.arity, t.weight, TreeMonomial.order_key(t)))
     return out

@@ -1,10 +1,20 @@
 """Free graded nonsymmetric operads on decorated planar trees.
 
-Basis elements are tree monomials; the decoration tensor is canonically
-ordered by the planar order of vertices.  Every operation that rearranges
-vertices (grafting, substituting a sum of trees for a vertex or a divisor)
-pays the Koszul sign of reordering the decoration factors back into planar
-order.  That is the only sign convention in this module; everything else is
+Basis elements are tree monomials, each carried as one flat word (see
+`trees`): generator ids in Polish notation with ``0`` per leaf.  The
+decoration tensor is ordered by the planar order of vertices, which is
+token order.  Every operation that rearranges vertices pays the Koszul sign
+of reordering the decoration factors back into planar order, and on words
+that sign is a block parity:
+
+* grafting ``g`` into the ``i``-th leaf of ``f`` splices ``g``'s word into
+  the ``i``-th ``0`` of ``f``'s, carrying ``g`` past the vertices of ``f``
+  after that leaf: ``(-1)**(|g| * |f after the leaf|)``;
+* replacing a region by ``m`` puts each external branch of the region at a
+  leaf of ``m``, carrying it past the vertices of ``m`` after that leaf:
+  ``(-1)**(sum over branches of |branch| * |m after its leaf|)``.
+
+That is the only sign convention in this module; everything else is
 derived from it.
 """
 
@@ -13,49 +23,82 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Optional, Sequence
 
-from .coeffs import Coefficient, koszul_sign
+from .coeffs import Coefficient
 from .trees import (
+    ARITY,
+    DEGREE,
+    GENS,
     Generator,
     Node,
-    corolla,
-    graft,
-    monomial_order_key,
-    node_arity,
-    replace_at,
-    subtree_at,
-    vertex_labels,
-    vertex_paths,
+    Word,
+    decode,
+    encode,
+    gen_id,
+    word_order_key,
 )
 
 
-class TreeMonomial:
-    """A planar tree with every vertex decorated by a generator."""
+_new = object.__new__
 
-    __slots__ = ("node", "arity", "degree", "weight", "gens", "_hash", "_key")
+
+def _monomial(word: Word, arity: int, degree: int, weight: int
+              ) -> "TreeMonomial":
+    """The monomial of a well-formed word with the given statistics."""
+    t = _new(TreeMonomial)
+    t.word, t.arity, t.degree, t.weight = word, arity, degree, weight
+    t._hash = hash(word)
+    t._key = t._leaves = None
+    return t
+
+
+class TreeMonomial:
+    """A planar tree with every vertex decorated by a generator.
+
+    ``word`` is the tree in Polish notation (see `trees`); two monomials are
+    equal iff their words are.  ``node`` decodes it to the nested form.
+    """
+
+    __slots__ = ("word", "arity", "degree", "weight", "_hash", "_key",
+                 "_leaves")
 
     def __init__(self, node: Node):
-        self.node = node
-        self.gens = vertex_labels(node)
-        self.arity = node_arity(node)
-        self.degree = sum(g.degree for g in self.gens)
-        self.weight = len(self.gens)
-        self._hash = hash(node)
-        self._key = None
+        self.word = word = encode(node)
+        self.weight = len(word) - word.count(0)
+        self.arity = len(word) - self.weight
+        self.degree = sum(DEGREE[x] for x in word)
+        self._hash = hash(word)
+        self._key = self._leaves = None
+
+    from_word = staticmethod(_monomial)
 
     @staticmethod
     def corolla(gen: Generator) -> "TreeMonomial":
-        return TreeMonomial(corolla(gen))
+        return _monomial((gen_id(gen),) + (0,) * gen.arity, gen.arity,
+                         gen.degree, 1)
+
+    @property
+    def node(self) -> Node:
+        return decode(self.word)
+
+    @property
+    def gens(self) -> tuple:
+        """Vertex decorations in planar order."""
+        return tuple(GENS[x] for x in self.word if x)
 
     def order_key(self):
         if self._key is None:
-            self._key = monomial_order_key(self.node, self.arity, self.degree)
+            self._key = word_order_key(self.word, self.arity, self.degree)
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, TreeMonomial) and self.node == other.node
+        return isinstance(other, TreeMonomial) and self.word == other.word
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # generator ids are per process; a pickle carries the nested form
+        return TreeMonomial, (self.node,)
 
     def __repr__(self):
         from .formats import format_tree
@@ -63,48 +106,36 @@ class TreeMonomial:
         return format_tree(self.node)
 
 
-def _provenance_compose(f: Node, leaf_index: int, g: Node):
-    """Planar provenance sequence of f with g grafted at the given leaf.
-
-    Entries are ('f', i) or ('g', j) with i, j planar indices in the factors.
-    """
-    order: list[tuple[str, int]] = []
-    counters = {"f": 0, "g": 0, "leaf": 0}
-
-    def walk_g(n: Node):
-        order.append(("g", counters["g"]))
-        counters["g"] += 1
-        for c in n[1]:
-            if c is not None:
-                walk_g(c)
-
-    def walk_f(n: Node):
-        order.append(("f", counters["f"]))
-        counters["f"] += 1
-        for c in n[1]:
-            if c is None:
-                counters["leaf"] += 1
-                if counters["leaf"] == leaf_index:
-                    walk_g(g)
+def _leaf_parities(m: TreeMonomial) -> tuple[tuple[int, int], ...]:
+    """Per leaf of ``m``: (token position, parity of the total degree of
+    the vertices of ``m`` after it)."""
+    leaves = m._leaves
+    if leaves is None:
+        out = []
+        before = 0
+        for q, x in enumerate(m.word):
+            if x:
+                before += DEGREE[x]
             else:
-                walk_f(c)
-
-    walk_f(f)
-    return order
+                out.append((q, (m.degree - before) & 1))
+        leaves = m._leaves = tuple(out)
+    return leaves
 
 
 def compose_monomials(f: TreeMonomial, i: int, g: TreeMonomial):
     """Graft g into the i-th leaf of f.  Returns (sign, monomial)."""
     if not 1 <= i <= f.arity:
         raise ValueError(f"composition position {i} out of range 1..{f.arity}")
-    node = graft(f.node, i, g.node)
-    degs = [x.degree for x in f.gens] + [x.degree for x in g.gens]
-    if all(d % 2 == 0 for d in degs):
-        return 1, TreeMonomial(node)
-    order = _provenance_compose(f.node, i, g.node)
-    nf = f.weight
-    perm = tuple(idx if tag == "f" else nf + idx for tag, idx in order)
-    return koszul_sign(degs, perm), TreeMonomial(node)
+    word = f.word
+    p = -1
+    for _ in range(i):
+        p = word.index(0, p + 1)
+    sign = 1
+    if g.degree & 1 and sum(DEGREE[x] for x in word[p + 1:]) & 1:
+        sign = -1
+    return sign, _monomial(word[:p] + g.word + word[p + 1:],
+                           f.arity - 1 + g.arity, f.degree + g.degree,
+                           f.weight + g.weight)
 
 
 def replace_region(t: TreeMonomial, region: frozenset[int] | set[int],
@@ -117,97 +148,56 @@ def replace_region(t: TreeMonomial, region: frozenset[int] | set[int],
     (prefix, m's vertices, remaining old vertices) into the planar order of
     the result.
     """
-    region = set(region)
+    word = t.word
     root = min(region)
-    paths = vertex_paths(t.node)
-    index_of = {p: k for k, p in enumerate(paths)}
-    root_path = paths[root]
-    region_root_node = subtree_at(t.node, root_path)
-
-    # External branches of the region in planar (leaf) order, tagged with the
-    # planar index of each branch's root in t (None for bare leaves).
-    externals: list[Optional[Node]] = []
-    ext_bases: list[Optional[int]] = []
-
-    def collect(n: Node, path):
-        for s, c in enumerate(n[1]):
-            child_path = path + (s,)
-            if c is not None and index_of[child_path] in region:
-                collect(c, child_path)
-            else:
-                externals.append(c)
-                ext_bases.append(None if c is None else index_of[child_path])
-
-    collect(region_root_node, root_path)
-    if len(externals) != m.arity:
+    v = -1
+    for p, x in enumerate(word):
+        if x:
+            v += 1
+            if v == root:
+                break
+    else:
+        raise ValueError(f"vertex {root} out of range")
+    # Walk the region's span: region vertices in place, each external branch
+    # (a leaf or a subtree outside the region) skipped as one slice.
+    ext = []
+    need, q, rdeg, rsize = 1, p, 0, 0
+    while need:
+        x = word[q]
+        if x and v in region:
+            need += ARITY[x] - 1
+            rdeg += DEGREE[x]
+            rsize += 1
+            v += 1
+            q += 1
+            continue
+        s, bdeg, k = q, 0, 1
+        while k:
+            y = word[q]
+            k += ARITY[y] - 1
+            if y:
+                bdeg += DEGREE[y]
+                v += 1
+            q += 1
+        ext.append((s, q, bdeg & 1))
+        need -= 1
+    if rsize != len(region):
+        raise ValueError("replacement region is not connected")
+    if len(ext) != m.arity:
         raise ValueError("replacement arity mismatch")
-
-    leaf_no = 0
-
-    def fill(n: Node) -> Node:
-        nonlocal leaf_no
-        children = []
-        for c in n[1]:
-            if c is None:
-                children.append(externals[leaf_no])
-                leaf_no += 1
-            else:
-                children.append(fill(c))
-        return (n[0], tuple(children))
-
-    new_node = replace_at(t.node, root_path, fill(m.node))
-
-    old_degs = [g.degree for g in t.gens]
-    m_degs = [g.degree for g in m.gens]
-    # Inversions only occur between an m-vertex and an old vertex (each
-    # source keeps its internal order), so an all-even side forces sign +1.
-    if all(d % 2 == 0 for d in old_degs) or all(d % 2 == 0 for d in m_degs):
-        return 1, TreeMonomial(new_node)
-
-    # Reference order: old verts before root, m's verts, remaining old verts.
-    post = [k for k in range(root + 1, t.weight) if k not in region]
-    ref_pos: dict[tuple[str, int], int] = {}
-    degs: list[int] = []
-    for k in range(root):
-        ref_pos[("o", k)] = len(degs)
-        degs.append(old_degs[k])
-    for j in range(m.weight):
-        ref_pos[("m", j)] = len(degs)
-        degs.append(m_degs[j])
-    for k in post:
-        ref_pos[("o", k)] = len(degs)
-        degs.append(old_degs[k])
-
-    # Planar order of the result, by provenance.  Old subtrees are contiguous
-    # planar blocks of t, so a branch rooted at index b of weight w
-    # contributes ("o", b), ..., ("o", b+w-1).
-    subtree_weight = {}
-    for k, p in enumerate(paths):
-        subtree_weight[k] = sum(1 for q in paths if q[: len(p)] == p)
-    region_span = {k for k in index_of.values() if paths[k][: len(root_path)] == root_path}
-    trailing = [k for k in range(t.weight) if k > root and k not in region_span]
-
-    order: list[tuple[str, int]] = [("o", k) for k in range(root)]
-    leaf_no = 0
-    j_counter = [0]
-
-    def walk_fill(n: Node):
-        nonlocal leaf_no
-        order.append(("m", j_counter[0]))
-        j_counter[0] += 1
-        for c in n[1]:
-            if c is None:
-                base = ext_bases[leaf_no]
-                leaf_no += 1
-                if base is not None:
-                    order.extend(("o", base + r) for r in range(subtree_weight[base]))
-            else:
-                walk_fill(c)
-
-    walk_fill(m.node)
-    order.extend(("o", k) for k in trailing)
-    perm = tuple(ref_pos[p] for p in order)
-    return koszul_sign(degs, perm), TreeMonomial(new_node)
+    mw = m.word
+    out = list(word[:p])
+    last = odd = 0
+    for (z, after), (s, e, bodd) in zip(_leaf_parities(m), ext):
+        out += mw[last:z]
+        out += word[s:e]
+        last = z + 1
+        odd ^= after & bodd
+    out += mw[last:]
+    out += word[q:]
+    return (-1 if odd else 1), _monomial(
+        tuple(out), t.arity, t.degree - rdeg + m.degree,
+        t.weight - rsize + m.weight)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,33 @@
-"""Planar rooted trees with decorated vertices.
+"""Planar rooted trees with decorated vertices, encoded as words.
 
-A tree node is the pair ``(gen, children)`` where ``gen`` is a
-:class:`Generator` (or ``None`` for bare shapes) and ``children`` is a tuple
-whose entries are nodes or ``None`` for leaves.  Trees are reduced: every
-vertex has arity >= 1.  The planar order on vertices is root-first
-depth-first, children left to right; vertices are addressed by their 0-based
-position in that order.
+A tree is a *word*: a tuple of small ints in Polish notation, read root
+first, depth first, children left to right, with the interned id of the
+generator (`gen_id`) per vertex and ``0`` per leaf.  The arities make it
+uniquely decodable: ``(m3 (d1 _) _ (m2 _ _))`` is ``m3 d1 _ _ m2 _ _``.
+Trees are reduced (every vertex has arity >= 1), and a vertex's 0-based
+planar index is its rank among the nonzero tokens.  Every subtree is a
+slice (`subtree_end`), the first input of the vertex at token ``p`` is
+token ``p + 1`` when that is nonzero, and grafting at leaf ``i`` splices
+into the ``i``-th ``0``.  Sign rule: decorations are ordered by planar
+index, so carrying a block of total degree ``a`` past vertices of total
+degree ``b`` costs ``(-1)**(a*b)``.
+
+S-expressions parse to nested nodes ``(gen, children)``, a child being a
+node or ``None`` for a leaf; `encode`/`decode` convert.  The functions on
+nested nodes (`graft`, `contract`, `divisor_subtree`, `sigma_permutation`,
+`path_sequence`, `monomial_order_key`) are the definitions the word
+kernels are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .coeffs import koszul_sign
 
 Node = tuple  # (label, tuple_of_children); child is Node or None
+Word = tuple  # of ints: generator ids in Polish notation, 0 per leaf
 
 
 class ForeignGeneratorError(ValueError):
@@ -36,6 +48,75 @@ class Generator:
         return self.symbol
 
 
+# ---------------------------------------------------------------------------
+# The generator intern table and the word encoding
+# ---------------------------------------------------------------------------
+
+# Process-wide and append-only: an id means the same generator for the life
+# of the process.  Ids never enter an output or an order; index 0 is the
+# leaf.  `RANKS` fills lazily in `word_order_key`, so a generator outside
+# the m_n/d_n alphabet can still decorate monomials.
+_IDS: dict[Generator, int] = {}
+GENS: list[Optional[Generator]] = [None]
+ARITY: list[int] = [0]
+DEGREE: list[int] = [0]
+RANKS: list[Optional[int]] = [None]
+
+
+def gen_id(gen: Generator) -> int:
+    """The interned token of a generator."""
+    i = _IDS.get(gen)
+    if i is None:
+        i = _IDS[gen] = len(GENS)
+        GENS.append(gen)
+        ARITY.append(gen.arity)
+        DEGREE.append(gen.degree)
+        RANKS.append(None)
+    return i
+
+
+def encode(node: Node) -> Word:
+    out: list[int] = []
+
+    def walk(n: Node):
+        out.append(gen_id(n[0]))
+        for c in n[1]:
+            if c is None:
+                out.append(0)
+            else:
+                walk(c)
+
+    walk(node)
+    return tuple(out)
+
+
+def decode(word: Word) -> Node:
+    pos = 0
+
+    def build() -> Optional[Node]:
+        nonlocal pos
+        x = word[pos]
+        pos += 1
+        if not x:
+            return None
+        return (GENS[x], tuple(build() for _ in range(ARITY[x])))
+
+    return build()
+
+
+def subtree_end(word: Word, p: int) -> int:
+    """End (exclusive) of the subtree whose root token is at ``p``."""
+    need = 1
+    while need:
+        need += ARITY[word[p]] - 1
+        p += 1
+    return p
+
+
+# ---------------------------------------------------------------------------
+# Nested nodes
+# ---------------------------------------------------------------------------
+
 def corolla(gen) -> Node:
     return (gen, (None,) * gen.arity)
 
@@ -48,45 +129,13 @@ def node_arity(node: Node) -> int:
     return sum(1 if c is None else node_arity(c) for c in node[1])
 
 
-def iter_vertices(node: Node) -> Iterator[Node]:
-    """Vertices in planar order."""
-    yield node
+def vertex_labels(node: Node) -> list:
+    """Vertex decorations in planar order."""
+    out = [node[0]]
     for c in node[1]:
         if c is not None:
-            yield from iter_vertices(c)
-
-
-def vertex_labels(node: Node) -> list:
-    return [v[0] for v in iter_vertices(node)]
-
-
-def vertex_paths(node: Node) -> list[tuple[int, ...]]:
-    """Path (sequence of child slots) to each vertex, in planar order."""
-    out: list[tuple[int, ...]] = []
-
-    def walk(n: Node, path: tuple[int, ...]):
-        out.append(path)
-        for i, c in enumerate(n[1]):
-            if c is not None:
-                walk(c, path + (i,))
-
-    walk(node, ())
+            out.extend(vertex_labels(c))
     return out
-
-
-def subtree_at(node: Node, path: Sequence[int]) -> Node:
-    for i in path:
-        node = node[1][i]
-    return node
-
-
-def replace_at(node: Node, path: Sequence[int], new: Optional[Node]) -> Node:
-    if not path:
-        return new
-    i = path[0]
-    children = list(node[1])
-    children[i] = replace_at(children[i], path[1:], new)
-    return (node[0], tuple(children))
 
 
 def graft(node: Node, leaf_index: int, sub: Node) -> Node:
@@ -113,24 +162,6 @@ def graft(node: Node, leaf_index: int, sub: Node) -> Node:
     if not done:
         raise ValueError(f"leaf index {leaf_index} out of range")
     return out
-
-
-def leaf_owners(node: Node) -> list[tuple[int, int]]:
-    """For each leaf (left to right): (planar index of owning vertex, slot)."""
-    owners: list[tuple[int, int]] = []
-    counter = [0]
-
-    def walk(n: Node):
-        idx = counter[0]
-        counter[0] += 1
-        for slot, c in enumerate(n[1]):
-            if c is None:
-                owners.append((idx, slot))
-            else:
-                walk(c)
-
-    walk(node)
-    return owners
 
 
 # ---------------------------------------------------------------------------
@@ -180,43 +211,50 @@ def check_divisor(node: Node, d: Divisor) -> None:
         raise ValueError("divisor root has its parent inside the divisor")
 
 
+def _rebuild_at_divisor(node: Node, d: Divisor, build) -> Node:
+    """``node`` with the subtree at the divisor root replaced by
+    ``build(divisor_tree, external_branches)``."""
+    check_divisor(node, d)
+    counter = 0
+
+    def split(n: Node):
+        nonlocal counter
+        sub, ext = [], []
+        for c in n[1]:
+            if c is not None and counter in d.vertices:
+                counter += 1
+                s, e = split(c)
+                sub.append(s)
+                ext.extend(e)
+            else:
+                sub.append(None)
+                ext.append(c)
+                if c is not None:
+                    counter += node_weight(c)
+        return (n[0], tuple(sub)), ext
+
+    def walk(n: Node) -> Node:
+        nonlocal counter
+        me = counter
+        counter += 1
+        if me == d.root:
+            return build(*split(n))
+        return (n[0], tuple(None if c is None else walk(c) for c in n[1]))
+
+    return walk(node)
+
+
 def divisor_subtree(node: Node, d: Divisor) -> Node:
     """The divisor as a standalone tree (external branches become leaves)."""
-    check_divisor(node, d)
-    paths = vertex_paths(node)
-    index_of = {p: i for i, p in enumerate(paths)}
-
-    def build(n: Node, path: tuple[int, ...]) -> Node:
-        children = []
-        for i, c in enumerate(n[1]):
-            if c is not None and index_of[path + (i,)] in d.vertices:
-                children.append(build(c, path + (i,)))
-            else:
-                children.append(None)
-        return (n[0], tuple(children))
-
-    root_path = paths[d.root]
-    return build(subtree_at(node, root_path), root_path)
+    found = []
+    _rebuild_at_divisor(node, d, lambda sub, ext: found.append(sub))
+    return found[0]
 
 
 def contract(node: Node, d: Divisor, label=None) -> Node:
     """T/T': replace the divisor by a corolla of the divisor's arity."""
-    check_divisor(node, d)
-    paths = vertex_paths(node)
-    index_of = {p: i for i, p in enumerate(paths)}
-
-    def externals(n: Node, path: tuple[int, ...]) -> list[Optional[Node]]:
-        out: list[Optional[Node]] = []
-        for i, c in enumerate(n[1]):
-            if c is not None and index_of[path + (i,)] in d.vertices:
-                out.extend(externals(c, path + (i,)))
-            else:
-                out.append(c)
-        return out
-
-    root_path = paths[d.root]
-    ext = externals(subtree_at(node, root_path), root_path)
-    return replace_at(node, root_path, (label, tuple(ext)))
+    return _rebuild_at_divisor(node, d,
+                               lambda sub, ext: (label, tuple(ext)))
 
 
 def sigma_permutation(node: Node, d: Divisor) -> tuple[int, ...]:
@@ -233,7 +271,9 @@ def sigma_permutation(node: Node, d: Divisor) -> tuple[int, ...]:
     block = sorted(d.vertices)
     tail = [i for i in range(r, n) if i not in d.vertices]
     perm = tuple(head + block + tail)
-    assert sorted(perm) == list(range(n))
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"divisor {d} does not induce a permutation of "
+                         f"the {n} vertices")
     return perm
 
 
@@ -289,3 +329,29 @@ def monomial_order_key(node: Node, arity: int | None = None, degree: int | None 
         (len(w), tuple(generator_rank(g) for g in w)) for w in path_sequence(node)
     )
     return (arity, degree, words)
+
+
+def word_order_key(word: Word, arity: int, degree: int):
+    """`monomial_order_key` in one pass over the word: the stack holds the
+    root path of the next token, and a vertex leaves it once its last slot
+    is filled."""
+    ranks = RANKS
+    path: list[int] = []
+    left: list[int] = []
+    words = []
+    for x in word:
+        if x:
+            r = ranks[x]
+            if r is None:
+                r = ranks[x] = generator_rank(GENS[x])
+            path.append(r)
+            left.append(ARITY[x])
+            continue
+        words.append((len(path), tuple(path)))
+        while left:
+            left[-1] -= 1
+            if left[-1]:
+                break
+            left.pop()
+            path.pop()
+    return (arity, degree, tuple(words))

@@ -141,3 +141,45 @@ SELFTESTS = [
 @pytest.mark.parametrize("argv", SELFTESTS, ids=lambda a: " ".join(a[:2]))
 def test_every_subcommand_selftest(argv):
     assert main(argv + ["--selftest"]) == 0
+
+
+def test_unparsable_element_file_exits_two(tmp_path, capsys):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps([{"coeff": "1", "tree": "(m2 _)"}]))
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps([{"coeff": "1", "tree": "(m2 _ _)"},
+                                 {"coeff": "1", "tree": "(m3 _ _ _)"}]))
+    for path in (malformed, mixed, tmp_path / "missing.json"):
+        assert main(["contract", "apply", "--in", str(path)]) == 2
+        assert "bad input" in capsys.readouterr().err
+    assert main(["contract", "apply"]) == 2    # no --in at all
+
+
+@pytest.mark.parametrize("error", [
+    "HomogeneityError", "ForeignGeneratorError", "InternalInvariantError"])
+def test_invariant_error_after_parsing_exits_three(error, tmp_path,
+                                                   monkeypatch, capsys):
+    from operad_forge import contraction, dif_operads, free_operad, trees
+
+    cls = {"HomogeneityError": free_operad.HomogeneityError,
+           "ForeignGeneratorError": trees.ForeignGeneratorError,
+           "InternalInvariantError": dif_operads.InternalInvariantError}[error]
+
+    def broken(self, x):
+        raise cls("injected")
+
+    monkeypatch.setattr(contraction.Contraction, "apply", broken)
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps([{"coeff": "1", "tree": "(m2 (m2 _ _) _)"}]))
+    assert main(["contract", "apply", "--in", str(path)]) == 3
+    assert f"internal error: {error}" in capsys.readouterr().err
+
+
+def test_rewrite_limit_exits_two_naming_the_bound(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.setenv("OPERAD_FORGE_MAX_STEPS", "1")
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps(
+        [{"coeff": "1", "tree": "(d1 (m2 (m2 _ _) _))"}]))
+    assert main(["dif", "normalize", "--in", str(path)]) == 2
+    assert "OPERAD_FORGE_MAX_STEPS" in capsys.readouterr().err

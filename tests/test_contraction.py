@@ -178,3 +178,58 @@ def test_h_bar_rejects_non_effective(contraction):
 def test_generator_above():
     assert generator_above(m_gen(2)) == m_gen(3)
     assert generator_above(d_gen(4)) == d_gen(5)
+
+
+def _effective_by_definition(node):
+    """Candidates (leaf, root, child) of the effective-divisor definition
+    in the module docstring, read off the nested tree."""
+    labels, slot, first, leaf_chains = [], [], [], []
+
+    def walk(n, s, chain):
+        me = len(labels)
+        labels.append(n[0])
+        slot.append(s)
+        first.append(None)
+        chain = chain + [me]
+        for i, c in enumerate(n[1]):
+            if c is None:
+                leaf_chains.append(chain)
+            else:
+                if i == 0:
+                    first[me] = len(labels)
+                walk(c, i, chain)
+
+    walk(node, None, [])
+
+    def m2_first_input(u):
+        return slot[u] == 0 and labels[u].symbol == "m2"
+
+    out = []
+    for v, w in enumerate(first):
+        if w is None or labels[w].symbol != "m2":
+            continue
+        path = [v]
+        while first[path[-1]] is not None:
+            path.append(first[path[-1]])
+        leaf = next(k for k, chain in enumerate(leaf_chains)
+                    if chain[-1] == path[-1])
+        ok = (all(labels[u].degree == 0 for u in path[1:])
+              and not any(m2_first_input(u) for u in path[2:])
+              and all(labels[u].degree == 0 and not m2_first_input(u)
+                      for chain in leaf_chains[:leaf] for u in chain))
+        if ok:
+            out.append((leaf + 1, v, w))
+    return out
+
+
+def test_analyze_effective_matches_definition(contraction):
+    for t in enumerate_monomials(4, 4, min_degree=0, max_degree=3):
+        an = contraction.analyze_effective(t)
+        cands = _effective_by_definition(t.node)
+        assert len(cands) <= 1
+        assert an.is_effective == bool(cands), repr(t)
+        if cands:
+            leaf, v, w = cands[0]
+            assert (an.effective_leaf, an.divisor_root, an.divisor_child) \
+                == (leaf, v, w)
+            assert an.omega == sum(g.degree for g in t.gens[:v])

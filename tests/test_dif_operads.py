@@ -17,6 +17,7 @@ from operad_forge.free_operad import (
     partial_compose,
     replace_region,
 )
+from operad_forge.trees import _parents, vertex_labels
 
 
 def el(s):
@@ -200,3 +201,45 @@ def test_enumerate_monomials_counts():
     # no duplicates at a larger size
     all_w3 = enumerate_monomials(4, 3)
     assert len({t.node for t in all_w3}) == len(all_w3)
+
+
+def _redexes_by_definition(node):
+    """(root, child, kind) of every redex of the nested tree, and the
+    leftmost of those with no other redex root below them."""
+    parents = _parents(node)
+    labels = vertex_labels(node)
+    first_child = {}
+    counter = 0
+
+    def walk(n):
+        nonlocal counter
+        me = counter
+        counter += 1
+        for i, c in enumerate(n[1]):
+            if c is not None:
+                if i == 0:
+                    first_child[me] = counter
+                walk(c)
+
+    walk(node)
+    kinds = {"m2": "assoc", "d1": "leibniz"}
+    redexes = [(v, w, kinds[labels[v].symbol])
+               for v, w in sorted(first_child.items())
+               if labels[w].symbol == "m2" and labels[v].symbol in kinds]
+
+    def below(u, v):
+        while u is not None and u != v:
+            u = parents[u]
+        return u == v
+
+    inner = [r for r in redexes
+             if not any(o[0] != r[0] and below(o[0], r[0]) for o in redexes)]
+    return redexes, (inner[0] if inner else None)
+
+
+def test_redexes_match_definition(rw):
+    for t in enumerate_monomials(6, 5, min_degree=0, max_degree=0,
+                                 gens=[m_gen(2), d_gen(1)]):
+        redexes, picked = _redexes_by_definition(t.node)
+        assert rw.find_redexes(t) == redexes
+        assert rw._pick_redex(t) == picked

@@ -4,7 +4,13 @@ import random
 import pytest
 
 from operad_forge.coeffs import Coefficient
-from operad_forge.dif_operads import Difinfty, alphabet, d_gen, m_gen
+from operad_forge.dif_operads import (
+    Difinfty,
+    alphabet,
+    d_gen,
+    enumerate_monomials,
+    m_gen,
+)
 from operad_forge.formats import parse_tree
 from operad_forge.free_operad import (
     HomogeneityError,
@@ -12,11 +18,20 @@ from operad_forge.free_operad import (
     TreeMonomial,
     brace,
     brace_lenient,
+    compose_monomials,
     extend_derivation,
     gerstenhaber,
     partial_compose,
     pre_jacobi_check,
     replace_region,
+)
+from operad_forge.trees import (
+    Divisor,
+    contract,
+    divisor_subtree,
+    graft,
+    node_weight,
+    sigma_koszul_sign,
 )
 
 
@@ -246,3 +261,87 @@ def test_leading_monomial_of_single():
 def test_zero_has_no_leading():
     with pytest.raises(ValueError):
         OperadElement.zero().leading()
+
+
+# ---------------------------------------------------------------------------
+# The word kernels against the nested definitions in `trees`
+# ---------------------------------------------------------------------------
+
+def _embedded_vertices(node, root, pattern):
+    """Planar indices, in ``node``, of the vertices of ``pattern`` grafted
+    at vertex ``root`` with whole branches hanging off its leaves."""
+    out, counter = [], 0
+
+    def match(n, pat):
+        nonlocal counter
+        out.append(counter)
+        counter += 1
+        for c, pc in zip(n[1], pat[1]):
+            if pc is not None:
+                match(c, pc)
+            elif c is not None:
+                counter += node_weight(c)
+
+    def find(n):
+        nonlocal counter
+        if counter == root:
+            match(n, pattern)
+            return True
+        counter += 1
+        return any(c is not None and find(c) for c in n[1])
+
+    assert find(node)
+    return out
+
+
+def test_replace_region_sign_is_the_sigma_koszul_sign():
+    op = Difinfty()
+    checked = 0
+    for t in enumerate_monomials(4, 3):
+        for v, gen in enumerate(t.gens):
+            for m in op.diff(gen).terms:
+                sign, out = replace_region(t, {v}, m)
+                node = out.node
+                verts = _embedded_vertices(node, v, m.node)
+                d = Divisor(v, frozenset(verts))
+                assert divisor_subtree(node, d) == m.node
+                assert contract(node, d, "s") == contract(
+                    t.node, Divisor(v, frozenset({v})), "s")
+                degrees = [g.degree for g in out.gens]
+                assert sign == sigma_koszul_sign(node, d, degrees)
+                checked += 1
+    assert checked > 1000
+
+
+def _vertices_before_leaf(node, i):
+    """Number of vertices before the ``i``-th leaf in planar order."""
+    vertices = leaves = 0
+
+    def walk(n):
+        nonlocal vertices, leaves
+        vertices += 1
+        for c in n[1]:
+            if c is None:
+                leaves += 1
+                if leaves == i:
+                    return True
+            elif walk(c):
+                return True
+        return False
+
+    assert walk(node)
+    return vertices
+
+
+def test_compose_monomials_is_graft():
+    gens = [m_gen(2), d_gen(1), d_gen(2), m_gen(3)]
+    for f in enumerate_monomials(3, 3):
+        for g in gens:
+            gt = TreeMonomial.corolla(g)
+            for i in range(1, f.arity + 1):
+                sign, out = compose_monomials(f, i, gt)
+                assert out.node == graft(f.node, i, gt.node)
+                # g's vertex moves past the vertices of f after leaf i
+                k = _vertices_before_leaf(f.node, i)
+                tail = sum(x.degree for x in f.gens[k:])
+                assert sign == (-1) ** (g.degree * tail)

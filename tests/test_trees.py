@@ -11,13 +11,16 @@ from operad_forge.trees import (
     Generator,
     contract,
     corolla,
+    decode,
     divisor_subtree,
+    encode,
     graft,
     monomial_order_key,
     node_arity,
     node_weight,
     path_sequence,
     sigma_permutation,
+    subtree_end,
     vertex_labels,
 )
 
@@ -183,3 +186,52 @@ def test_graft_leaf_indexing():
     assert t == (m_gen(2), (None, (d_gen(1), (None,))))
     with pytest.raises(ValueError):
         graft(corolla(m_gen(2)), 3, corolla(d_gen(1)))
+
+
+# ---------------------------------------------------------------------------
+# The word encoding against the nested definitions
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def monomials_5_4():
+    return enumerate_monomials(5, 4)
+
+
+def test_word_node_round_trip(monomials_5_4):
+    for t in monomials_5_4:
+        node = t.node
+        assert decode(t.word) == node
+        assert encode(node) == t.word
+        assert TreeMonomial(node) == t
+        assert (t.arity, t.weight) == (node_arity(node), node_weight(node))
+        assert t.degree == sum(g.degree for g in vertex_labels(node))
+        assert list(t.gens) == vertex_labels(node)
+
+
+def test_word_order_key_matches_definition(monomials_5_4):
+    for t in monomials_5_4:
+        assert t.order_key() == monomial_order_key(t.node)
+
+
+def test_subtree_end_is_a_subtree_slice():
+    t = TreeMonomial(tree("(m3 (d1 _) _ (m2 (d2 _ _) _))"))
+    assert [subtree_end(t.word, p) for p in (0, 1, 4, 5)] == [9, 3, 9, 8]
+    assert decode(t.word[4:9]) == tree("(m2 (d2 _ _) _)")
+
+
+def test_foreign_generator_builds_but_does_not_order():
+    weird = Generator("x2", 2, 1)
+    t = TreeMonomial(graft(corolla(weird), 1, corolla(m_gen(2))))
+    assert (t.arity, t.degree, t.weight) == (3, 1, 2)
+    assert t.gens[0] is weird and repr(t) == "(x2 (m2 _ _) _)"
+    with pytest.raises(ForeignGeneratorError):
+        t.order_key()
+    with pytest.raises(ForeignGeneratorError):
+        t.order_key()
+
+
+def test_monomial_pickles_by_its_nested_form():
+    import pickle
+
+    t = TreeMonomial(tree("(m3 (d1 _) _ (m2 _ _))"))
+    assert pickle.loads(pickle.dumps(t)) == t
