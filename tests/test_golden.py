@@ -1,18 +1,36 @@
-"""Byte-for-byte regression of CLI `--out` reports against recorded files.
+"""Byte-for-byte regression of recorded outputs.
 
 `test_reports_byte_identical` in test_cli.py compares two runs in one
 process; these files pin the bytes across versions of the code.  The input
 elements live next to the reports and are passed by bare file name from
 that directory, so the `in` parameter echoed in a report does not depend on
-where the suite runs.  To re-record after an intended output change, run
+where the suite runs.
+
+`brackets.json` pins the exact values of the hom-complex layer: seeded
+`compose_full` calls (identity slots and odd-degree slot maps), `hom_brace`
+with one to three maps, `hom_gerstenhaber`, and `cda_bracket` l_2, l_3, l_4
+plus nested brackets at generic weight, each as sorted
+(input key, output basis, coefficient) triples.
+
+To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import json
+import random
 from pathlib import Path
 
 import pytest
 
 from operad_forge.cli import main
+from operad_forge.coeffs import LAMBDA, Coefficient, format_coefficient
+from operad_forge.hom_complex import (
+    GradedSpace,
+    compose_full,
+    hom_brace,
+    hom_gerstenhaber,
+)
+from operad_forge.linf import ALG, DO, CdaElement, cda_bracket, random_multimap
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -32,6 +50,91 @@ def test_out_matches_golden(name, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
+def _triples(mm):
+    return sorted([list(key), b, format_coefficient(c)]
+                  for key, out in mm.table.items() for b, c in out.items())
+
+
+def _element_cases(name, x):
+    return {f"{name} {flag}{n}": _triples(mm)
+            for (n, flag), mm in sorted(x.parts.items())}
+
+
+def _mixed(rng, source, target, arity, degree):
+    """A random map whose coefficients mix L^0, L^1 and L^2 terms."""
+    out = random_multimap(rng, source, target, arity, degree)
+    for power in (1, 2):
+        out = out + random_multimap(rng, source, target, arity, degree,
+                                    density=0.5).scale(Coefficient.lam(power))
+    return out
+
+
+def bracket_cases() -> dict:
+    """Seeded hom-layer computations, as sorted value triples per case."""
+    cases = {}
+    sv = GradedSpace({0: 2, 1: 1})
+    rng = random.Random(2024)
+    f3 = _mixed(rng, sv, sv, 3, -1)
+    g_odd = _mixed(rng, sv, sv, 2, -1)
+    h_odd = _mixed(rng, sv, sv, 1, -1)
+    h_even = _mixed(rng, sv, sv, 2, 0)
+    cases["compose_full f3[g_odd, -, h_odd]"] = _triples(
+        compose_full(f3, [g_odd, None, h_odd]))
+    cases["compose_full f3[h_even, g_odd, h_odd]"] = _triples(
+        compose_full(f3, [h_even, g_odd, h_odd]))
+    cases["compose_full f3[-, -, -]"] = _triples(
+        compose_full(f3, [None, None, None]))
+    cases["compose_full f3[-, h_odd, -]"] = _triples(
+        compose_full(f3, [None, h_odd, None]))
+    cases["hom_brace f3{g_odd}"] = _triples(hom_brace(f3, [g_odd]))
+    cases["hom_brace f3{g_odd, h_odd}"] = _triples(
+        hom_brace(f3, [g_odd, h_odd]))
+    cases["hom_brace f3{h_odd, h_even, g_odd}"] = _triples(
+        hom_brace(f3, [h_odd, h_even, g_odd]))
+    cases["hom_gerstenhaber [f3, g_odd]"] = _triples(
+        hom_gerstenhaber(f3, g_odd))
+    cases["hom_gerstenhaber [g_odd, h_even]"] = _triples(
+        hom_gerstenhaber(g_odd, h_even))
+
+    for label, space in (("dim 2", GradedSpace({0: 2})),
+                         ("two degrees", GradedSpace({0: 1, 1: 1}))):
+        s_space = space.shift(1)
+        rng = random.Random(f"brackets/{label}")
+        sf = CdaElement.alg_part(space, random_multimap(
+            rng, s_space, s_space, 2, -1))
+        sf2 = CdaElement.alg_part(space, random_multimap(
+            rng, s_space, s_space, 1, 0))
+        sf3 = CdaElement.alg_part(space, random_multimap(
+            rng, s_space, s_space, 3, -2))
+        g1 = CdaElement.do_part(space, _mixed(rng, s_space, space, 1, -1))
+        g2 = CdaElement.do_part(space, random_multimap(
+            rng, s_space, space, 2, -2))
+        g3 = CdaElement.do_part(space, random_multimap(
+            rng, s_space, space, 1, -1))
+        l2 = cda_bracket(space, LAMBDA, [sf, g1])
+        l3 = cda_bracket(space, LAMBDA, [sf, g1, g2])
+        l4 = cda_bracket(space, LAMBDA, [g3, sf3, g1, g2])
+        nested = cda_bracket(space, LAMBDA, [l3, sf2])
+        nested3 = cda_bracket(space, LAMBDA, [sf, l3, g1])
+        for name, x in (("l2(sf, g1)", l2), ("l3(sf, g1, g2)", l3),
+                        ("l4(g3, sf3, g1, g2)", l4),
+                        ("l2(l3(sf, g1, g2), sf2)", nested),
+                        ("l3(sf, l3(sf, g1, g2), g1)", nested3),
+                        ("l2(sf, sf2)", cda_bracket(space, LAMBDA,
+                                                    [sf, sf2]))):
+            cases.update(_element_cases(f"{label}: {name}", x))
+    return cases
+
+
+def bracket_report() -> str:
+    return json.dumps(bracket_cases(), indent=1, sort_keys=True) + "\n"
+
+
+def test_brackets_match_golden():
+    assert bracket_report().encode() == \
+        (GOLDEN_DIR / "brackets.json").read_bytes()
+
+
 def record() -> None:
     import os
 
@@ -39,6 +142,7 @@ def record() -> None:
     for name, argv in CASES.items():
         if main(argv + ["--out", f"{name}.json"]) != 0:
             raise SystemExit(f"{name}: command failed")
+    Path("brackets.json").write_text(bracket_report())
 
 
 if __name__ == "__main__":
