@@ -121,6 +121,16 @@ def test_reports_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+
+def test_linfty_jacobi_jobs_report_matches_serial(tmp_path):
+    serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
+    args = ["linfty", "jacobi", "--dim", "1", "--maxn", "3", "--trials", "4",
+            "--seed", "3"]
+    assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+    assert parallel.read_bytes() == serial.read_bytes()
+
+
 SELFTESTS = [
     ["difinfty", "diff", "--gen", "m2"],
     ["difinfty", "d2check"],
