@@ -10,6 +10,14 @@ two translations
 
 then carry the sign (-1)**(sum_j (n-j) p_j) on inputs of V-degrees
 p_1..p_n, and similarly for their inverses.
+
+Composition and braces run on one kernel, `_compose_sum`.  It indexes each
+slot map by output basis element once per call, with each entry's block
+degree, then adds the products of every insertion position of every term
+into one table of raw Q[L] values; each output entry becomes a Coefficient
+once, at the end.  The Koszul sign is summed as an exponent while a
+composite grows slot by slot and is applied once, by taking f's row or
+its negative.
 """
 
 from __future__ import annotations
@@ -179,6 +187,95 @@ class MultiMap:
         return self.table.get(tuple(key), {})
 
 
+# ---------------------------------------------------------------------------
+# Composition and braces: one kernel on raw Q[L] values
+# ---------------------------------------------------------------------------
+
+def _terms(c: Coefficient) -> tuple:
+    return tuple(c.coeffs.items())
+
+
+def _index_slot(h: MultiMap) -> tuple[dict, int]:
+    """h by output basis element, b -> [(input block, its degree, raw
+    coefficient)], and the parity of h's degree."""
+    degs = h.source.degrees
+    by_out: dict[int, list] = {}
+    for key, out in h.table.items():
+        d = sum(degs[i] for i in key)
+        for b, c in out.items():
+            by_out.setdefault(b, []).append((key, d, _terms(c)))
+    return by_out, h.degree & 1
+
+
+def _mul_terms(a: tuple, b: tuple) -> tuple:
+    if len(a) == 1 == len(b):
+        return ((a[0][0] + b[0][0], a[0][1] * b[0][1]),)
+    out: dict = {}
+    for ea, va in a:
+        for eb, vb in b:
+            out[ea + eb] = out.get(ea + eb, 0) + va * vb
+    return tuple(out.items())
+
+
+def _compose_sum(f0: MultiMap, arity: int, degree: int,
+                 terms: Sequence[tuple]) -> MultiMap:
+    """sum of sign * f o (slots) over (sign, f, slots) terms like f0's."""
+    src, degs = f0.source, f0.source.degrees
+    rows: dict[int, list] = {}
+    index: dict[int, tuple] = {}
+    acc: dict = {}    # input key -> output basis -> {power of L: rational}
+    for sign, f, slots in terms:
+        if id(f) not in rows:
+            rows[id(f)] = [(key, [(b, _terms(c)) for b, c in out.items()],
+                            [(b, _terms(-c)) for b, c in out.items()])
+                           for key, out in f.table.items()]
+        for h in slots:
+            if h is not None and id(h) not in index:
+                if h.target != src or h.source != src:
+                    raise ValueError(
+                        "slot maps must go from and to the input space")
+                index[id(h)] = _index_slot(h)
+        plan = [None if h is None else index[id(h)] for h in slots]
+        for fkey, fpos, fneg in rows[id(f)]:
+            # partial composites (input key, coefficient or None for 1,
+            # degree of the blocks so far, Koszul exponent)
+            partial = [((), None, 0, sign < 0)]
+            for b, slot in zip(fkey, plan):
+                if slot is None:
+                    d = degs[b]
+                    partial = [(k + (b,), c, pd + d, e)
+                               for k, c, pd, e in partial]
+                    continue
+                opts = slot[0].get(b)
+                if opts is None:
+                    break
+                odd = slot[1]
+                partial = [(k + block, hc if c is None else _mul_terms(c, hc),
+                            pd + d, e + pd * odd)
+                           for k, c, pd, e in partial
+                           for block, d, hc in opts]
+            else:
+                for key, c, _, e in partial:
+                    c = c or ((0, 1),)
+                    row = acc.get(key)
+                    if row is None:
+                        row = acc[key] = {}
+                    for b, fc in (fneg if e & 1 else fpos):
+                        cell = row.get(b)
+                        if cell is None:
+                            cell = row[b] = {}
+                        for ef, vf in fc:
+                            for ec, vc in c:
+                                cell[ef + ec] = cell.get(ef + ec, 0) + vf * vc
+    out = MultiMap.zero(src, f0.target, arity, degree)
+    for key, row in acc.items():
+        row = {b: c for b, c in ((b, Coefficient(cell))
+                                 for b, cell in row.items()) if c}
+        if row:
+            out.table[key] = row
+    return out
+
+
 def compose_full(f: MultiMap, slots: Sequence[Optional[MultiMap]]
                  ) -> MultiMap:
     """f o (h_1 tensor ... tensor h_k), None meaning the identity slot.
@@ -188,74 +285,9 @@ def compose_full(f: MultiMap, slots: Sequence[Optional[MultiMap]]
     """
     if len(slots) != f.arity:
         raise ValueError("need one slot entry per input of f")
-    src = f.source
-    for h in slots:
-        if h is None:
-            continue
-        if h.target != src or h.source != src:
-            raise ValueError("slot maps must go from and to the input space")
     arity = sum(1 if h is None else h.arity for h in slots)
     degree = f.degree + sum(0 if h is None else h.degree for h in slots)
-    out_space = f.target
-
-    # index each slot map by output basis element
-    indexed: list[Optional[dict[int, list[tuple[tuple, Coefficient]]]]] = []
-    for h in slots:
-        if h is None:
-            indexed.append(None)
-            continue
-        by_out: dict[int, list[tuple[tuple, Coefficient]]] = {}
-        for key, out in h.table.items():
-            for b, c in out.items():
-                by_out.setdefault(b, []).append((key, c))
-        indexed.append(by_out)
-
-    table: dict[tuple, dict[int, Coefficient]] = {}
-    for fkey, fout in f.table.items():
-        # choices per slot: (input block, coefficient, map degree)
-        per_slot: list[list[tuple[tuple, Coefficient, int]]] = []
-        dead = False
-        for s, h in enumerate(slots):
-            b = fkey[s]
-            if h is None:
-                per_slot.append([((b,), None, 0)])
-            else:
-                opts = indexed[s].get(b, [])
-                if not opts:
-                    dead = True
-                    break
-                per_slot.append([(key, c, h.degree) for key, c in opts])
-        if dead:
-            continue
-        for combo in itertools.product(*per_slot):
-            key_parts: list[int] = []
-            coeff: Optional[Coefficient] = None
-            exp = 0
-            pre_deg = 0
-            for block, c, hdeg in combo:
-                if hdeg % 2:
-                    exp += pre_deg
-                pre_deg += sum(src.degree_of(i) for i in block)
-                key_parts.extend(block)
-                if c is not None:
-                    coeff = c if coeff is None else coeff * c
-            if coeff is None:
-                coeff = Coefficient.one()
-            if exp % 2:
-                coeff = -coeff
-            key = tuple(key_parts)
-            row = table.setdefault(key, {})
-            for b, cf in fout.items():
-                tot = row.get(b)
-                add = cf * coeff
-                tot = tot + add if tot is not None else add
-                if tot.is_zero():
-                    row.pop(b, None)
-                else:
-                    row[b] = tot
-            if not row:
-                table.pop(key, None)
-    return MultiMap(src, out_space, arity, degree, table, check=False)
+    return _compose_sum(f, arity, degree, [(1, f, slots)])
 
 
 def compose_at(f: MultiMap, i: int, g: MultiMap) -> MultiMap:
@@ -267,30 +299,32 @@ def compose_at(f: MultiMap, i: int, g: MultiMap) -> MultiMap:
     return compose_full(f, slots)
 
 
+def brace_sum(terms: Sequence[tuple[int, MultiMap, Sequence[MultiMap]]]
+              ) -> MultiMap:
+    """sum of sign * f{g_1,...,g_k} over (sign, f, gs) terms of one arity
+    and degree, every insertion position of every term in one pass."""
+    _, f0, gs0 = terms[0]
+    slot_terms = []
+    for sign, f, gs in terms:
+        for positions in itertools.combinations(range(f.arity), len(gs)):
+            slots: list[Optional[MultiMap]] = [None] * f.arity
+            for p, g in zip(positions, gs):
+                slots[p] = g
+            slot_terms.append((sign, f, slots))
+    return _compose_sum(f0, f0.arity + sum(g.arity - 1 for g in gs0),
+                        f0.degree + sum(g.degree for g in gs0), slot_terms)
+
+
 def hom_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
-    """f{g_1,...,g_k}: sum over strictly increasing insertion slots."""
-    arity_out = f.arity + sum(g.arity - 1 for g in gs)
-    degree_out = f.degree + sum(g.degree for g in gs)
-    acc = MultiMap.zero(f.source, f.target, arity_out, degree_out)
-    if len(gs) > f.arity:
-        return acc
-    if not gs:
-        return f
-    for positions in itertools.combinations(range(f.arity), len(gs)):
-        slots: list[Optional[MultiMap]] = [None] * f.arity
-        for p, g in zip(positions, gs):
-            slots[p] = g
-        acc = acc + compose_full(f, slots)
-    return acc
+    """f{g_1,...,g_k}: sum over strictly increasing insertion slots, each
+    g_j indexed once and all positions summed in one raw table."""
+    return brace_sum([(1, f, gs)]) if gs else f
 
 
 def hom_gerstenhaber(f: MultiMap, g: MultiMap) -> MultiMap:
     """[f,g] = f{g} - (-1)**(|f||g|) g{f} on maps with target = source."""
-    first = hom_brace(f, [g])
-    second = hom_brace(g, [f])
-    if (f.degree * g.degree) % 2:
-        return first + second
-    return first - second
+    return brace_sum([(1, f, [g]),
+                      (1 if f.degree * g.degree % 2 else -1, g, [f])])
 
 
 # ---------------------------------------------------------------------------

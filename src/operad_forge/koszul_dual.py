@@ -27,7 +27,7 @@ from typing import Iterator, Literal, Sequence, Union
 from .coeffs import Coefficient, LAMBDA, sign_coeff
 from .dif_operads import Difinfty, compositions, d_gen, m_gen
 from .free_operad import OperadElement, TreeMonomial
-from .trees import Generator, corolla, graft
+from .trees import Generator, gen_id
 
 Kind = Literal["mt", "dt", "sm", "sd"]
 
@@ -221,15 +221,14 @@ def _is_counit(c: CoopGenerator) -> bool:
 
 
 def _shape_monomial(shape: TreeShape, gens: Sequence[Generator]) -> TreeMonomial:
-    if isinstance(shape, TypeI):
-        node = graft(corolla(gens[0]), shape.i, corolla(gens[1]))
-        return TreeMonomial(node)
-    node = corolla(gens[0])
-    shift = 0
-    for t, (k, l) in enumerate(zip(shape.ks, shape.ls)):
-        node = graft(node, k + shift, corolla(gens[1 + t]))
-        shift += l - 1
-    return TreeMonomial(node)
+    """The shape's tree decorated by gens: the root's word with the upper
+    corolla words spliced into its leaves (the cobar sign is paid apart)."""
+    ks = (shape.i,) if isinstance(shape, TypeI) else shape.ks
+    word = [gen_id(gens[0])] + [0] * gens[0].arity
+    for k, g in reversed(list(zip(ks, gens[1:]))):
+        word[k:k + 1] = [gen_id(g)] + [0] * g.arity
+    return TreeMonomial.from_word(tuple(word), word.count(0),
+                                  sum(g.degree for g in gens), len(gens))
 
 
 def cobar_differential(c: CoopGenerator, lam: Coefficient = LAMBDA) -> OperadElement:

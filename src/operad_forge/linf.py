@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 from typing import Mapping, Optional, Sequence
 
 from .algebras import DifAlgebraData
@@ -34,8 +35,8 @@ from .coeffs import Coefficient, LAMBDA, chi_sign, shuffles
 from .hom_complex import (
     GradedSpace,
     MultiMap,
+    brace_sum,
     desuspend_target,
-    hom_brace,
     hom_gerstenhaber,
     iso1_down,
     iso1_up,
@@ -165,31 +166,22 @@ def _component_bracket(space: GradedSpace, lam: Coefficient,
         out = desuspend_target(bracket)
         exp = exp_iv + sf.degree
         return (DO, out if exp % 2 == 0 else -out)
-    # item (iii)
+    # item (iii), with item (iv)'s sign folded into every term
     sgs = [suspend_target(g) for g in gs]
-    total = None
+    terms = []
     for sigma in itertools.permutations(range(m)):
         chi = chi_sign(gdeg, sigma)
-        exp = m * sf.degree
-        run = 0
-        for kk in range(m - 1):
-            run += gdeg[sigma[kk]]
-            exp += run
-        braced = hom_brace(sf, [sgs[s] for s in sigma])
-        if braced.is_zero():
-            continue
-        sgn = chi if exp % 2 == 0 else -chi
-        term = braced if sgn == 1 else -braced
-        total = term if total is None else total + term
-    if total is None or total.is_zero():
+        exp = exp_iv + m * sf.degree + sum(
+            (m - 1 - j) * gdeg[sigma[j]] for j in range(m - 1))
+        terms.append((-chi if exp % 2 else chi, sf,
+                      [sgs[s] for s in sigma]))
+    total = brace_sum(terms)
+    if total.is_zero():
         return None
     lam_pow = Coefficient.one()
     for _ in range(m - 1):
         lam_pow = lam_pow * lam
-    out = desuspend_target(total).scale(lam_pow)
-    if exp_iv % 2:
-        out = -out
-    return (DO, out)
+    return (DO, desuspend_target(total).scale(lam_pow))
 
 
 def cda_bracket(space: GradedSpace, lam: Coefficient,
@@ -329,13 +321,6 @@ def _jacobi_width_worker(task):
 # Maurer-Cartan elements and twisting
 # ---------------------------------------------------------------------------
 
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def mc_residual(space: GradedSpace, lam: Coefficient,
                 alpha: CdaElement) -> CdaElement:
     """sum_n 1/n! (-1)^(n(n-1)/2) l_n(alpha^n), with the structurally exact
@@ -350,7 +335,7 @@ def mc_residual(space: GradedSpace, lam: Coefficient,
         term = cda_bracket(space, lam, [alpha] * n)
         if term.is_zero():
             continue
-        scalar = Fraction((-1) ** ((n * (n - 1) // 2) % 2), _factorial(n))
+        scalar = Fraction((-1) ** ((n * (n - 1) // 2) % 2), factorial(n))
         out = out + term.scale(scalar)
     extra = cda_bracket(space, lam, [alpha] * (cap + 1))
     if not extra.is_zero():
@@ -372,7 +357,7 @@ def twisted_bracket(space: GradedSpace, lam: Coefficient, alpha: CdaElement,
         if term.is_zero():
             continue
         scalar = Fraction((-1) ** ((i * n + i * (i - 1) // 2) % 2),
-                          _factorial(i))
+                          factorial(i))
         out = out + term.scale(scalar)
     return out
 

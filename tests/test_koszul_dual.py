@@ -131,3 +131,38 @@ def test_shapes_for_arity_counts():
     # p=2,q=2: ls sum to 3: (1,2),(2,1); p=3,q=2: ks 3 choices, ls=(1,1);
     # p=3,q=3: ls=(1,1,1)
     assert len(type_ii) == 2 + 3 + 1
+
+
+def test_shape_monomial_words_match_nested_grafting():
+    # the old definition: graft the upper corollas into the root one by one
+    from operad_forge.free_operad import TreeMonomial
+    from operad_forge.koszul_dual import _shape_monomial, mu_gen, nu_gen
+    from operad_forge.trees import corolla, graft
+
+    def grafted(shape, gens):
+        if isinstance(shape, TypeI):
+            return graft(corolla(gens[0]), shape.i, corolla(gens[1]))
+        node, shift = corolla(gens[0]), 0
+        for t, (k, l) in enumerate(zip(shape.ks, shape.ls)):
+            node = graft(node, k + shift, corolla(gens[1 + t]))
+            shift += l - 1
+        return node
+
+    checked = 0
+    for n in range(1, 6):
+        for shape in shapes_for_arity(n):
+            if isinstance(shape, TypeI):
+                arities = [n - shape.j + 1, shape.j]
+            else:
+                arities = [shape.p, *shape.ls]
+            for m_of, d_of in ((m_gen, d_gen), (mu_gen, nu_gen)):
+                # mix the two kinds of vertex, so degrees 0 and 1 both occur
+                gens = [m_of(a) if a >= 2 and (t + n) % 2 else d_of(a)
+                        for t, a in enumerate(arities)]
+                got = _shape_monomial(shape, gens)
+                want = TreeMonomial(grafted(shape, gens))
+                assert got == want
+                assert (got.arity, got.degree, got.weight) == \
+                    (want.arity, want.degree, want.weight)
+                checked += 1
+    assert checked > 100
