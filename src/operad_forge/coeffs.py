@@ -169,6 +169,48 @@ def sign_coeff(exponent: int) -> Coefficient:
     return _ONE if exponent % 2 == 0 else MINUS_ONE
 
 
+def as_coefficient(c: "Coefficient | Rat") -> Coefficient:
+    return c if isinstance(c, Coefficient) else Coefficient.rational(c)
+
+
+def unit_sign(c: "Coefficient | Rat") -> int:
+    """1 or -1 when ``c`` is the constant +-1, else 0; scaling by a unit
+    only returns or negates."""
+    if isinstance(c, Coefficient):
+        c = c._c.get(0) if len(c._c) == 1 else None
+    return 1 if c == 1 else -1 if c == -1 else 0
+
+
+# ---------------------------------------------------------------------------
+# Sparse sums
+# ---------------------------------------------------------------------------
+
+def add_into(acc: dict, key, value) -> None:
+    """acc[key] += value, removing the entry when the sum is zero.
+
+    This is the one place a sparse sum drops its zeros.  A dict value (a
+    row, or a table of rows) is added entry by entry into a dict that
+    ``acc`` owns, so ``acc`` never shares a mutable value with an operand;
+    any other value (a Coefficient, a MultiMap) is combined with ``+`` and
+    tested for zero by its truth value.  ``acc`` itself must be a fresh
+    dict: values handed out by a cache must never be accumulated into.
+    """
+    prev = acc.get(key)
+    if type(value) is dict:
+        if prev is None:
+            prev = acc[key] = {}
+        for k, v in value.items():
+            add_into(prev, k, v)
+        if not prev:
+            del acc[key]
+        return
+    tot = value if prev is None else prev + value
+    if tot:
+        acc[key] = tot
+    elif prev is not None:
+        del acc[key]
+
+
 # ---------------------------------------------------------------------------
 # textual grammar:
 #   coeff    := term (('+'|'-') term)*

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .coeffs import Coefficient
+from .coeffs import Coefficient, add_into
 from .dif_operads import (
     Difinfty,
     InternalInvariantError,
@@ -159,13 +159,7 @@ class Contraction:
         acc: dict[TreeMonomial, Coefficient] = {}
         for mono, c in repl.terms.items():
             sign, new_t = replace_region(t, region, mono)
-            w = c if sign == 1 else -c
-            prev = acc.get(new_t)
-            tot = prev + w if prev is not None else w
-            if tot.is_zero():
-                acc.pop(new_t, None)
-            else:
-                acc[new_t] = tot
+            add_into(acc, new_t, c if sign == 1 else -c)
         out = OperadElement(acc)
         self._tbar[t] = out
         return out
@@ -197,22 +191,15 @@ class Contraction:
             if pending:
                 stack.extend(pending)
                 continue
-            result = self.h_bar(cur)
-            for mono, c in tbar.terms.items():
-                part = cache[mono]
-                if not part.is_zero():
-                    result = result + part.scale(c)
-            cache[cur] = result
+            cache[cur] = OperadElement.sum(
+                [(1, self.h_bar(cur))]
+                + [(c, cache[mono]) for mono, c in tbar.terms.items()])
             stack.pop()
         return cache[t]
 
     def apply(self, x: OperadElement) -> OperadElement:
-        out = OperadElement.zero()
-        for t, c in x.terms.items():
-            part = self.h_monomial(t)
-            if not part.is_zero():
-                out = out + part.scale(c)
-        return out
+        return OperadElement.sum((c, self.h_monomial(t))
+                                 for t, c in x.terms.items())
 
     # -- the main verification ---------------------------------------------
 

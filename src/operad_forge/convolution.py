@@ -24,7 +24,8 @@ import itertools
 from typing import Optional, Sequence
 
 from .coeffs import Coefficient, chi_sign
-from .hom_complex import GradedSpace, MultiMap, compose_at, suspend_target
+from .hom_complex import (GradedSpace, MultiMap, compose_at, sum_maps,
+                          suspend_target)
 from .koszul_dual import CoopGenerator, TypeI, TypeII, delta
 from .linf import ALG, DO, CdaElement
 
@@ -58,16 +59,15 @@ class ConvElement:
         store = self.at_mt if c.kind == "mt" else self.at_dt
         return store.get(c.arity)
 
+    @staticmethod
+    def sum(space: GradedSpace, pairs: Sequence[tuple]) -> "ConvElement":
+        """sum of c * x over (c, x) pairs."""
+        return ConvElement(space,
+                           sum_maps((c, x.at_mt) for c, x in pairs),
+                           sum_maps((c, x.at_dt) for c, x in pairs))
+
     def __add__(self, other: "ConvElement") -> "ConvElement":
-        mt = dict(self.at_mt)
-        for n, mm in other.at_mt.items():
-            cur = mt.get(n)
-            mt[n] = cur + mm if cur is not None else mm
-        dt = dict(self.at_dt)
-        for n, mm in other.at_dt.items():
-            cur = dt.get(n)
-            dt[n] = cur + mm if cur is not None else mm
-        return ConvElement(self.space, mt, dt)
+        return ConvElement.sum(self.space, [(1, self), (1, other)])
 
     def scale(self, c) -> "ConvElement":
         return ConvElement(self.space,
@@ -157,8 +157,7 @@ def conv_m(space: GradedSpace, lam: Coefficient,
     fdegs = [f.degree() for f in fs]
     global_exp = (r * (r - 1)) // 2 + 1 + r * sum(fdegs)
     seen = set()
-    acc_mt: dict[int, MultiMap] = {}
-    acc_dt: dict[int, MultiMap] = {}
+    terms: dict[str, list] = {"mt": [], "dt": []}
     for target, shape in _shapes_with_targets(fs):
         key = (target, shape)
         if key in seen:
@@ -180,15 +179,10 @@ def conv_m(space: GradedSpace, lam: Coefficient,
             for i in range(r):
                 if decs[i].degree % 2:
                     exp += sum(fdegs[i + 1:])
-            composite = _compose_along_shape(shape, values)
-            if composite.is_zero():
-                continue
-            c = coeff if exp % 2 == 0 else -coeff
-            store = acc_mt if target.kind == "mt" else acc_dt
-            cur = store.get(target.arity)
-            term = composite.scale(c)
-            store[target.arity] = cur + term if cur is not None else term
-    return ConvElement(space, acc_mt, acc_dt)
+            terms[target.kind].append(
+                (coeff if exp % 2 == 0 else -coeff,
+                 {target.arity: _compose_along_shape(shape, values)}))
+    return ConvElement(space, sum_maps(terms["mt"]), sum_maps(terms["dt"]))
 
 
 def conv_ell(space: GradedSpace, lam: Coefficient,
@@ -196,11 +190,6 @@ def conv_ell(space: GradedSpace, lam: Coefficient,
     """Antisymmetrization of conv_m over all permutations of the inputs."""
     n = len(fs)
     degs = [f.degree() for f in fs]
-    out = ConvElement(space)
-    for sigma in itertools.permutations(range(n)):
-        chi = chi_sign(degs, sigma)
-        term = conv_m(space, lam, [fs[s] for s in sigma])
-        if term.is_zero():
-            continue
-        out = out + term.scale(chi)
-    return out
+    return ConvElement.sum(space, [
+        (chi_sign(degs, sigma), conv_m(space, lam, [fs[s] for s in sigma]))
+        for sigma in itertools.permutations(range(n))])

@@ -25,7 +25,7 @@ import os
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .coeffs import Coefficient, LAMBDA, sign_coeff
+from .coeffs import Coefficient, LAMBDA, add_into, sign_coeff
 from .free_operad import (
     OperadElement,
     TreeMonomial,
@@ -113,23 +113,20 @@ class Difinfty:
         return out
 
     def _diff_m(self, n: int) -> OperadElement:
-        out = OperadElement.zero()
-        for j in range(2, n):
-            outer = OperadElement.generator(m_gen(n - j + 1))
-            inner = OperadElement.generator(m_gen(j))
-            for i in range(1, n - j + 2):
-                term = partial_compose(outer, i, inner)
-                out = out + term.scale(sign_coeff(i + j * (n - i)))
-        return out
+        return OperadElement.sum(
+            (sign_coeff(i + j * (n - i)),
+             partial_compose(OperadElement.generator(m_gen(n - j + 1)), i,
+                             OperadElement.generator(m_gen(j))))
+            for j in range(2, n) for i in range(1, n - j + 2))
 
     def _diff_d(self, n: int) -> OperadElement:
-        out = OperadElement.zero()
+        terms = []
         for j in range(2, n + 1):
             outer = OperadElement.generator(d_gen(n - j + 1))
             inner = OperadElement.generator(m_gen(j))
             for i in range(1, n - j + 2):
-                term = partial_compose(outer, i, inner)
-                out = out - term.scale(sign_coeff(i + j * (n - i)))
+                terms.append((sign_coeff(i + j * (n - i) + 1),
+                              partial_compose(outer, i, inner)))
         lam_pow = Coefficient.one()
         lam_powers = [Coefficient.one()]
         for _ in range(n):
@@ -151,9 +148,9 @@ class Difinfty:
                                 term, pos, OperadElement.generator(d_gen(ls[t]))
                             )
                             shift += ls[t] - 1
-                        coeff = lam_powers[q - 1] * sign_coeff(xi)
-                        out = out - term.scale(coeff)
-        return out
+                        terms.append((lam_powers[q - 1] * sign_coeff(xi + 1),
+                                      term))
+        return OperadElement.sum(terms)
 
     def _images_for(self, x: OperadElement) -> dict[Generator, OperadElement]:
         return {g: self.diff(g) for t in x.terms for g in t.gens}
@@ -257,12 +254,7 @@ class DifRewriter:
             cur, ccur = work.popitem()
             redex = self._pick_redex(cur)
             if redex is None:
-                prev = done.get(cur)
-                tot = prev + ccur if prev is not None else ccur
-                if tot.is_zero():
-                    done.pop(cur, None)
-                else:
-                    done[cur] = tot
+                add_into(done, cur, ccur)
                 continue
             steps += 1
             if steps > self.max_steps:
@@ -276,13 +268,7 @@ class DifRewriter:
                 sign, new_t = replace_region(cur, {v, w}, mono)
                 if sign != 1:
                     raise InternalInvariantError("degree-0 rewrite produced a sign")
-                c = ccur * mc
-                prev = work.get(new_t)
-                tot = prev + c if prev is not None else c
-                if tot.is_zero():
-                    work.pop(new_t, None)
-                else:
-                    work[new_t] = tot
+                add_into(work, new_t, ccur * mc)
         out = OperadElement(done)
         self._nf_cache[t] = out
         return out
@@ -292,10 +278,8 @@ class DifRewriter:
             return x
         if x.degree != 0:
             raise ValueError("rewriting only applies to degree-0 elements")
-        out = OperadElement.zero()
-        for t, c in x.terms.items():
-            out = out + self.normalize_monomial(t).scale(c)
-        return out
+        return OperadElement.sum((c, self.normalize_monomial(t))
+                                 for t, c in x.terms.items())
 
     def is_normal_form(self, t: TreeMonomial) -> bool:
         return not self.find_redexes(t)

@@ -14,7 +14,8 @@ import json
 import re
 from typing import Callable, Optional
 
-from .coeffs import Coefficient, format_coefficient, parse_coefficient
+from .coeffs import (Coefficient, add_into, format_coefficient,
+                     parse_coefficient)
 from .free_operad import OperadElement, TreeMonomial
 from .trees import Generator, Node
 
@@ -93,7 +94,5 @@ def parse_element(text: str,
     terms: dict[TreeMonomial, Coefficient] = {}
     for rec in data:
         t = TreeMonomial(parse_tree(rec["tree"], gen_parser))
-        c = parse_coefficient(rec["coeff"])
-        prev = terms.get(t)
-        terms[t] = prev + c if prev is not None else c
+        add_into(terms, t, parse_coefficient(rec["coeff"]))
     return OperadElement(terms)

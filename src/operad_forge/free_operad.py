@@ -21,9 +21,9 @@ derived from it.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .coeffs import Coefficient
+from .coeffs import Coefficient, add_into, as_coefficient, unit_sign
 from .trees import (
     ARITY,
     DEGREE,
@@ -220,15 +220,9 @@ class OperadElement:
         self.degree: Optional[int] = None
         if terms:
             for t, c in terms.items():
-                if c.is_zero():
-                    continue
+                add_into(self.terms, t, c)
+            for t in self.terms:
                 self._admit(t)
-                prev = self.terms.get(t)
-                tot = prev + c if prev is not None else c
-                if tot.is_zero():
-                    self.terms.pop(t, None)
-                else:
-                    self.terms[t] = tot
 
     def _admit(self, t: TreeMonomial):
         if self.arity is None:
@@ -259,25 +253,39 @@ class OperadElement:
     def __iter__(self):
         return iter(self.terms.items())
 
+    @staticmethod
+    def sum(pairs: Iterable[tuple]) -> "OperadElement":
+        """sum of c * x over (c, x) pairs, c a Coefficient or a rational.
+
+        The terms go into one fresh dict, so no operand is copied per term
+        or changed.
+        """
+        out = OperadElement()
+        acc = out.terms
+        for c, x in pairs:
+            if not x.terms:
+                continue
+            if out.arity is None:
+                out.arity, out.degree = x.arity, x.degree
+            elif (x.arity, x.degree) != (out.arity, out.degree):
+                raise HomogeneityError(
+                    f"mixed (arity, degree): ({out.arity},{out.degree}) vs "
+                    f"({x.arity},{x.degree})")
+            unit = unit_sign(c)
+            if not unit:
+                c = as_coefficient(c)
+            for t, w in x.terms.items():
+                add_into(acc, t, w if unit == 1 else -w if unit else w * c)
+        if not acc:
+            out.arity = out.degree = None
+        return out
+
     def __add__(self, other: "OperadElement") -> "OperadElement":
         if other.is_zero():
             return self
         if self.is_zero():
             return other
-        out = OperadElement()
-        out.arity, out.degree = self.arity, self.degree
-        out.terms = dict(self.terms)
-        for t, c in other.terms.items():
-            out._admit(t)
-            tot = out.terms.get(t)
-            tot = tot + c if tot is not None else c
-            if tot.is_zero():
-                out.terms.pop(t, None)
-            else:
-                out.terms[t] = tot
-        if not out.terms:
-            return OperadElement()
-        return out
+        return OperadElement.sum(((1, self), (1, other)))
 
     def __neg__(self) -> "OperadElement":
         out = OperadElement()
@@ -286,11 +294,15 @@ class OperadElement:
         return out
 
     def __sub__(self, other: "OperadElement") -> "OperadElement":
-        return self + (-other)
+        return OperadElement.sum(((1, self), (-1, other)))
 
     def scale(self, c) -> "OperadElement":
-        if not isinstance(c, Coefficient):
-            c = Coefficient.rational(c)
+        unit = unit_sign(c)
+        if unit == 1:
+            return self
+        if unit == -1:
+            return -self
+        c = as_coefficient(c)
         if c.is_zero() or self.is_zero():
             return OperadElement()
         out = OperadElement()
@@ -340,14 +352,7 @@ def partial_compose(f: OperadElement, i: int, g: OperadElement) -> OperadElement
         for tg, cg in g.terms.items():
             sign, t = compose_monomials(tf, i, tg)
             c = cf * cg
-            if sign < 0:
-                c = -c
-            prev = acc.get(t)
-            tot = prev + c if prev is not None else c
-            if tot.is_zero():
-                acc.pop(t, None)
-            else:
-                acc[t] = tot
+            add_into(acc, t, -c if sign < 0 else c)
     return OperadElement(acc)
 
 
@@ -369,13 +374,13 @@ def brace_lenient(f: OperadElement, gs: Sequence[OperadElement]) -> OperadElemen
         return f
     if f.is_zero() or any(g.is_zero() for g in gs):
         return OperadElement.zero()
-    out = OperadElement.zero()
+    terms = []
     for idx in _brace_positions(f.arity, [g.arity for g in gs]):
         term = f
         for pos, g in zip(idx, gs):
             term = partial_compose(term, pos, g)
-        out = out + term
-    return out
+        terms.append((1, term))
+    return OperadElement.sum(terms)
 
 
 def brace(f: OperadElement, gs: Sequence[OperadElement]) -> OperadElement:
@@ -414,7 +419,7 @@ def pre_jacobi_check(f: OperadElement, gs: Sequence[OperadElement],
     """Exact check of the brace pre-Jacobi identity for the given arguments."""
     m, n = len(gs), len(hs)
     lhs = brace_lenient(brace_lenient(f, gs), hs)
-    rhs = OperadElement.zero()
+    terms = []
     gdeg = [g.degree for g in gs]
     hdeg = [h.degree for h in hs]
     for pairs in _interleavings(m, n):
@@ -427,9 +432,8 @@ def pre_jacobi_check(f: OperadElement, gs: Sequence[OperadElement],
             args.append(brace_lenient(gs[k], hs[i:j]))
             prev_j = j
         args.extend(hs[prev_j:])
-        term = brace_lenient(f, args)
-        rhs = rhs + (term if exp % 2 == 0 else -term)
-    return lhs == rhs
+        terms.append((-1 if exp % 2 else 1, brace_lenient(f, args)))
+    return lhs == OperadElement.sum(terms)
 
 
 def extend_derivation(images: Mapping[Generator, OperadElement],
@@ -456,13 +460,6 @@ def extend_derivation(images: Mapping[Generator, OperadElement],
                     if prefix % 2:
                         sign = -sign
                     w = c * m_coeff
-                    if sign < 0:
-                        w = -w
-                    prev = acc.get(new_t)
-                    tot = prev + w if prev is not None else w
-                    if tot.is_zero():
-                        acc.pop(new_t, None)
-                    else:
-                        acc[new_t] = tot
+                    add_into(acc, new_t, -w if sign < 0 else w)
             prefix += gen.degree
     return OperadElement(acc)

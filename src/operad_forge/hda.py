@@ -25,14 +25,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .coeffs import Coefficient, LAMBDA
+from .coeffs import Coefficient, LAMBDA, add_into
 from .hom_complex import (
     GradedSpace,
     MultiMap,
-    compose_full,
-    hom_brace,
+    brace_terms,
+    compose_sum,
     iso1_down,
     iso1_up,
     iso2_down,
@@ -67,26 +67,27 @@ class HdaStructure:
         return mm if mm is not None and not mm.is_zero() else None
 
 
-def stasheff_residual(s: HdaStructure, n: int) -> MultiMap:
-    v = s.space
-    acc = MultiMap.zero(v, v, n, n - 3)
+def _insertion_terms(outers: Callable[[int], Optional[MultiMap]],
+                     inners: Callable[[int], Optional[MultiMap]], n: int
+                     ) -> list[tuple]:
+    """The terms (-1)^(i+jk) outer_{i+1+k} o (1^i, inner_j, 1^k) of arity
+    n, over the present (not None) maps."""
+    terms = []
     for j in range(1, n + 1):
-        inner = s.m_at(j)
-        if inner is None:
-            continue
-        outer_arity = n - j + 1
-        outer = s.m_at(outer_arity)
-        if outer is None:
+        inner, outer = inners(j), outers(n - j + 1)
+        if inner is None or outer is None:
             continue
         for i in range(0, n - j + 1):
             k = n - j - i
-            slots: list[Optional[MultiMap]] = [None] * outer_arity
+            slots: list[Optional[MultiMap]] = [None] * (n - j + 1)
             slots[i] = inner
-            term = compose_full(outer, slots)
-            if (i + j * k) % 2:
-                term = -term
-            acc = acc + term
-    return acc
+            terms.append((-1 if (i + j * k) % 2 else 1, outer, slots))
+    return terms
+
+
+def stasheff_residual(s: HdaStructure, n: int) -> MultiMap:
+    return compose_sum(s.space, s.space, n, n - 3,
+                       _insertion_terms(s.m_at, s.m_at, n))
 
 
 def _leibniz_rhs_terms(n: int) -> Iterator[tuple[int, int, tuple, tuple]]:
@@ -144,23 +145,7 @@ def eta_sign_exponent_long(n: int, p: int, ls: tuple[int, ...],
 
 
 def weighted_leibniz_residual(s: HdaStructure, n: int) -> MultiMap:
-    v = s.space
-    acc = MultiMap.zero(v, v, n, n - 2)
-    for j in range(1, n + 1):
-        inner = s.m_at(j)
-        if inner is None:
-            continue
-        outer = s.d_at(n - j + 1)
-        if outer is None:
-            continue
-        for i in range(0, n - j + 1):
-            k = n - j - i
-            slots: list[Optional[MultiMap]] = [None] * (n - j + 1)
-            slots[i] = inner
-            term = compose_full(outer, slots)
-            if (i + j * k) % 2:
-                term = -term
-            acc = acc + term
+    terms = _insertion_terms(s.d_at, s.m_at, n)
     lam_pows = [Coefficient.one()]
     for _ in range(n):
         lam_pows.append(lam_pows[-1] * s.lam)
@@ -177,12 +162,10 @@ def weighted_leibniz_residual(s: HdaStructure, n: int) -> MultiMap:
             pos += js[t]
             slots[pos] = inners[t]
             pos += 1
-        term = compose_full(outer, slots)
-        coeff = lam_pows[q - 1]
-        if eta_sign_exponent(ls, js) % 2:
-            coeff = -coeff
-        acc = acc - term.scale(coeff)
-    return acc
+        coeff = lam_pows[q - 1]    # the right-hand side is subtracted
+        terms.append((coeff if eta_sign_exponent(ls, js) % 2 else -coeff,
+                      outer, slots))
+    return compose_sum(s.space, s.space, n, n - 2, terms)
 
 
 def check_identities(s: HdaStructure, max_arity: Optional[int] = None
@@ -220,14 +203,9 @@ def br_b_residual(space: GradedSpace, bs: dict[int, MultiMap], n: int
                   ) -> MultiMap:
     """sum_{i+j-1=n} b_i{b_j}."""
     sv = space.shift(1)
-    acc = MultiMap.zero(sv, sv, n, -2)
-    for i, bi in bs.items():
-        j = n - i + 1
-        bj = bs.get(j)
-        if bj is None or j < 1:
-            continue
-        acc = acc + hom_brace(bi, [bj])
-    return acc
+    return compose_sum(sv, sv, n, -2, [
+        t for i, bi in bs.items() if n - i + 1 in bs
+        for t in brace_terms(1, bi, [bs[n - i + 1]])])
 
 
 def br_r_residual(space: GradedSpace, lam: Coefficient,
@@ -235,30 +213,22 @@ def br_r_residual(space: GradedSpace, lam: Coefficient,
                   ) -> MultiMap:
     """sum_{u+j-1=n} sR_u{b_j} - sum L^(q-1) b_p{sR_{l_1},..,sR_{l_q}}."""
     sv = space.shift(1)
-    acc = MultiMap.zero(sv, sv, n, -2)
-    for u, ru in rs.items():
-        j = n - u + 1
-        bj = bs.get(j)
-        if bj is None or j < 1:
-            continue
-        acc = acc + hom_brace(suspend_target(ru), [bj])
+    srs = {u: suspend_target(ru) for u, ru in rs.items()}
+    terms = [t for u, sru in srs.items() if n - u + 1 in bs
+             for t in brace_terms(1, sru, [bs[n - u + 1]])]
     lam_pows = [Coefficient.one()]
     for _ in range(n):
         lam_pows.append(lam_pows[-1] * lam)
     for q in range(1, n + 1):
         for p in range(q, n + 1):
-            if n - p + q < q:
-                continue
             bp = bs.get(p)
             if bp is None:
                 continue
             for ls in _positive_compositions(n - p + q, q):
-                srs = [rs.get(l) for l in ls]
-                if any(x is None for x in srs):
-                    continue
-                term = hom_brace(bp, [suspend_target(x) for x in srs])
-                acc = acc - term.scale(lam_pows[q - 1])
-    return acc
+                if all(l in srs for l in ls):
+                    terms.extend(brace_terms(-lam_pows[q - 1], bp,
+                                             [srs[l] for l in ls]))
+    return compose_sum(sv, sv, n, -1, terms)
 
 
 def mc_element(s: HdaStructure) -> CdaElement:
@@ -419,11 +389,7 @@ def homology_descent(s: HdaStructure) -> dict:
     """For a structure with differential m_1, check that d_1 preserves
     cycles and boundaries degreewise, so it descends to homology.  Requires
     weight-free (constant) tables for m_1 and d_1."""
-    from fractions import Fraction as F
-
     v = s.space
-    m1 = s.m_at(1)
-    d1 = s.d_at(1)
 
     def as_matrix(mm: Optional[MultiMap]) -> dict:
         cols: dict[int, dict[int, Fraction]] = {}
@@ -435,92 +401,66 @@ def homology_descent(s: HdaStructure) -> dict:
                 cc = c.coeffs
                 if set(cc) - {0}:
                     raise ValueError("homology descent needs constant tables")
-                col[b] = F(cc.get(0, 0))
+                col[b] = Fraction(cc.get(0, 0))
         return cols
 
-    m1_cols = as_matrix(m1)
-    d1_cols = as_matrix(d1)
+    m1_cols = as_matrix(s.m_at(1))
+    d1_cols = as_matrix(s.d_at(1))
 
     def apply_cols(cols, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
         for i, c in vec.items():
             for b, w in cols.get(i, {}).items():
-                out[b] = out.get(b, F(0)) + c * w
-        return {b: c for b, c in out.items() if c}
+                add_into(out, b, c * w)
+        return out
 
-    # cycles and boundaries per degree, as spans over the flat basis
-    def span_reduce(vectors):
-        basis = []
-        for vec in vectors:
-            vec = dict(vec)
-            for lead, bvec in basis:
-                if lead in vec:
-                    factor = vec[lead]
-                    for b, c in bvec.items():
-                        vec[b] = vec.get(b, F(0)) - factor * c
-                    vec = {b: c for b, c in vec.items() if c}
-            if vec:
-                lead = min(vec)
-                scale = vec[lead]
-                vec = {b: c / scale for b, c in vec.items()}
-                basis.append((lead, vec))
-        return basis
+    def rank(vectors) -> int:
+        return len(_echelon(vectors, v.dim())[0])
 
-    def in_span(vec, basis) -> bool:
-        vec = dict(vec)
-        for lead, bvec in basis:
-            if lead in vec:
-                factor = vec[lead]
-                for b, c in bvec.items():
-                    vec[b] = vec.get(b, F(0)) - factor * c
-                vec = {b: c for b, c in vec.items() if c}
-        return not vec
+    def preserved(span) -> bool:
+        r = rank(span)
+        return all(rank(span + [apply_cols(d1_cols, x)]) == r for x in span)
 
-    kernel = _kernel_vectors(v, m1_cols)
-    boundaries = span_reduce([apply_cols(m1_cols, {i: F(1)})
-                              for i in v.basis()])
-    kernel_basis = span_reduce(kernel)
-    ok_cycles = all(in_span(apply_cols(d1_cols, vec), kernel_basis)
-                    for vec in kernel)
-    ok_bounds = all(in_span(apply_cols(d1_cols, dict(bvec)), boundaries)
-                    for _, bvec in boundaries)
-    h_dim = len(kernel_basis) - len(boundaries)
-    return {"cycles_preserved": ok_cycles,
-            "boundaries_preserved": ok_bounds,
-            "homology_dim": h_dim}
+    m1_rows: dict[int, dict[int, Fraction]] = {}
+    for i, col in m1_cols.items():
+        for b, c in col.items():
+            m1_rows.setdefault(b, {})[i] = c
+    _, cycles = _echelon(list(m1_rows.values()), v.dim())
+    boundaries = [apply_cols(m1_cols, {i: Fraction(1)}) for i in v.basis()]
+    return {"cycles_preserved": preserved(cycles),
+            "boundaries_preserved": preserved(boundaries),
+            "homology_dim": len(cycles) - rank(boundaries)}
 
 
-def _kernel_vectors(space: GradedSpace, cols) -> list[dict]:
-    from fractions import Fraction as F
+def _echelon(rows, ncols: int) -> tuple[list, list[dict]]:
+    """Gaussian elimination on sparse rational rows {column: value}.
 
-    n = space.dim()
-    rows: dict[int, dict[int, Fraction]] = {}
-    for i in range(n):
-        for b, c in cols.get(i, {}).items():
-            rows.setdefault(b, {})[i] = c
-    # gaussian elimination on the row dict
+    Returns the pivots, as (column, row) with the row reduced against the
+    earlier pivots and scaled to 1 at its column, so that their number is
+    the rank; and a basis of the kernel {x : row . x = 0 for every row}
+    on columns 0..ncols-1, one vector per column without a pivot.
+    """
     pivots: list[tuple[int, dict[int, Fraction]]] = []
-    for b, row in sorted(rows.items()):
+    for row in rows:
         row = dict(row)
         for pc, prow in pivots:
-            if pc in row:
-                factor = row[pc]
-                for c2, v2 in prow.items():
-                    row[c2] = row.get(c2, F(0)) - factor * v2
-                row = {c2: v2 for c2, v2 in row.items() if v2}
+            factor = row.get(pc)
+            if factor:
+                for c, val in prow.items():
+                    add_into(row, c, -factor * val)
         if row:
             pc = min(row)
             scale = row[pc]
-            row = {c2: v2 / scale for c2, v2 in row.items()}
-            pivots.append((pc, row))
+            pivots.append((pc, {c: val / scale for c, val in row.items()}))
     pivot_cols = {pc for pc, _ in pivots}
-    free = [i for i in range(n) if i not in pivot_cols]
-    out = []
-    for fcol in free:
-        vec = {fcol: F(1)}
+    kernel = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = {free: Fraction(1)}
         for pc, prow in reversed(pivots):
-            val = -sum(prow.get(c, F(0)) * v for c, v in vec.items() if c != pc)
+            val = -sum(prow.get(c, 0) * x for c, x in vec.items())
             if val:
                 vec[pc] = val
-        out.append({c: v for c, v in vec.items() if v})
-    return out
+        kernel.append(vec)
+    return pivots, kernel

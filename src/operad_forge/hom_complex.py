@@ -11,21 +11,25 @@ two translations
 then carry the sign (-1)**(sum_j (n-j) p_j) on inputs of V-degrees
 p_1..p_n, and similarly for their inverses.
 
-Composition and braces run on one kernel, `_compose_sum`.  It indexes each
-slot map by output basis element once per call, with each entry's block
-degree, then adds the products of every insertion position of every term
-into one table of raw Q[L] values; each output entry becomes a Coefficient
-once, at the end.  The Koszul sign is summed as an exponent while a
-composite grows slot by slot and is applied once, by taking f's row or
-its negative.
+Composition and braces run on one kernel, `compose_sum`, a sum of terms
+c * f o (h_1, ..., h_k) whose scalars c are in Q[L] (a sign, a power of L
+or any other polynomial).  It folds each c into f's rows once per (f, c)
+and indexes each slot map by output basis element once per call, with
+each entry's block degree, then adds the products of every insertion
+position of every term into one table of raw Q[L] values; each output
+entry becomes a Coefficient once, at the end.  The Koszul sign is summed
+as an exponent while a composite grows slot by slot and is applied once,
+by taking f's scaled row or its negative.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .coeffs import Coefficient
+from .coeffs import Coefficient, add_into, as_coefficient, unit_sign
+
+_new = object.__new__
 
 
 class GradedSpace:
@@ -80,7 +84,10 @@ class GradedSpace:
 
 class MultiMap:
     """Multilinear map source^(tensor arity) -> target of fixed degree,
-    stored as a sparse table on basis tuples (flat indices)."""
+    stored as a sparse table on basis tuples (flat indices).
+
+    A table is never changed after construction, so maps share tables and
+    rows freely."""
 
     __slots__ = ("source", "target", "arity", "degree", "table")
 
@@ -95,12 +102,20 @@ class MultiMap:
         tab: dict[tuple, dict[int, Coefficient]] = {}
         if table:
             for key, out in table.items():
-                row = {b: c for b, c in out.items() if not c.is_zero()}
-                if row:
-                    tab[tuple(key)] = row
+                add_into(tab, tuple(key), dict(out))
         self.table = tab
         if check:
             self._check()
+
+    def _with(self, table: dict, target: Optional[GradedSpace] = None,
+              degree: Optional[int] = None) -> "MultiMap":
+        """A map like this one on ``table``, which must hold no zeros and
+        no empty rows; the table is taken as is, not copied or checked."""
+        out = _new(MultiMap)
+        out.source, out.arity, out.table = self.source, self.arity, table
+        out.target = self.target if target is None else target
+        out.degree = self.degree if degree is None else degree
+        return out
 
     def _check(self):
         for key, out in self.table.items():
@@ -120,6 +135,9 @@ class MultiMap:
     def is_zero(self) -> bool:
         return not self.table
 
+    def __bool__(self) -> bool:
+        return bool(self.table)
+
     def _compatible(self, other: "MultiMap"):
         if (self.source != other.source or self.target != other.target
                 or self.arity != other.arity):
@@ -133,40 +151,30 @@ class MultiMap:
             return self
         if self.is_zero():
             return other
-        tab = {k: dict(v) for k, v in self.table.items()}
-        for k, out in other.table.items():
-            row = tab.setdefault(k, {})
-            for b, c in out.items():
-                tot = row.get(b)
-                tot = tot + c if tot is not None else c
-                if tot.is_zero():
-                    row.pop(b, None)
-                else:
-                    row[b] = tot
-            if not row:
-                tab.pop(k, None)
-        return MultiMap(self.source, self.target, self.arity, self.degree,
-                        tab, check=False)
+        tab: dict[tuple, dict[int, Coefficient]] = {}
+        for table in (self.table, other.table):
+            for key, row in table.items():
+                add_into(tab, key, row)
+        return self._with(tab)
 
     def __neg__(self) -> "MultiMap":
-        tab = {k: {b: -c for b, c in out.items()}
-               for k, out in self.table.items()}
-        return MultiMap(self.source, self.target, self.arity, self.degree,
-                        tab, check=False)
+        return self._with({k: {b: -c for b, c in out.items()}
+                           for k, out in self.table.items()})
 
     def __sub__(self, other: "MultiMap") -> "MultiMap":
         return self + (-other)
 
     def scale(self, c) -> "MultiMap":
-        if not isinstance(c, Coefficient):
-            c = Coefficient.rational(c)
+        unit = unit_sign(c)
+        if unit == 1:
+            return self
+        if unit == -1:
+            return -self
+        c = as_coefficient(c)
         if c.is_zero():
-            return MultiMap.zero(self.source, self.target, self.arity,
-                                 self.degree)
-        tab = {k: {b: w * c for b, w in out.items()}
-               for k, out in self.table.items()}
-        return MultiMap(self.source, self.target, self.arity, self.degree,
-                        tab, check=False)
+            return self._with({})
+        return self._with({k: {b: w * c for b, w in out.items()}
+                           for k, out in self.table.items()})
 
     def __eq__(self, other):
         if not isinstance(other, MultiMap):
@@ -185,6 +193,20 @@ class MultiMap:
 
     def evaluate(self, key: Sequence[int]) -> dict[int, Coefficient]:
         return self.table.get(tuple(key), {})
+
+
+def sum_maps(pairs: Iterable[tuple]) -> dict:
+    """Keywise sum of c * family over (c, family) pairs, each family a dict
+    of MultiMaps: the rows of every key go into one fresh table, and keys
+    whose sum is zero are dropped."""
+    first: dict = {}
+    tables: dict = {}
+    for c, family in pairs:
+        for key, mm in family.items():
+            if mm.table:
+                first.setdefault(key, mm)._compatible(mm)
+                add_into(tables, key, mm.scale(c).table)
+    return {key: first[key]._with(table) for key, table in tables.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -217,46 +239,65 @@ def _mul_terms(a: tuple, b: tuple) -> tuple:
     return tuple(out.items())
 
 
-def _compose_sum(f0: MultiMap, arity: int, degree: int,
-                 terms: Sequence[tuple]) -> MultiMap:
-    """sum of sign * f o (slots) over (sign, f, slots) terms like f0's."""
-    src, degs = f0.source, f0.source.degrees
-    rows: dict[int, list] = {}
+def compose_sum(source: GradedSpace, target: GradedSpace, arity: int,
+                degree: int, terms: Iterable[tuple]) -> MultiMap:
+    """sum of c * f o (slots) over (c, f, slots) terms, c a Coefficient or
+    a rational; every f goes from ``source`` to ``target`` and every term
+    has the given arity and degree.
+
+    Each c is folded into f's rows once per (f, c), so the product loop
+    does the same work for any scalar.
+    """
+    degs = source.degrees
+    rows: dict[tuple, list] = {}
     index: dict[int, tuple] = {}
     acc: dict = {}    # input key -> output basis -> {power of L: rational}
-    for sign, f, slots in terms:
-        if id(f) not in rows:
-            rows[id(f)] = [(key, [(b, _terms(c)) for b, c in out.items()],
-                            [(b, _terms(-c)) for b, c in out.items()])
-                           for key, out in f.table.items()]
+    # a list keeps every map alive for the whole call: the caches are keyed
+    # by id()
+    for c, f, slots in list(terms):
+        if len(slots) != f.arity or f.source != source or f.target != target:
+            raise ValueError("need one slot entry per input of f, and f "
+                             "from the source to the target")
+        if (sum(1 if h is None else h.arity for h in slots) != arity
+                or f.degree + sum(h.degree for h in slots if h is not None)
+                != degree):
+            raise ValueError("terms of mixed arity or degree")
+        c = as_coefficient(c)
+        if not c:
+            continue
+        fold = (id(f), c)
+        if fold not in rows:
+            rows[fold] = [(key, [(b, _terms(v * c)) for b, v in out.items()],
+                           [(b, _terms(-v * c)) for b, v in out.items()])
+                          for key, out in f.table.items()]
         for h in slots:
             if h is not None and id(h) not in index:
-                if h.target != src or h.source != src:
+                if h.target != source or h.source != source:
                     raise ValueError(
                         "slot maps must go from and to the input space")
                 index[id(h)] = _index_slot(h)
         plan = [None if h is None else index[id(h)] for h in slots]
-        for fkey, fpos, fneg in rows[id(f)]:
+        for fkey, fpos, fneg in rows[fold]:
             # partial composites (input key, coefficient or None for 1,
             # degree of the blocks so far, Koszul exponent)
-            partial = [((), None, 0, sign < 0)]
+            partial = [((), None, 0, 0)]
             for b, slot in zip(fkey, plan):
                 if slot is None:
                     d = degs[b]
-                    partial = [(k + (b,), c, pd + d, e)
-                               for k, c, pd, e in partial]
+                    partial = [(k + (b,), hc, pd + d, e)
+                               for k, hc, pd, e in partial]
                     continue
                 opts = slot[0].get(b)
                 if opts is None:
                     break
                 odd = slot[1]
-                partial = [(k + block, hc if c is None else _mul_terms(c, hc),
+                partial = [(k + block, hc if pc is None else _mul_terms(pc, hc),
                             pd + d, e + pd * odd)
-                           for k, c, pd, e in partial
+                           for k, pc, pd, e in partial
                            for block, d, hc in opts]
             else:
-                for key, c, _, e in partial:
-                    c = c or ((0, 1),)
+                for key, pc, _, e in partial:
+                    pc = pc or ((0, 1),)
                     row = acc.get(key)
                     if row is None:
                         row = acc[key] = {}
@@ -265,15 +306,12 @@ def _compose_sum(f0: MultiMap, arity: int, degree: int,
                         if cell is None:
                             cell = row[b] = {}
                         for ef, vf in fc:
-                            for ec, vc in c:
+                            for ec, vc in pc:
                                 cell[ef + ec] = cell.get(ef + ec, 0) + vf * vc
-    out = MultiMap.zero(src, f0.target, arity, degree)
+    table: dict[tuple, dict[int, Coefficient]] = {}
     for key, row in acc.items():
-        row = {b: c for b, c in ((b, Coefficient(cell))
-                                 for b, cell in row.items()) if c}
-        if row:
-            out.table[key] = row
-    return out
+        add_into(table, key, {b: Coefficient(cell) for b, cell in row.items()})
+    return MultiMap.zero(source, target, arity, degree)._with(table)
 
 
 def compose_full(f: MultiMap, slots: Sequence[Optional[MultiMap]]
@@ -283,11 +321,9 @@ def compose_full(f: MultiMap, slots: Sequence[Optional[MultiMap]]
     Koszul signs: each h_s passes the argument blocks of the slots to its
     left, contributing (-1)**(deg(h_s) * deg(those arguments)).
     """
-    if len(slots) != f.arity:
-        raise ValueError("need one slot entry per input of f")
     arity = sum(1 if h is None else h.arity for h in slots)
     degree = f.degree + sum(0 if h is None else h.degree for h in slots)
-    return _compose_sum(f, arity, degree, [(1, f, slots)])
+    return compose_sum(f.source, f.target, arity, degree, [(1, f, slots)])
 
 
 def compose_at(f: MultiMap, i: int, g: MultiMap) -> MultiMap:
@@ -299,20 +335,24 @@ def compose_at(f: MultiMap, i: int, g: MultiMap) -> MultiMap:
     return compose_full(f, slots)
 
 
-def brace_sum(terms: Sequence[tuple[int, MultiMap, Sequence[MultiMap]]]
-              ) -> MultiMap:
-    """sum of sign * f{g_1,...,g_k} over (sign, f, gs) terms of one arity
-    and degree, every insertion position of every term in one pass."""
+def brace_terms(c, f: MultiMap, gs: Sequence[MultiMap]):
+    """The (c, f, slots) terms of c * f{g_1,...,g_k}: one per strictly
+    increasing choice of insertion slots."""
+    for positions in itertools.combinations(range(f.arity), len(gs)):
+        slots: list[Optional[MultiMap]] = [None] * f.arity
+        for p, g in zip(positions, gs):
+            slots[p] = g
+        yield c, f, slots
+
+
+def brace_sum(terms: Sequence[tuple]) -> MultiMap:
+    """sum of c * f{g_1,...,g_k} over nonempty (c, f, gs) terms of one
+    arity and degree, every insertion position of every term in one pass."""
     _, f0, gs0 = terms[0]
-    slot_terms = []
-    for sign, f, gs in terms:
-        for positions in itertools.combinations(range(f.arity), len(gs)):
-            slots: list[Optional[MultiMap]] = [None] * f.arity
-            for p, g in zip(positions, gs):
-                slots[p] = g
-            slot_terms.append((sign, f, slots))
-    return _compose_sum(f0, f0.arity + sum(g.arity - 1 for g in gs0),
-                        f0.degree + sum(g.degree for g in gs0), slot_terms)
+    return compose_sum(f0.source, f0.target,
+                       f0.arity + sum(g.arity - 1 for g in gs0),
+                       f0.degree + sum(g.degree for g in gs0),
+                       [t for term in terms for t in brace_terms(*term)])
 
 
 def hom_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
@@ -339,14 +379,13 @@ def _conjugation_sign(space: GradedSpace, key: Sequence[int]) -> int:
 
 
 def suspend_target(f: MultiMap) -> MultiMap:
-    """Post-compose with s (flat basis unchanged, target degrees up by 1)."""
-    return MultiMap(f.source, f.target.shift(1), f.arity, f.degree + 1,
-                    f.table, check=False)
+    """Post-compose with s (flat basis unchanged, target degrees up by 1).
+    Only degrees are relabelled, so the table is shared."""
+    return f._with(f.table, f.target.shift(1), f.degree + 1)
 
 
 def desuspend_target(f: MultiMap) -> MultiMap:
-    return MultiMap(f.source, f.target.shift(-1), f.arity, f.degree - 1,
-                    f.table, check=False)
+    return f._with(f.table, f.target.shift(-1), f.degree - 1)
 
 
 def _translate(f: MultiMap, shift_in: int, shift_out: int) -> MultiMap:
@@ -362,11 +401,11 @@ def _translate(f: MultiMap, shift_in: int, shift_out: int) -> MultiMap:
     for key, out in f.table.items():
         sign = _conjugation_sign(plain, key)
         if sign == 1:
-            table[key] = dict(out)
+            table[key] = out
         else:
             table[key] = {b: -c for b, c in out.items()}
     degree = f.degree - shift_in * (f.arity) + shift_out
-    return MultiMap(src, tgt, f.arity, degree, table, check=False)
+    return MultiMap.zero(src, tgt, f.arity, degree)._with(table)
 
 
 def iso1_down(f: MultiMap) -> MultiMap:

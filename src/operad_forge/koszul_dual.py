@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Literal, Sequence, Union
 
-from .coeffs import Coefficient, LAMBDA, sign_coeff
+from .coeffs import Coefficient, LAMBDA, add_into, sign_coeff
 from .dif_operads import Difinfty, compositions, d_gen, m_gen
 from .free_operad import OperadElement, TreeMonomial
 from .trees import Generator, gen_id
@@ -240,15 +240,15 @@ def cobar_differential(c: CoopGenerator, lam: Coefficient = LAMBDA) -> OperadEle
     """
     if _is_counit(c):
         raise ValueError("the counit is not a cobar generator")
-    out = OperadElement.zero()
+    acc: dict[TreeMonomial, Coefficient] = {}
     for shape, coeff, decs in delta_table(c, lam):
         if any(_is_counit(x) for x in decs):
             continue
         r = len(decs)
         exp = sum((r - pos) * decs[pos - 1].degree for pos in range(1, r))
         mono = _shape_monomial(shape, [_desuspended(x) for x in decs])
-        out = out - OperadElement.single(mono, coeff * sign_coeff(exp))
-    return out
+        add_into(acc, mono, coeff * sign_coeff(exp + 1))
+    return OperadElement(acc)
 
 
 def cross_check_cobar(max_arity: int, lam: Coefficient = LAMBDA

@@ -28,10 +28,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebras import DifAlgebraData
-from .coeffs import Coefficient, LAMBDA, chi_sign, shuffles
+from .coeffs import (Coefficient, LAMBDA, add_into, as_coefficient,
+                     chi_sign, shuffles, unit_sign)
 from .hom_complex import (
     GradedSpace,
     MultiMap,
@@ -42,6 +43,7 @@ from .hom_complex import (
     iso1_up,
     iso2_down,
     iso2_up,
+    sum_maps,
     suspend_target,
 )
 
@@ -90,19 +92,21 @@ class CdaElement:
     def max_arity(self) -> int:
         return max((n for n, _ in self.parts), default=0)
 
-    def __add__(self, other: "CdaElement") -> "CdaElement":
-        if self.space != other.space:
-            raise ValueError("mixed spaces")
-        out = CdaElement(self.space)
-        out.parts = dict(self.parts)
-        for key, mm in other.parts.items():
-            cur = out.parts.get(key)
-            tot = cur + mm if cur is not None else mm
-            if tot.is_zero():
-                out.parts.pop(key, None)
-            else:
-                out.parts[key] = tot
+    @staticmethod
+    def sum(space: GradedSpace, pairs: Iterable[tuple]) -> "CdaElement":
+        """sum of c * x over (c, x) pairs of elements on ``space``, each
+        part accumulated row by row into one fresh table."""
+        families = []
+        for c, x in pairs:
+            if x.space != space:
+                raise ValueError("mixed spaces")
+            families.append((c, x.parts))
+        out = CdaElement(space)
+        out.parts = sum_maps(families)
         return out
+
+    def __add__(self, other: "CdaElement") -> "CdaElement":
+        return CdaElement.sum(self.space, [(1, self), (1, other)])
 
     def __neg__(self) -> "CdaElement":
         out = CdaElement(self.space)
@@ -110,11 +114,15 @@ class CdaElement:
         return out
 
     def __sub__(self, other: "CdaElement") -> "CdaElement":
-        return self + (-other)
+        return CdaElement.sum(self.space, [(1, self), (-1, other)])
 
     def scale(self, c) -> "CdaElement":
-        if not isinstance(c, Coefficient):
-            c = Coefficient.rational(c)
+        unit = unit_sign(c)
+        if unit == 1:
+            return self
+        if unit == -1:
+            return -self
+        c = as_coefficient(c)
         out = CdaElement(self.space)
         if not c.is_zero():
             out.parts = {k: mm.scale(c) for k, mm in self.parts.items()}
@@ -166,42 +174,39 @@ def _component_bracket(space: GradedSpace, lam: Coefficient,
         out = desuspend_target(bracket)
         exp = exp_iv + sf.degree
         return (DO, out if exp % 2 == 0 else -out)
-    # item (iii), with item (iv)'s sign folded into every term
+    # item (iii), with item (iv)'s sign and L^(m-1) folded into every term
+    lam_pow = Coefficient.one()
+    for _ in range(m - 1):
+        lam_pow = lam_pow * lam
     sgs = [suspend_target(g) for g in gs]
     terms = []
     for sigma in itertools.permutations(range(m)):
         chi = chi_sign(gdeg, sigma)
         exp = exp_iv + m * sf.degree + sum(
             (m - 1 - j) * gdeg[sigma[j]] for j in range(m - 1))
-        terms.append((-chi if exp % 2 else chi, sf,
+        sign = -chi if exp % 2 else chi
+        terms.append((lam_pow if sign > 0 else -lam_pow, sf,
                       [sgs[s] for s in sigma]))
     total = brace_sum(terms)
     if total.is_zero():
         return None
-    lam_pow = Coefficient.one()
-    for _ in range(m - 1):
-        lam_pow = lam_pow * lam
-    return (DO, desuspend_target(total).scale(lam_pow))
+    return (DO, desuspend_target(total))
 
 
 def cda_bracket(space: GradedSpace, lam: Coefficient,
                 args: Sequence[CdaElement]) -> CdaElement:
     """l_n extended multilinearly over the components of each argument."""
     n = len(args)
-    out = CdaElement.zero(space)
     if n < 2 or any(a.is_zero() for a in args):
-        return out
-    choices = [list(a.parts.items()) for a in args]
-    for combo in itertools.product(*choices):
-        comps = [(flag, mm) for (arity, flag), mm in combo]
-        res = _component_bracket(space, lam, comps)
-        if res is None:
-            continue
-        flag, mm = res
-        if mm.is_zero():
-            continue
-        out = out + CdaElement(space, {(mm.arity, flag): mm})
-    return out
+        return CdaElement.zero(space)
+    terms = []
+    for combo in itertools.product(*[list(a.parts.items()) for a in args]):
+        res = _component_bracket(space, lam,
+                                 [(flag, mm) for (_, flag), mm in combo])
+        if res is not None:
+            flag, mm = res
+            terms.append((1, CdaElement(space, {(mm.arity, flag): mm})))
+    return CdaElement.sum(space, terms)
 
 
 def jacobi_residual(space: GradedSpace, lam: Coefficient,
@@ -209,7 +214,7 @@ def jacobi_residual(space: GradedSpace, lam: Coefficient,
     """The generalized Jacobi sum; zero iff the identity holds on args."""
     n = len(args)
     degs = [a.degree() for a in args]
-    out = CdaElement.zero(space)
+    terms = []
     for i in range(1, n + 1):
         outer_sign = -1 if (i * (n - i)) % 2 else 1
         for sigma in shuffles(i, n - i):
@@ -218,11 +223,9 @@ def jacobi_residual(space: GradedSpace, lam: Coefficient,
             if inner.is_zero():
                 continue
             rest = [args[sigma[t]] for t in range(i, n)]
-            term = cda_bracket(space, lam, [inner] + rest)
-            if term.is_zero():
-                continue
-            out = out + term.scale(chi * outer_sign)
-    return out
+            terms.append((chi * outer_sign,
+                          cda_bracket(space, lam, [inner] + rest)))
+    return CdaElement.sum(space, terms)
 
 
 def antisymmetry_residual(space: GradedSpace, lam: Coefficient,
@@ -330,13 +333,10 @@ def mc_residual(space: GradedSpace, lam: Coefficient,
     if alpha.degree() != -1:
         raise ValueError("Maurer-Cartan candidates must have degree -1")
     cap = max(2, alpha.max_arity() + 1)
-    out = CdaElement.zero(space)
-    for n in range(2, cap + 1):
-        term = cda_bracket(space, lam, [alpha] * n)
-        if term.is_zero():
-            continue
-        scalar = Fraction((-1) ** ((n * (n - 1) // 2) % 2), factorial(n))
-        out = out + term.scale(scalar)
+    out = CdaElement.sum(space, [
+        (Fraction((-1) ** ((n * (n - 1) // 2) % 2), factorial(n)),
+         cda_bracket(space, lam, [alpha] * n))
+        for n in range(2, cap + 1)])
     extra = cda_bracket(space, lam, [alpha] * (cap + 1))
     if not extra.is_zero():
         raise AssertionError("MC cutoff bound violated")
@@ -349,17 +349,10 @@ def twisted_bracket(space: GradedSpace, lam: Coefficient, alpha: CdaElement,
     l_{n+i}(alpha^i, args)."""
     n = len(args)
     cap = max(a.max_arity() for a in list(args) + [alpha]) + 2
-    out = CdaElement.zero(space)
-    for i in range(0, cap + 1):
-        if n + i < 2:
-            continue
-        term = cda_bracket(space, lam, [alpha] * i + list(args))
-        if term.is_zero():
-            continue
-        scalar = Fraction((-1) ** ((i * n + i * (i - 1) // 2) % 2),
-                          factorial(i))
-        out = out + term.scale(scalar)
-    return out
+    return CdaElement.sum(space, [
+        (Fraction((-1) ** ((i * n + i * (i - 1) // 2) % 2), factorial(i)),
+         cda_bracket(space, lam, [alpha] * i + list(args)))
+        for i in range(max(0, 2 - n), cap + 1)])
 
 
 def twisted_l1(space: GradedSpace, lam: Coefficient, alpha: CdaElement,
@@ -498,8 +491,7 @@ def concat_product(alg: DifAlgebraData, a: MultiMap, b: MultiMap,
     table: dict[tuple, dict[int, Coefficient]] = {}
     for ka, outa in a.table.items():
         for kb, outb in b.table.items():
-            key = ka + kb
-            row = table.setdefault(key, {})
+            row: dict[int, Coefficient] = {}
             for ia, ca in outa.items():
                 va = alg.unit_vec(ia)
                 for ib, cb in outb.items():
@@ -508,16 +500,8 @@ def concat_product(alg: DifAlgebraData, a: MultiMap, b: MultiMap,
                         if pc == 0:
                             continue
                         c = ca * cb * Coefficient.rational(pc) * lam
-                        if sign_exp % 2:
-                            c = -c
-                        tot = row.get(t)
-                        tot = tot + c if tot is not None else c
-                        if tot.is_zero():
-                            row.pop(t, None)
-                        else:
-                            row[t] = tot
-            if not row:
-                table.pop(key, None)
+                        add_into(row, t, -c if sign_exp % 2 else c)
+            add_into(table, ka + kb, row)
     return MultiMap(space, space, a.arity + b.arity, 0, table, check=False)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from operad_forge.coeffs import (
     Coefficient,
     LAMBDA,
+    add_into,
     chi_sign,
     format_coefficient,
     koszul_sign,
@@ -120,3 +121,58 @@ def test_shuffles():
     got = set(shuffles(2, 1))
     assert got == {(0, 1, 2), (0, 2, 1), (1, 2, 0)}
     assert all(s[:2] == tuple(sorted(s[:2])) for s in got)
+
+
+def _has_zero(acc):
+    for v in acc.values():
+        if isinstance(v, dict):
+            if not v or _has_zero(v):
+                return True
+        elif not v:
+            return True
+    return False
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), polys), max_size=12))
+def test_add_into_never_leaves_a_zero(pairs):
+    acc = {}
+    for key, c in pairs:
+        add_into(acc, key, c)
+        assert not _has_zero(acc)
+    want = {}
+    for key, c in pairs:
+        want[key] = want.get(key, Coefficient.zero()) + c
+    assert acc == {k: c for k, c in want.items() if c}
+
+
+def test_add_into_full_cancellation_of_rows_and_tables():
+    one, lam = Coefficient.one(), LAMBDA
+    row = {0: one, 1: lam}
+    acc = {}
+    add_into(acc, "k", row)
+    assert acc == {"k": {0: one, 1: lam}} and acc["k"] is not row
+    add_into(acc, "k", {0: -one})
+    assert acc == {"k": {1: lam}} and row == {0: one, 1: lam}
+    add_into(acc, "k", {1: -lam})
+    assert acc == {}
+    table = {(0,): {0: one}, (1,): {2: lam}}
+    add_into(acc, "t", table)
+    add_into(acc, "t", {(0,): {0: -one}, (1,): {2: -lam}})
+    assert acc == {}
+    add_into(acc, "z", Coefficient.zero())
+    add_into(acc, "r", {0: Coefficient.zero()})
+    assert acc == {}
+
+
+def test_add_into_multimaps():
+    from operad_forge.hom_complex import GradedSpace, MultiMap
+
+    v = GradedSpace({0: 1})
+    f = MultiMap(v, v, 1, 0, {(0,): {0: LAMBDA}})
+    acc = {}
+    add_into(acc, 1, f)
+    add_into(acc, 1, f)
+    assert acc[1].table == {(0,): {0: LAMBDA * Coefficient.rational(2)}}
+    assert f.table == {(0,): {0: LAMBDA}}
+    add_into(acc, 1, -f.scale(2))
+    assert acc == {}

@@ -233,3 +233,26 @@ def test_analyze_effective_matches_definition(contraction):
             assert (an.effective_leaf, an.divisor_root, an.divisor_child) \
                 == (leaf, v, w)
             assert an.omega == sum(g.degree for g in t.gens[:v])
+
+
+def test_cached_values_are_never_changed_in_place():
+    # H, tbar and the generator differentials are handed out by reference;
+    # sums must build fresh dicts instead of accumulating into them
+    op = Difinfty()
+    c = Contraction(op)
+    c.verify(3, 2, 3)
+    diff_snap = {g: dict(x.terms) for g, x in op._diff_cache.items()}
+    h_snap = {t: dict(x.terms) for t, x in c._h.items()}
+    tbar_snap = {t: dict(x.terms) for t, x in c._tbar.items()}
+    assert len(h_snap) > 100
+    n, bad = c.verify(4, 2, 3)
+    assert n > 0 and bad == []
+    groups = {}
+    for t in h_snap:
+        groups.setdefault((t.arity, t.degree), []).append(t)
+    for ts in groups.values():
+        x = OperadElement({t: Coefficient.rational(1) for t in ts})
+        assert c.apply(x) == c.apply(x)
+    assert {g: op._diff_cache[g].terms for g in diff_snap} == diff_snap
+    assert {t: c._h[t].terms for t in h_snap} == h_snap
+    assert {t: c._tbar[t].terms for t in tbar_snap} == tbar_snap

@@ -345,3 +345,51 @@ def test_compose_monomials_is_graft():
                 k = _vertices_before_leaf(f.node, i)
                 tail = sum(x.degree for x in f.gens[k:])
                 assert sign == (-1) ** (g.degree * tail)
+
+
+def _left_fold(pairs):
+    out = OperadElement.zero()
+    for c, x in pairs:
+        out = out + x.scale(c)
+    return out
+
+
+def test_sum_equals_left_fold_of_add_and_scale():
+    rng = random.Random(71)
+    lam = Coefficient.lam()
+    scalars = (1, -1, 2, Coefficient.one(), -Coefficient.one(), lam,
+               lam * lam - Coefficient.rational(3), 0)
+    monos = [t for t in enumerate_monomials(3, 2, min_degree=1,
+                                            max_degree=1) if t.arity == 3]
+    cancels = 0
+    for _ in range(80):
+        xs = [OperadElement({t: Coefficient.rational(rng.choice([1, -1, 2]))
+                             for t in rng.sample(monos, rng.randint(1, 4))})
+              for _ in range(rng.randint(1, 4))]
+        pairs = [(rng.choice(scalars), x) for x in xs]
+        if rng.random() < 0.3:
+            pairs.append((-1, OperadElement.sum(pairs)))
+        snapshot = [dict(x.terms) for _, x in pairs]
+        got = OperadElement.sum(pairs)
+        assert got == _left_fold(pairs)
+        assert all(c for c in got.terms.values())
+        assert (got.arity, got.degree) == \
+            ((None, None) if got.is_zero() else (3, 1))
+        assert [x.terms for _, x in pairs] == snapshot
+        cancels += got.is_zero()
+    assert cancels >= 5
+
+
+def test_sum_rejects_mixed_arity():
+    a = OperadElement.single(TreeMonomial.corolla(m_gen(2)))
+    b = OperadElement.single(TreeMonomial.corolla(m_gen(3)))
+    with pytest.raises(HomogeneityError):
+        OperadElement.sum([(1, a), (1, b)])
+
+
+def test_scale_by_units_returns_or_negates():
+    x = OperadElement.single(TreeMonomial.corolla(d_gen(2)),
+                             Coefficient.lam())
+    assert x.scale(1) is x and x.scale(Coefficient.one()) is x
+    assert x.scale(-1) == -x and x.scale(-Coefficient.one()) == -x
+    assert x.scale(0).is_zero()

@@ -163,3 +163,66 @@ def test_homology_descent_example():
     out = homology_descent(s)
     assert out["cycles_preserved"] and out["boundaries_preserved"]
     assert out["homology_dim"] == 1
+
+
+def test_echelon_nullity_and_rank_match_dense_oracle():
+    from operad_forge.cochain import rank_dense_oracle
+    from operad_forge.hda import _echelon
+
+    rng = random.Random(61)
+    for _ in range(60):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+        dense = [[Fraction(rng.choice([0, 0, 0, 1, -1, 2, 3]),
+                           rng.choice([1, 1, 2, 3]))
+                  for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 2 and rng.random() < 0.4:
+            # a dependent row, so that elimination must cancel to zero
+            dense.append([a - 2 * b for a, b in zip(dense[0], dense[1])])
+        rows = [{c: v for c, v in enumerate(r) if v} for r in dense]
+        pivots, kernel = _echelon(rows, ncols)
+        rank = rank_dense_oracle(dense)
+        assert len(pivots) == rank
+        assert len(kernel) == ncols - rank
+        for vec in kernel:
+            for r in rows:
+                assert sum(v * vec.get(c, 0) for c, v in r.items()) == 0
+        assert rank_dense_oracle([[vec.get(c, 0) for c in range(ncols)]
+                                  for vec in kernel]) == len(kernel)
+
+
+def test_homology_descent_matches_dense_oracle():
+    # with A = m_1 and D = d_1 as matrices (columns = inputs): cycles are
+    # preserved iff ker A lies in ker AD, i.e. rank [A; AD] = rank A;
+    # boundaries iff im DA lies in im A, i.e. rank [A | DA] = rank A
+    from operad_forge.cochain import rank_dense_oracle
+
+    def matrix(mm, n):
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for (i,), row in (mm.table.items() if mm else ()):
+            for b, c in row.items():
+                out[b][i] = c.constant_term()
+        return out
+
+    def mul(a, b):
+        return [[sum(a[r][k] * b[k][c] for k in range(len(b)))
+                 for c in range(len(b[0]))] for r in range(len(a))]
+
+    rng = random.Random(62)
+    seen = set()
+    for _ in range(80):
+        dims = rng.choice([{0: 2, 1: 1}, {0: 1, 1: 2}, {-1: 1, 0: 2, 1: 1}])
+        s = random_structure(rng, dims, 1, Coefficient.rational(1),
+                             density=0.5, values=(-1, 1, 2))
+        n = s.space.dim()
+        a, d = matrix(s.m_at(1), n), matrix(s.d_at(1), n)
+        rank_a = rank_dense_oracle(a)
+        ad, da = mul(a, d), mul(d, a)
+        want = {
+            "cycles_preserved": rank_dense_oracle(a + ad) == rank_a,
+            "boundaries_preserved": rank_dense_oracle(
+                [ra + rb for ra, rb in zip(a, da)]) == rank_a,
+            "homology_dim": n - 2 * rank_a,
+        }
+        assert homology_descent(s) == want
+        seen.add((want["cycles_preserved"], want["boundaries_preserved"]))
+    assert len(seen) >= 3

@@ -1,4 +1,4 @@
-"""compose_full and hom_brace against a naive evaluation.
+"""compose_full, hom_brace and compose_sum against a naive evaluation.
 
 The oracle reads the definition in `compose_full`'s docstring literally:
 for every input tuple it splits the tuple into one block per slot,
@@ -12,9 +12,11 @@ by output, so it shares no code path with the kernel.
 import itertools
 import random
 
+import pytest
+
 from operad_forge.coeffs import Coefficient
 from operad_forge.hom_complex import (GradedSpace, MultiMap, compose_full,
-                                      hom_brace)
+                                      compose_sum, hom_brace)
 
 ONE = Coefficient.one()
 ZERO = Coefficient.zero()
@@ -168,3 +170,47 @@ def test_brace_cancellation_across_positions():
     g2 = MultiMap(space, space, 1, 1, {(e,): {x: ONE}})
     assert hom_brace(f2, [g2]).table == {(x, e): {x: -ONE},
                                          (e, x): {x: ONE}}
+
+
+def scaled(table, c):
+    return {key: {b: v * c for b, v in row.items()}
+            for key, row in table.items()}
+
+
+def test_compose_sum_with_q_l_scalars_matches_naive_evaluation():
+    # terms c * f o (slots) with c in Q[L]; one f recurs under several
+    # scalars, and some terms come twice with opposite scalars, so whole
+    # sums cancel exactly
+    rng = random.Random(33)
+    cancelled_sums = 0
+    for _ in range(30):
+        space = rng.choice(SPACES)
+        f = random_map(rng, space, 2, rng.choice([-1, 0]))
+        g = random_map(rng, space, 1, rng.choice([-1, 1]))
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            slots = [g, None] if rng.random() < 0.5 else [None, g]
+            c = rng.choice(VALUES + (Coefficient.lam(2, 3), 2, -1))
+            terms.append((c, f, slots))
+            if rng.random() < 0.3:
+                terms.append((-Coefficient.rational(c)
+                              if isinstance(c, int) else -c, f, slots))
+        want = {}
+        for c, h, slots in terms:
+            add_tables(want, scaled(naive_table(h, slots),
+                                    c if isinstance(c, Coefficient)
+                                    else Coefficient.rational(c)))
+        got = compose_sum(space, space, 2, f.degree + g.degree, terms)
+        assert_clean(got)
+        assert got == as_map(f, [g, None], want)
+        cancelled_sums += got.is_zero() and not f.is_zero()
+    assert cancelled_sums >= 1
+
+
+def test_compose_sum_rejects_terms_of_another_degree():
+    space = SPACES[0]
+    rng = random.Random(34)
+    f = random_map(rng, space, 1, 0)
+    g = random_map(rng, space, 1, 1)
+    with pytest.raises(ValueError):
+        compose_sum(space, space, 1, 0, [(1, f, [None]), (1, f, [g])])

@@ -2,7 +2,9 @@
 
 Every brace and bracket is polynomial in L, so evaluating a result computed
 over Q[L] at L = q must give exactly what the same computation gives with
-the rational weight q and inputs specialized at q.  Neither route alone
+the rational weight q and inputs specialized at q; the same holds for the
+resolution's differential, the contraction H and the cobar differential,
+whose coefficients are polynomials in L too.  Neither route alone
 would catch an error that treats some power of L differently from the
 others (a dropped exponent, a misplaced L^(m-1), a sign tied to a power).
 """
@@ -14,8 +16,12 @@ from fractions import Fraction
 import pytest
 
 from operad_forge.coeffs import Coefficient, LAMBDA
+from operad_forge.contraction import Contraction
+from operad_forge.dif_operads import Difinfty, alphabet, enumerate_monomials
+from operad_forge.free_operad import OperadElement
 from operad_forge.hom_complex import (GradedSpace, MultiMap, compose_full,
                                       hom_brace)
+from operad_forge.koszul_dual import CoopGenerator, cobar_differential
 from operad_forge.linf import (
     ALG,
     DO,
@@ -39,6 +45,11 @@ def spec_map(mm, q):
                     {key: {b: Coefficient.rational(c.specialize(q))
                            for b, c in out.items()}
                      for key, out in mm.table.items()}, check=False)
+
+
+def spec_operad(x, q):
+    return OperadElement({t: Coefficient.rational(c.specialize(q))
+                          for t, c in x.terms.items()})
 
 
 def spec_elem(x, q):
@@ -134,3 +145,28 @@ def test_jacobi_mc_and_twisted_l1(q):
     assert not any(a.is_zero() for a in args)
     assert spec_elem(jacobi_residual(space, LAMBDA, args), q) == \
         jacobi_residual(space, lam_q, [spec_elem(a, q) for a in args])
+
+
+@pytest.mark.parametrize("q", QS, ids=str)
+def test_resolution_differential_h_and_cobar(q):
+    lam_q = Coefficient.rational(q)
+    generic, at_q = Difinfty(LAMBDA), Difinfty(lam_q)
+    for gen in alphabet(6):
+        assert spec_operad(generic.diff(gen), q) == at_q.diff(gen), gen
+    for n in range(1, 7):
+        for kind in ("sm", "sd", "mt", "dt"):
+            c = CoopGenerator(kind, n)
+            if n == 1 and kind in ("sm", "mt"):
+                continue     # the counit is not a cobar generator
+            assert spec_operad(cobar_differential(c, LAMBDA), q) == \
+                cobar_differential(c, lam_q), c
+    h_generic, h_q = Contraction(generic), Contraction(at_q)
+    effective = [t for t in enumerate_monomials(5, 3, min_degree=0,
+                                                max_degree=3)
+                 if h_generic.analyze_effective(t).is_effective]
+    with_l = 0
+    for t in random.Random(44).sample(effective, 60):
+        h = h_generic.h_monomial(t)
+        with_l += any(set(c.coeffs) - {0} for c in h.terms.values())
+        assert spec_operad(h, q) == h_q.h_monomial(t), t
+    assert with_l > 5
