@@ -197,16 +197,27 @@ class MultiMap:
 
 def sum_maps(pairs: Iterable[tuple]) -> dict:
     """Keywise sum of c * family over (c, family) pairs, each family a dict
-    of MultiMaps: the rows of every key go into one fresh table, and keys
-    whose sum is zero are dropped."""
-    first: dict = {}
-    tables: dict = {}
+    of MultiMaps.  A key with one map keeps that map; the rows of a key
+    with several go into one fresh table, and keys whose sum is zero are
+    dropped."""
+    groups: dict = {}
     for c, family in pairs:
         for key, mm in family.items():
             if mm.table:
-                first.setdefault(key, mm)._compatible(mm)
-                add_into(tables, key, mm.scale(c).table)
-    return {key: first[key]._with(table) for key, table in tables.items()}
+                groups.setdefault(key, []).append(mm.scale(c))
+    out = {}
+    for key, maps in groups.items():
+        first = maps[0]
+        if len(maps) > 1:
+            table: dict[tuple, dict[int, Coefficient]] = {}
+            for mm in maps:
+                first._compatible(mm)
+                for k, row in mm.table.items():
+                    add_into(table, k, row)
+            first = first._with(table) if table else None
+        if first is not None:
+            out[key] = first
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +266,19 @@ def compose_sum(source: GradedSpace, target: GradedSpace, arity: int,
     # a list keeps every map alive for the whole call: the caches are keyed
     # by id()
     for c, f, slots in list(terms):
-        if len(slots) != f.arity or f.source != source or f.target != target:
-            raise ValueError("need one slot entry per input of f, and f "
-                             "from the source to the target")
-        if (sum(1 if h is None else h.arity for h in slots) != arity
+        if (len(slots) != f.arity
+                or sum(1 if h is None else h.arity for h in slots) != arity
                 or f.degree + sum(h.degree for h in slots if h is not None)
                 != degree):
             raise ValueError("terms of mixed arity or degree")
+        unit = unit_sign(c)
         c = as_coefficient(c)
         if not c:
             continue
-        fold = (id(f), c)
+        fold = (id(f), unit or c)
         if fold not in rows:
+            if f.source != source or f.target != target:
+                raise ValueError("f must go from the source to the target")
             rows[fold] = [(key, [(b, _terms(v * c)) for b, v in out.items()],
                            [(b, _terms(-v * c)) for b, v in out.items()])
                           for key, out in f.table.items()]
