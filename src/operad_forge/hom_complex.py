@@ -197,26 +197,31 @@ class MultiMap:
 
 def sum_maps(pairs: Iterable[tuple]) -> dict:
     """Keywise sum of c * family over (c, family) pairs, each family a dict
-    of MultiMaps.  A key with one map keeps that map; the rows of a key
-    with several go into one fresh table, and keys whose sum is zero are
-    dropped."""
-    groups: dict = {}
+    of MultiMaps, in one pass over the pairs.  A key with one map keeps
+    that map; from a key's second map on, its rows are added into one fresh
+    table.  Keys whose sum is zero are dropped."""
+    out: dict = {}
+    merged: set = set()
+    tables: dict = {}
     for c, family in pairs:
         for key, mm in family.items():
-            if mm.table:
-                groups.setdefault(key, []).append(mm.scale(c))
-    out = {}
-    for key, maps in groups.items():
-        first = maps[0]
-        if len(maps) > 1:
-            table: dict[tuple, dict[int, Coefficient]] = {}
-            for mm in maps:
-                first._compatible(mm)
-                for k, row in mm.table.items():
-                    add_into(table, k, row)
-            first = first._with(table) if table else None
-        if first is not None:
-            out[key] = first
+            if not mm.table:
+                continue
+            mm = mm.scale(c)
+            first = out.get(key)
+            if first is None:
+                out[key] = mm
+                continue
+            first._compatible(mm)
+            if key not in merged:
+                merged.add(key)
+                add_into(tables, key, first.table)
+            add_into(tables, key, mm.table)
+    for key in merged:
+        if key in tables:
+            out[key] = out[key]._with(tables[key])
+        else:
+            del out[key]
     return out
 
 
@@ -279,9 +284,9 @@ def compose_sum(source: GradedSpace, target: GradedSpace, arity: int,
         if fold not in rows:
             if f.source != source or f.target != target:
                 raise ValueError("f must go from the source to the target")
-            rows[fold] = [(key, [(b, _terms(v * c)) for b, v in out.items()],
-                           [(b, _terms(-v * c)) for b, v in out.items()])
-                          for key, out in f.table.items()]
+            rows[fold] = [(key, [(b, _terms(v)) for b, v in out.items()],
+                           [(b, _terms(-v)) for b, v in out.items()])
+                          for key, out in f.scale(c).table.items()]
         for h in slots:
             if h is not None and id(h) not in index:
                 if h.target != source or h.source != source:
@@ -296,8 +301,8 @@ def compose_sum(source: GradedSpace, target: GradedSpace, arity: int,
             for b, slot in zip(fkey, plan):
                 if slot is None:
                     d = degs[b]
-                    partial = [(k + (b,), hc, pd + d, e)
-                               for k, hc, pd, e in partial]
+                    partial = [(k + (b,), pc, pd + d, e)
+                               for k, pc, pd, e in partial]
                     continue
                 opts = slot[0].get(b)
                 if opts is None:

@@ -96,13 +96,14 @@ class CdaElement:
     def sum(space: GradedSpace, pairs: Iterable[tuple]) -> "CdaElement":
         """sum of c * x over (c, x) pairs of elements on ``space``, each
         part accumulated row by row into one fresh table."""
-        families = []
-        for c, x in pairs:
-            if x.space != space:
-                raise ValueError("mixed spaces")
-            families.append((c, x.parts))
+        def families():
+            for c, x in pairs:
+                if x.space != space:
+                    raise ValueError("mixed spaces")
+                yield c, x.parts
+
         out = CdaElement(space)
-        out.parts = sum_maps(families)
+        out.parts = sum_maps(families())
         return out
 
     def __add__(self, other: "CdaElement") -> "CdaElement":
@@ -214,18 +215,20 @@ def jacobi_residual(space: GradedSpace, lam: Coefficient,
     """The generalized Jacobi sum; zero iff the identity holds on args."""
     n = len(args)
     degs = [a.degree() for a in args]
-    terms = []
-    for i in range(1, n + 1):
-        outer_sign = -1 if (i * (n - i)) % 2 else 1
-        for sigma in shuffles(i, n - i):
-            chi = chi_sign(degs, sigma)
-            inner = cda_bracket(space, lam, [args[sigma[t]] for t in range(i)])
-            if inner.is_zero():
-                continue
-            rest = [args[sigma[t]] for t in range(i, n)]
-            terms.append((chi * outer_sign,
-                          cda_bracket(space, lam, [inner] + rest)))
-    return CdaElement.sum(space, terms)
+
+    def terms():
+        for i in range(1, n + 1):
+            outer_sign = -1 if (i * (n - i)) % 2 else 1
+            for sigma in shuffles(i, n - i):
+                inner = cda_bracket(space, lam,
+                                    [args[sigma[t]] for t in range(i)])
+                if inner.is_zero():
+                    continue
+                rest = [args[sigma[t]] for t in range(i, n)]
+                yield (chi_sign(degs, sigma) * outer_sign,
+                       cda_bracket(space, lam, [inner] + rest))
+
+    return CdaElement.sum(space, terms())
 
 
 def antisymmetry_residual(space: GradedSpace, lam: Coefficient,
@@ -333,10 +336,10 @@ def mc_residual(space: GradedSpace, lam: Coefficient,
     if alpha.degree() != -1:
         raise ValueError("Maurer-Cartan candidates must have degree -1")
     cap = max(2, alpha.max_arity() + 1)
-    out = CdaElement.sum(space, [
+    out = CdaElement.sum(space, (
         (Fraction((-1) ** ((n * (n - 1) // 2) % 2), factorial(n)),
          cda_bracket(space, lam, [alpha] * n))
-        for n in range(2, cap + 1)])
+        for n in range(2, cap + 1)))
     extra = cda_bracket(space, lam, [alpha] * (cap + 1))
     if not extra.is_zero():
         raise AssertionError("MC cutoff bound violated")
@@ -349,10 +352,10 @@ def twisted_bracket(space: GradedSpace, lam: Coefficient, alpha: CdaElement,
     l_{n+i}(alpha^i, args)."""
     n = len(args)
     cap = max(a.max_arity() for a in list(args) + [alpha]) + 2
-    return CdaElement.sum(space, [
+    return CdaElement.sum(space, (
         (Fraction((-1) ** ((i * n + i * (i - 1) // 2) % 2), factorial(i)),
          cda_bracket(space, lam, [alpha] * i + list(args)))
-        for i in range(max(0, 2 - n), cap + 1)])
+        for i in range(max(0, 2 - n), cap + 1)))
 
 
 def twisted_l1(space: GradedSpace, lam: Coefficient, alpha: CdaElement,

@@ -16,6 +16,7 @@ from operad_forge.hom_complex import (
     iso1_up,
     iso2_down,
     iso2_up,
+    sum_maps,
     suspend_target,
 )
 from operad_forge.linf import random_multimap
@@ -165,3 +166,30 @@ def test_suspend_desuspend_target_roundtrip():
     g = random_multimap(rng, sv, v, 2, -2)
     assert desuspend_target(suspend_target(g)) == g
     assert suspend_target(g).degree == g.degree + 1
+
+
+def test_unit_scaling_and_suspension_share_or_negate():
+    v = GradedSpace({0: 1, 1: 1})
+    f = MultiMap(v, v, 1, 1, {(0,): {1: Coefficient.lam()}})
+    assert f.scale(1) is f and f.scale(ONE) is f
+    assert f.scale(-1) == -f and f.scale(-ONE).table == {
+        (0,): {1: -Coefficient.lam()}}
+    assert f.scale(0).is_zero()
+    s = suspend_target(f)
+    assert s.table is f.table and (s.degree, s.target) == (2, v.shift(1))
+    assert desuspend_target(s) == f
+
+
+def test_sum_maps_keeps_lone_maps_and_drops_cancelled_keys():
+    v = GradedSpace({0: 2})
+    f = MultiMap(v, v, 1, 0, {(0,): {1: ONE}, (1,): {0: ONE}})
+    g = MultiMap(v, v, 2, 0, {(0, 0): {0: ONE}})
+    out = sum_maps([(1, {"f": f, "g": g}), (-1, {"f": f}),
+                    (Coefficient.rational(3), {"g": g})])
+    assert set(out) == {"g"}
+    assert out["g"].table == {(0, 0): {0: Coefficient.rational(4)}}
+    assert sum_maps([(1, {"f": f})])["f"] is f
+    assert sum_maps([(1, {"f": f}), (-1, {"f": f}), (1, {"f": f})]) == \
+        {"f": f}
+    assert sum_maps([(1, {"f": f}), (1, {"f": f})])["f"] == f.scale(2)
+    assert f.table == {(0,): {1: ONE}, (1,): {0: ONE}}
