@@ -12,6 +12,11 @@ with one to three maps, `hom_gerstenhaber`, and `cda_bracket` l_2, l_3, l_4
 plus nested brackets at generic weight, each as sorted
 (input key, output basis, coefficient) triples.
 
+The `cohomology_*` reports pin the total-complex cohomology: the algebra
+TWO_DIM of test_cochain.py (with coefficients in itself and in the
+bimodule A + A) and the dual numbers k[x]/(x^2) with d(x) = x at weight 1,
+whose ranks [1, 2, 1, 0, 0] are not all zero.
+
 To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -39,6 +44,16 @@ CASES = {
     "contract_apply": ["contract", "apply", "--in", "contract_apply_in.json"],
     "dif_normalize": ["dif", "normalize", "--in", "dif_normalize_in.json"],
     "koszul_crosscheck_6": ["koszul", "crosscheck", "--max-arity", "6"],
+    "cohomology_two_dim_4": ["cohomology", "compute", "--algebra",
+                             "cohomology_two_dim.json", "--max-level", "4"],
+    "cohomology_double_bimodule_4": [
+        "cohomology", "compute", "--algebra", "cohomology_two_dim.json",
+        "--bimodule", "cohomology_double_bimodule.json", "--max-level", "4"],
+    "cohomology_dual_numbers_4": [
+        "cohomology", "compute", "--algebra", "cohomology_dual_numbers.json",
+        "--max-level", "4"],
+    "compare_twist_two_dim_3": ["cohomology", "compare-twist", "--algebra",
+                                "cohomology_two_dim.json", "--max-level", "3"],
 }
 
 
