@@ -7,6 +7,12 @@ complex, and exact cohomology ranks over Q.
 A level-n cochain in the total complex is a pair (f, g): f is an n-linear
 map A^n -> M, g an (n-1)-linear map (absent at level 0).  Tables are sparse
 dicts on basis tuples with rational coordinate vectors as values.
+
+The differentials are evaluated entry by entry, in push form: each entry
+(key, v) of a table is sent to the output keys its terms reach (through
+the nonzero structure constants of the product, the actions and d), and
+the contributions are summed in sparse rows by `coeffs.add_into`.  The cost
+is entries x terms, not output keys x table entries.
 """
 
 from __future__ import annotations
@@ -27,31 +33,27 @@ from .algebras import (
     vec_is_zero,
     zero_vec,
 )
+from .coeffs import add_into
 
 Table = dict[tuple, Vec]
+Rows = dict[tuple, dict[int, Fraction]]   # sparse rows {basis: coefficient}
 
-
-def table_add(a: Table, b: Table, dim: int) -> Table:
-    out = dict(a)
-    for k, v in b.items():
-        w = add_vec(out.get(k, zero_vec(dim)), v)
-        if vec_is_zero(w):
-            out.pop(k, None)
-        else:
-            out[k] = w
-    return out
-
-
-def table_scale(c, a: Table) -> Table:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {k: scale_vec(c, v) for k, v in a.items()}
+_ZERO = Fraction(0)
 
 
 def table_eq(a: Table, b: Table) -> bool:
     return {k: v for k, v in a.items() if not vec_is_zero(v)} == \
         {k: v for k, v in b.items() if not vec_is_zero(v)}
+
+
+def _nonzero(vec: Vec) -> tuple[tuple[int, Fraction], ...]:
+    """The (index, coefficient) pairs of the nonzero coordinates."""
+    return tuple((i, c) for i, c in enumerate(vec) if c)
+
+
+def _dense(rows: Rows, dim: int) -> Table:
+    return {key: tuple(row.get(t, _ZERO) for t in range(dim))
+            for key, row in rows.items()}
 
 
 @dataclass
@@ -62,22 +64,6 @@ class DaCochain:
 
     def is_zero(self) -> bool:
         return not self.f and not self.g
-
-
-def eval_table(table: Table, args: Sequence[Vec], dim_m: int) -> Vec:
-    """Multilinear evaluation of a basis-tuple table at coordinate vectors."""
-    if not table:
-        return zero_vec(dim_m)
-    out = zero_vec(dim_m)
-    for key, val in table.items():
-        c = Fraction(1)
-        for pos, i in enumerate(key):
-            c *= args[pos][i]
-            if c == 0:
-                break
-        if c != 0:
-            out = add_vec(out, scale_vec(c, val))
-    return out
 
 
 class CochainComplexes:
@@ -101,6 +87,7 @@ class CochainComplexes:
                 raise ValueError("invalid input data:\n  " +
                                  "\n  ".join(map(str, problems[:10])))
         self.vdash_bim = self._shifted_bimodule()
+        self._structure()
 
     def _shifted_bimodule(self) -> DifBimoduleData:
         """The actions a |- x = (a + L d_A(a)) x and x -| a."""
@@ -115,67 +102,111 @@ class CochainComplexes:
 
     # -- the three differentials -------------------------------------------
 
-    def _hochschild(self, n: int, f: Table, bim: DifBimoduleData) -> Table:
-        alg = self.alg
-        dim_a, dim_m = alg.dim, bim.dim
-        out: Table = {}
-        for key in itertools.product(range(dim_a), repeat=n + 1):
-            args = [alg.unit_vec(i) for i in key]
-            acc = zero_vec(dim_m)
-            v = eval_table(f, args[1:], dim_m)
-            sign = -1 if (n + 1) % 2 else 1
-            acc = add_vec(acc, scale_vec(sign, bim.act_left(args[0], v)))
-            for i in range(1, n + 1):
-                inner = args[: i - 1] + [alg.product(args[i - 1], args[i])] + \
-                    args[i + 1:]
-                v = eval_table(f, inner, dim_m)
-                sign = -1 if (n + 1 - i) % 2 else 1
-                acc = add_vec(acc, scale_vec(sign, v))
-            v = eval_table(f, args[:-1], dim_m)
-            acc = add_vec(acc, bim.act_right(v, args[-1]))
-            if not vec_is_zero(acc):
-                out[key] = acc
-        return out
+    def _actions(self, bim: DifBimoduleData):
+        """The actions on basis elements as nonzero pairs:
+        left[a][x] for e_a x_x and right[x][a] for x_x e_a."""
+        dim_a = self.alg.dim
+        left = [[_nonzero(bim.left[a][x]) for x in range(bim.dim)]
+                for a in range(dim_a)]
+        right = [[_nonzero(bim.right[x][a]) for a in range(dim_a)]
+                 for x in range(bim.dim)]
+        return left, right
 
-    def hochschild_diff(self, n: int, f: Table) -> Table:
-        return self._hochschild(n, f, self.bim)
-
-    def do_diff(self, n: int, g: Table) -> Table:
-        return self._hochschild(n, g, self.vdash_bim)
-
-    def phi(self, n: int, f: Table) -> Table:
-        """Phi(f)(a_1..a_n) = sum_k L^{k-1} sum_{i_1<..<i_k}
-        f(.. d(a_{i_t}) ..) - d_M(f(a_1..a_n))."""
+    def _structure(self) -> None:
+        """Sparse structure constants, indexed by the basis they reach."""
         alg, bim = self.alg, self.bim
-        dim_a, dim_m = alg.dim, bim.dim
-        lam = alg.lam
-        out: Table = {}
-        for key in itertools.product(range(dim_a), repeat=n):
-            args = [alg.unit_vec(i) for i in key]
-            acc = scale_vec(-1, bim.apply_d(eval_table(f, args, dim_m)))
+        # preimages of e_k: the (p, q, c) with e_p e_q = c e_k + ...
+        self._mult_pre = [[] for _ in range(alg.dim)]
+        for p in range(alg.dim):
+            for q in range(alg.dim):
+                for k, c in _nonzero(alg.mult[p][q]):
+                    self._mult_pre[k].append((p, q, c))
+        # the (a, c) with d(e_a) = c e_k + ...
+        self._d_pre = [[] for _ in range(alg.dim)]
+        for a in range(alg.dim):
+            for k, c in _nonzero(alg.d[a]):
+                self._d_pre[k].append((a, c))
+        self._d_m = [_nonzero(v) for v in bim.d]
+        self._bim_actions = self._actions(bim)
+        self._vdash_actions = self._actions(self.vdash_bim)
+
+    def _hochschild(self, rows: Rows, n: int, f: Table, actions,
+                    sign: int = 1) -> Rows:
+        """Add sign * d(f) into rows, for the level-n cochain f:
+
+          d(f)(a_0..a_n) = (-1)^(n+1) a_0 f(a_1..a_n)
+              + sum_i (-1)^(n+1-i) f(.. a_{i-1} a_i ..) + f(a_0..a_{n-1}) a_n.
+        """
+        left, right = actions
+        dim_a = self.alg.dim
+        first = sign * (-1 if (n + 1) % 2 else 1)
+        for key, v in f.items():
+            entries = _nonzero(v)
+            for x, c in entries:
+                for a in range(dim_a):
+                    s = first * c
+                    if left[a][x]:
+                        add_into(rows, (a,) + key,
+                                 {t: s * lc for t, lc in left[a][x]})
+                    if right[x][a]:
+                        add_into(rows, key + (a,),
+                                 {t: c * rc * sign for t, rc in right[x][a]})
+            for i in range(1, n + 1):
+                s_i = sign * (-1 if (n + 1 - i) % 2 else 1)
+                head, tail = key[:i - 1], key[i:]
+                for p, q, c in self._mult_pre[key[i - 1]]:
+                    s = s_i * c
+                    add_into(rows, head + (p, q) + tail,
+                             {t: s * x for t, x in entries})
+        return rows
+
+    def _phi(self, rows: Rows, n: int, f: Table, sign: int = 1) -> Rows:
+        """Add sign * Phi(f) into rows (see `phi`)."""
+        lam = self.alg.lam
+        for key, v in f.items():
+            entries = _nonzero(v)
+            for x, c in entries:
+                s = -sign * c
+                if self._d_m[x]:
+                    add_into(rows, key, {t: s * dc for t, dc in self._d_m[x]})
             for k in range(1, n + 1):
                 lam_pow = lam ** (k - 1)
                 if lam_pow == 0 and k > 1:
                     continue
                 for subset in itertools.combinations(range(n), k):
-                    inner = list(args)
-                    for pos in subset:
-                        inner[pos] = alg.apply_d(inner[pos])
-                    v = eval_table(f, inner, dim_m)
-                    acc = add_vec(acc, scale_vec(lam_pow, v))
-            if not vec_is_zero(acc):
-                out[key] = acc
-        return out
+                    for choice in itertools.product(
+                            *(self._d_pre[key[i]] for i in subset)):
+                        out = list(key)
+                        s = sign * lam_pow
+                        for i, (a, dc) in zip(subset, choice):
+                            out[i] = a
+                            s *= dc
+                        add_into(rows, tuple(out),
+                                 {t: s * x for t, x in entries})
+        return rows
+
+    def hochschild_diff(self, n: int, f: Table) -> Table:
+        return _dense(self._hochschild({}, n, f, self._bim_actions),
+                      self.bim.dim)
+
+    def do_diff(self, n: int, g: Table) -> Table:
+        return _dense(self._hochschild({}, n, g, self._vdash_actions),
+                      self.bim.dim)
+
+    def phi(self, n: int, f: Table) -> Table:
+        """Phi(f)(a_1..a_n) = sum_k L^{k-1} sum_{i_1<..<i_k}
+        f(.. d(a_{i_t}) ..) - d_M(f(a_1..a_n))."""
+        return _dense(self._phi({}, n, f), self.bim.dim)
 
     def da_diff(self, x: DaCochain) -> DaCochain:
+        """D(f, g) = (d f, -Phi(f) - d_DO(g))."""
         n = x.level
-        new_f = self.hochschild_diff(n, x.f)
-        new_g = table_scale(-1, self.phi(n, x.f))
+        new_f = self._hochschild({}, n, x.f, self._bim_actions)
+        new_g = self._phi({}, n, x.f, -1)
         if x.g is not None:
-            new_g = table_add(new_g,
-                              table_scale(-1, self.do_diff(n - 1, x.g)),
-                              self.bim.dim)
-        return DaCochain(n + 1, new_f, new_g)
+            self._hochschild(new_g, n - 1, x.g, self._vdash_actions, -1)
+        dim_m = self.bim.dim
+        return DaCochain(n + 1, _dense(new_f, dim_m), _dense(new_g, dim_m))
 
     # -- dimensions and ranks ------------------------------------------------
 

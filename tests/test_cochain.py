@@ -18,6 +18,7 @@ from operad_forge.cochain import (
     rank_fraction_free,
     table_eq,
 )
+from cochain_oracle import GatherComplexes, eval_table
 
 IDEMPOTENT = DifAlgebraData.build([[[1]]], [[-1]], 1)
 SQUARE_ZERO = DifAlgebraData.build([[[0]]], [[0]], 0)
@@ -49,8 +50,6 @@ def test_hochschild_level_one_formula():
     f = rand_table(rng, 2, 1, 2)
     out = cx.hochschild_diff(1, f)
     alg = TWO_DIM
-    from operad_forge.cochain import eval_table
-
     for i, j in itertools.product(range(2), repeat=2):
         a, b = alg.unit_vec(i), alg.unit_vec(j)
         want = alg.product(a, eval_table(f, [b], 2))
@@ -209,3 +208,146 @@ def test_bimodule_axiom_checker_flags_bad_data():
     bim = DifBimoduleData.build([[[Fraction(1)]]], [[[Fraction(1)]]],
                                 [[Fraction(0)]])
     assert bimodule_defects(alg, bim)
+
+
+# -- push form against the gather-form oracle ------------------------------
+
+# Unital, with d(x) = x at weight 1: the dual numbers k[x]/(x^2).
+DUAL_NUMBERS = DifAlgebraData.build(
+    [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [[0, 0], [0, 1]], 1)
+
+
+def doubled_bimodule(alg):
+    """A + A, with A acting on each copy as on the regular bimodule."""
+    n, m = alg.dim, 2 * alg.dim
+
+    def block(vec, copy):
+        out = [Fraction(0)] * m
+        out[copy * n:(copy + 1) * n] = vec
+        return out
+
+    left = [[block(alg.mult[i][x % n], x // n) for x in range(m)]
+            for i in range(n)]
+    right = [[block(alg.mult[x % n][i], x // n) for i in range(n)]
+             for x in range(m)]
+    d = [block(alg.d[x % n], x // n) for x in range(m)]
+    return DifBimoduleData.build(left, right, d)
+
+
+ORACLE_CASES = {
+    "idempotent": (IDEMPOTENT, None),
+    "square zero": (SQUARE_ZERO, None),
+    "two dim": (TWO_DIM, None),
+    "two dim, L = 1/2, d = -2 id": (DifAlgebraData.build(
+        [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [[-2, 0], [0, -2]],
+        Fraction(1, 2)), None),
+    "two dim, d = 0, L = 3": (DifAlgebraData.build(
+        [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [[0, 0], [0, 0]], 3), None),
+    "two dim in A + A": (TWO_DIM, doubled_bimodule(TWO_DIM)),
+    "dual numbers": (DUAL_NUMBERS, None),
+}
+
+
+def oracle_pair(name):
+    alg, bim = ORACLE_CASES[name]
+    return CochainComplexes(alg, bim), GatherComplexes(alg, bim)
+
+
+def rational_table(rng, dim, arity, out_dim, density):
+    """Keys drawn with the given density; entries are small rationals, and
+    an all-zero vector is kept when drawn."""
+    out = {}
+    for key in itertools.product(range(dim), repeat=arity):
+        if rng.random() < density:
+            out[key] = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                             for _ in range(out_dim))
+    return out
+
+
+def test_doubled_bimodule_is_a_differential_bimodule():
+    bim = ORACLE_CASES["two dim in A + A"][1]
+    assert bim.dim == 4
+    assert not bimodule_defects(TWO_DIM, bim)
+    assert bim.left != CochainComplexes(TWO_DIM).bim.left
+
+
+@pytest.mark.parametrize("density", [0.2, 0.6, 1.0])
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_push_form_equals_gather_form(name, density):
+    push, gather = oracle_pair(name)
+    dim_a, dim_m = push.alg.dim, push.bim.dim
+    rng = random.Random(f"{name}/{density}")
+    for n in range(4):
+        for _ in range(3):
+            f = rational_table(rng, dim_a, n, dim_m, density)
+            assert push.hochschild_diff(n, f) == gather.hochschild_diff(n, f)
+            assert push.do_diff(n, f) == gather.do_diff(n, f)
+            assert push.phi(n, f) == gather.phi(n, f)
+            g = None if n == 0 else rational_table(rng, dim_a, n - 1, dim_m,
+                                                   density)
+            x = DaCochain(n, f, g)
+            assert push.da_diff(x) == gather.da_diff(x)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_push_form_equals_gather_form_on_cancelling_inputs(name):
+    """Coboundaries and sums with their negatives: the push form's sparse
+    rows must cancel to exactly what the gather form finds."""
+    push, gather = oracle_pair(name)
+    dim_a, dim_m = push.alg.dim, push.bim.dim
+    rng = random.Random(name)
+    for n in range(1, 4):
+        h = rational_table(rng, dim_a, n - 1, dim_m, 1.0)
+        b, c = gather.hochschild_diff(n - 1, h), gather.do_diff(n - 1, h)
+        assert not push.hochschild_diff(n, b)
+        assert not push.do_diff(n, c)
+        for f in (b, c):
+            assert push.hochschild_diff(n, f) == gather.hochschild_diff(n, f)
+            assert push.do_diff(n, f) == gather.do_diff(n, f)
+            assert push.phi(n, f) == gather.phi(n, f)
+        # Phi is a chain map: Phi(d f) = d_DO(Phi(f))
+        assert push.phi(n, b) == push.do_diff(n - 1, push.phi(n - 1, h))
+        # D(D(x)) cancels everywhere
+        x = gather.da_diff(DaCochain(n - 1, h, None if n == 1 else
+                                     rational_table(rng, dim_a, n - 2,
+                                                    dim_m, 1.0)))
+        assert push.da_diff(x) == gather.da_diff(x)
+        assert push.da_diff(x).is_zero()
+
+
+@pytest.mark.parametrize("name", ["two dim", "dual numbers"])
+def test_da_matrix_equals_gather_form(name):
+    push, gather = oracle_pair(name)
+    for n in range(5):
+        assert push.da_matrix(n) == gather.da_matrix(n)
+
+
+@pytest.mark.parametrize("name", sorted(set(ORACLE_CASES) -
+                                        {"two dim", "dual numbers"}))
+def test_da_matrix_equals_gather_form_to_level_3(name):
+    push, gather = oracle_pair(name)
+    for n in range(4):
+        assert push.da_matrix(n) == gather.da_matrix(n)
+
+
+def _product_is_zero(b, a) -> bool:
+    """b . a == 0 exactly, over the nonzero entries only."""
+    cols = [[(k, row[j]) for k, row in enumerate(a) if row[j]]
+            for j in range(len(a[0]))] if a else []
+    for row in b:
+        for col in cols:
+            if sum(row[k] * c for k, c in col):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("alg", [TWO_DIM, SQUARE_ZERO],
+                         ids=["two dim", "square zero"])
+def test_frontier_level_five_and_d_squared(alg):
+    cx = CochainComplexes(alg)
+    assert cx.cohomology_ranks(5) == \
+        cx.cohomology_ranks(5, rank_fn=rank_dense_oracle)
+    matrices = [cx.da_matrix(n) for n in range(6)]
+    for n in range(5):
+        assert len(matrices[n + 1][0]) == len(matrices[n]) == cx.da_dim(n + 1)
+        assert _product_is_zero(matrices[n + 1], matrices[n])
