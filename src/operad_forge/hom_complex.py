@@ -102,7 +102,8 @@ class MultiMap:
         tab: dict[tuple, dict[int, Coefficient]] = {}
         if table:
             for key, out in table.items():
-                add_into(tab, tuple(key), dict(out))
+                add_into(tab, tuple(key),
+                         out if type(out) is dict else dict(out))
         self.table = tab
         if check:
             self._check()

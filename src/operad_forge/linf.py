@@ -496,10 +496,8 @@ def concat_product(alg: DifAlgebraData, a: MultiMap, b: MultiMap,
         for kb, outb in b.table.items():
             row: dict[int, Coefficient] = {}
             for ia, ca in outa.items():
-                va = alg.unit_vec(ia)
                 for ib, cb in outb.items():
-                    prod = alg.product(va, alg.unit_vec(ib))
-                    for t, pc in enumerate(prod):
+                    for t, pc in enumerate(alg.mult[ia][ib]):
                         if pc == 0:
                             continue
                         c = ca * cb * Coefficient.rational(pc) * lam
