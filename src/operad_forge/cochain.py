@@ -9,10 +9,9 @@ map A^n -> M, g an (n-1)-linear map (absent at level 0).  Tables are sparse
 dicts on basis tuples with rational coordinate vectors as values.
 
 The differentials are evaluated entry by entry, in push form: each entry
-(key, v) of a table is sent to the output keys its terms reach (through
-the nonzero structure constants of the product, the actions and d), and
-the contributions are summed in sparse rows by `coeffs.add_into`.  The cost
-is entries x terms, not output keys x table entries.
+(key, v) is sent, through the nonzero structure constants, to the output
+keys its terms reach, and summed there in sparse rows by `coeffs.add_into`.
+The cost is entries x terms, not output keys x table entries.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from .coeffs import add_into
 Table = dict[tuple, Vec]
 Rows = dict[tuple, dict[int, Fraction]]   # sparse rows {basis: coefficient}
 
-_ZERO = Fraction(0)
-
 
 def table_eq(a: Table, b: Table) -> bool:
     return {k: v for k, v in a.items() if not vec_is_zero(v)} == \
@@ -52,7 +49,8 @@ def _nonzero(vec: Vec) -> tuple[tuple[int, Fraction], ...]:
 
 
 def _dense(rows: Rows, dim: int) -> Table:
-    return {key: tuple(row.get(t, _ZERO) for t in range(dim))
+    zero = Fraction(0)
+    return {key: tuple(row.get(t, zero) for t in range(dim))
             for key, row in rows.items()}
 
 
@@ -87,7 +85,20 @@ class CochainComplexes:
                 raise ValueError("invalid input data:\n  " +
                                  "\n  ".join(map(str, problems[:10])))
         self.vdash_bim = self._shifted_bimodule()
-        self._structure()
+        # by the basis e_k they reach: e_p e_q = c e_k + ..., d(e_a) = c e_k
+        r = range(alg.dim)
+        self._mult_pre = [[(p, q, alg.mult[p][q][k]) for p in r for q in r
+                           if alg.mult[p][q][k]] for k in r]
+        self._d_pre = [[(a, alg.d[a][k]) for a in r if alg.d[a][k]]
+                       for k in r]
+        actions = []
+        for bim in (self.bim, self.vdash_bim):
+            left = [[(a, _nonzero(bim.left[a][x])) for a in r
+                     if any(bim.left[a][x])] for x in range(bim.dim)]
+            right = [[(a, _nonzero(row[a])) for a in r if any(row[a])]
+                     for row in bim.right]
+            actions.append((left, right))
+        self._bim_actions, self._vdash_actions = actions
 
     def _shifted_bimodule(self) -> DifBimoduleData:
         """The actions a |- x = (a + L d_A(a)) x and x -| a."""
@@ -102,34 +113,6 @@ class CochainComplexes:
 
     # -- the three differentials -------------------------------------------
 
-    def _actions(self, bim: DifBimoduleData):
-        """The actions on basis elements as nonzero pairs:
-        left[a][x] for e_a x_x and right[x][a] for x_x e_a."""
-        dim_a = self.alg.dim
-        left = [[_nonzero(bim.left[a][x]) for x in range(bim.dim)]
-                for a in range(dim_a)]
-        right = [[_nonzero(bim.right[x][a]) for a in range(dim_a)]
-                 for x in range(bim.dim)]
-        return left, right
-
-    def _structure(self) -> None:
-        """Sparse structure constants, indexed by the basis they reach."""
-        alg, bim = self.alg, self.bim
-        # preimages of e_k: the (p, q, c) with e_p e_q = c e_k + ...
-        self._mult_pre = [[] for _ in range(alg.dim)]
-        for p in range(alg.dim):
-            for q in range(alg.dim):
-                for k, c in _nonzero(alg.mult[p][q]):
-                    self._mult_pre[k].append((p, q, c))
-        # the (a, c) with d(e_a) = c e_k + ...
-        self._d_pre = [[] for _ in range(alg.dim)]
-        for a in range(alg.dim):
-            for k, c in _nonzero(alg.d[a]):
-                self._d_pre[k].append((a, c))
-        self._d_m = [_nonzero(v) for v in bim.d]
-        self._bim_actions = self._actions(bim)
-        self._vdash_actions = self._actions(self.vdash_bim)
-
     def _hochschild(self, rows: Rows, n: int, f: Table, actions,
                     sign: int = 1) -> Rows:
         """Add sign * d(f) into rows, for the level-n cochain f:
@@ -137,52 +120,42 @@ class CochainComplexes:
           d(f)(a_0..a_n) = (-1)^(n+1) a_0 f(a_1..a_n)
               + sum_i (-1)^(n+1-i) f(.. a_{i-1} a_i ..) + f(a_0..a_{n-1}) a_n.
         """
-        left, right = actions
-        dim_a = self.alg.dim
+        left, right = actions   # per x_x: the (a, pairs) that act on it
         first = sign * (-1 if (n + 1) % 2 else 1)
         for key, v in f.items():
             entries = _nonzero(v)
             for x, c in entries:
-                for a in range(dim_a):
-                    s = first * c
-                    if left[a][x]:
-                        add_into(rows, (a,) + key,
-                                 {t: s * lc for t, lc in left[a][x]})
-                    if right[x][a]:
-                        add_into(rows, key + (a,),
-                                 {t: c * rc * sign for t, rc in right[x][a]})
+                for a, pairs in left[x]:
+                    add_into(rows, (a,) + key,
+                             {t: first * c * y for t, y in pairs})
+                for a, pairs in right[x]:
+                    add_into(rows, key + (a,),
+                             {t: sign * c * y for t, y in pairs})
             for i in range(1, n + 1):
                 s_i = sign * (-1 if (n + 1 - i) % 2 else 1)
-                head, tail = key[:i - 1], key[i:]
                 for p, q, c in self._mult_pre[key[i - 1]]:
-                    s = s_i * c
-                    add_into(rows, head + (p, q) + tail,
-                             {t: s * x for t, x in entries})
+                    add_into(rows, key[:i - 1] + (p, q) + key[i:],
+                             {t: s_i * c * y for t, y in entries})
         return rows
 
     def _phi(self, rows: Rows, n: int, f: Table, sign: int = 1) -> Rows:
-        """Add sign * Phi(f) into rows (see `phi`)."""
-        lam = self.alg.lam
+        """Add sign * Phi(f) into rows (see `phi`); at L = 0 only the
+        subsets of one position contribute."""
         for key, v in f.items():
             entries = _nonzero(v)
             for x, c in entries:
-                s = -sign * c
-                if self._d_m[x]:
-                    add_into(rows, key, {t: s * dc for t, dc in self._d_m[x]})
-            for k in range(1, n + 1):
-                lam_pow = lam ** (k - 1)
-                if lam_pow == 0 and k > 1:
-                    continue
+                add_into(rows, key, {t: -sign * c * y
+                                     for t, y in _nonzero(self.bim.d[x])})
+            for k in range(1, n + 1 if self.alg.lam else 2):
                 for subset in itertools.combinations(range(n), k):
                     for choice in itertools.product(
                             *(self._d_pre[key[i]] for i in subset)):
-                        out = list(key)
-                        s = sign * lam_pow
-                        for i, (a, dc) in zip(subset, choice):
+                        out, s = list(key), sign * self.alg.lam ** (k - 1)
+                        for i, (a, c) in zip(subset, choice):
                             out[i] = a
-                            s *= dc
+                            s *= c
                         add_into(rows, tuple(out),
-                                 {t: s * x for t, x in entries})
+                                 {t: s * y for t, y in entries})
         return rows
 
     def hochschild_diff(self, n: int, f: Table) -> Table:
@@ -200,13 +173,11 @@ class CochainComplexes:
 
     def da_diff(self, x: DaCochain) -> DaCochain:
         """D(f, g) = (d f, -Phi(f) - d_DO(g))."""
-        n = x.level
-        new_f = self._hochschild({}, n, x.f, self._bim_actions)
-        new_g = self._phi({}, n, x.f, -1)
+        new_g = self._phi({}, x.level, x.f, -1)
         if x.g is not None:
-            self._hochschild(new_g, n - 1, x.g, self._vdash_actions, -1)
-        dim_m = self.bim.dim
-        return DaCochain(n + 1, _dense(new_f, dim_m), _dense(new_g, dim_m))
+            self._hochschild(new_g, x.level - 1, x.g, self._vdash_actions, -1)
+        return DaCochain(x.level + 1, self.hochschild_diff(x.level, x.f),
+                         _dense(new_g, self.bim.dim))
 
     # -- dimensions and ranks ------------------------------------------------
 

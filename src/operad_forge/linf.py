@@ -498,10 +498,9 @@ def concat_product(alg: DifAlgebraData, a: MultiMap, b: MultiMap,
             for ia, ca in outa.items():
                 for ib, cb in outb.items():
                     for t, pc in enumerate(alg.mult[ia][ib]):
-                        if pc == 0:
-                            continue
-                        c = ca * cb * Coefficient.rational(pc) * lam
-                        add_into(row, t, -c if sign_exp % 2 else c)
+                        if pc:
+                            c = ca * cb * Coefficient.rational(pc) * lam
+                            add_into(row, t, -c if sign_exp % 2 else c)
             add_into(table, ka + kb, row)
     return MultiMap(space, space, a.arity + b.arity, 0, table, check=False)
 
