@@ -357,6 +357,7 @@ def run_cohomology_compute(args) -> Report:
     cx = CochainComplexes(alg, bim)
     dims = cx.cohomology_ranks(args.max_level)
     oracle = cx.cohomology_ranks(args.max_level, rank_fn=rank_dense_oracle)
+    # the check name predates the sparse ranks; golden reports pin it
     rep.add("fraction-free and dense ranks agree", dims == oracle,
             f"{dims} vs {oracle}")
     rep.output = "\n".join(f"H^{n}: dim {d}" for n, d in enumerate(dims))

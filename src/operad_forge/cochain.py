@@ -2,7 +2,8 @@
 in a differential bimodule: the Hochschild complex of the underlying
 algebra, the operator complex (Hochschild with the weight-shifted actions
 a |- x = (a + L d(a)) x), the comparison map Phi between them, the total
-complex, and exact cohomology ranks over Q.
+complex, and exact cohomology ranks over Q by sparse exact elimination
+(with an independent dense oracle).
 
 A level-n cochain in the total complex is a pair (f, g): f is an n-linear
 map A^n -> M, g an (n-1)-linear map (absent at level 0).  Tables are sparse
@@ -228,7 +229,7 @@ class CochainComplexes:
                          rank_fn=None) -> list[int]:
         """Dimensions of the total cohomology H^0..H^max_level over Q."""
         if rank_fn is None:
-            rank_fn = rank_fraction_free
+            rank_fn = rank_sparse
         ranks = [rank_fn(self.da_matrix(n)) for n in range(max_level + 1)]
         dims = []
         for n in range(max_level + 1):
@@ -241,39 +242,32 @@ class CochainComplexes:
 # Exact ranks
 # ---------------------------------------------------------------------------
 
-def rank_fraction_free(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Bareiss fraction-free elimination on the denominator-cleared integer
-    matrix; deterministic first-nonzero pivoting."""
-    if not matrix or not matrix[0]:
-        return 0
-    rows = []
-    for row in matrix:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
-        rows.append([int(x * denom) for x in row])
-    m, n = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(rank, m):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        p = rows[rank][col]
-        for r in range(rank + 1, m):
-            factor = rows[r][col]
-            for c in range(n):
-                rows[r][c] = (rows[r][c] * p - factor * rows[rank][c]) // prev
-        prev = p
-        rank += 1
-        if rank == m:
-            break
-    return rank
+def echelon(rows) -> list[tuple[int, dict[int, Fraction]]]:
+    """Gaussian elimination on sparse rational rows {column: value}.
+
+    Returns the pivots, as (column, row) with the row reduced against the
+    earlier pivots and scaled to 1 at its column, so that their number is
+    the rank.
+    """
+    pivots: list[tuple[int, dict[int, Fraction]]] = []
+    for row in rows:
+        row = dict(row)
+        for pc, prow in pivots:
+            factor = row.get(pc)
+            if factor:
+                for c, val in prow.items():
+                    add_into(row, c, -factor * val)
+        if row:
+            pc = min(row)
+            scale = row[pc]
+            pivots.append((pc, {c: val / scale for c, val in row.items()}))
+    return pivots
+
+
+def rank_sparse(matrix: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over Q by `echelon` on the nonzero entries of each row."""
+    return len(echelon({c: x for c, x in enumerate(row) if x}
+                       for row in matrix))
 
 
 def rank_dense_oracle(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -302,9 +296,3 @@ def rank_dense_oracle(matrix: Sequence[Sequence[Fraction]]) -> int:
         if rank == m:
             break
     return rank
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1

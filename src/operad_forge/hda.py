@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
+from .cochain import echelon
 from .coeffs import Coefficient, LAMBDA, add_into
 from .hom_complex import (
     GradedSpace,
@@ -415,7 +416,7 @@ def homology_descent(s: HdaStructure) -> dict:
         return out
 
     def rank(vectors) -> int:
-        return len(_echelon(vectors, v.dim())[0])
+        return len(echelon(vectors))
 
     def preserved(span) -> bool:
         r = rank(span)
@@ -425,33 +426,17 @@ def homology_descent(s: HdaStructure) -> dict:
     for i, col in m1_cols.items():
         for b, c in col.items():
             m1_rows.setdefault(b, {})[i] = c
-    _, cycles = _echelon(list(m1_rows.values()), v.dim())
+    cycles = _kernel(echelon(m1_rows.values()), v.dim())
     boundaries = [apply_cols(m1_cols, {i: Fraction(1)}) for i in v.basis()]
     return {"cycles_preserved": preserved(cycles),
             "boundaries_preserved": preserved(boundaries),
             "homology_dim": len(cycles) - rank(boundaries)}
 
 
-def _echelon(rows, ncols: int) -> tuple[list, list[dict]]:
-    """Gaussian elimination on sparse rational rows {column: value}.
-
-    Returns the pivots, as (column, row) with the row reduced against the
-    earlier pivots and scaled to 1 at its column, so that their number is
-    the rank; and a basis of the kernel {x : row . x = 0 for every row}
-    on columns 0..ncols-1, one vector per column without a pivot.
-    """
-    pivots: list[tuple[int, dict[int, Fraction]]] = []
-    for row in rows:
-        row = dict(row)
-        for pc, prow in pivots:
-            factor = row.get(pc)
-            if factor:
-                for c, val in prow.items():
-                    add_into(row, c, -factor * val)
-        if row:
-            pc = min(row)
-            scale = row[pc]
-            pivots.append((pc, {c: val / scale for c, val in row.items()}))
+def _kernel(pivots, ncols: int) -> list[dict]:
+    """A basis of the kernel {x : row . x = 0 for every pivot row} on
+    columns 0..ncols-1, one vector per column without a pivot, by back
+    substitution through the pivots of `cochain.echelon`."""
     pivot_cols = {pc for pc, _ in pivots}
     kernel = []
     for free in range(ncols):
@@ -463,4 +448,4 @@ def _echelon(rows, ncols: int) -> tuple[list, list[dict]]:
             if val:
                 vec[pc] = val
         kernel.append(vec)
-    return pivots, kernel
+    return kernel

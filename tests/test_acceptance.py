@@ -186,15 +186,11 @@ def test_acceptance_07_twisted_complex_comparisons():
 
 
 def test_acceptance_08_cohomology_oracle():
-    from operad_forge.cochain import (
-        CochainComplexes,
-        rank_dense_oracle,
-        rank_fraction_free,
-    )
+    from operad_forge.cochain import CochainComplexes, rank_dense_oracle
 
     alg = DifAlgebraData.build([[[0]]], [[0]], 0)
     cx = CochainComplexes(alg)
-    dims = cx.cohomology_ranks(4, rank_fn=rank_fraction_free)
+    dims = cx.cohomology_ranks(4)
     oracle = cx.cohomology_ranks(4, rank_fn=rank_dense_oracle)
     _report(8, "square-zero algebra with d = 0: total cohomology dims"
                f" {dims} = [1,2,2,2,2], dense oracle agrees",

@@ -15,7 +15,7 @@ from operad_forge.cochain import (
     CochainComplexes,
     DaCochain,
     rank_dense_oracle,
-    rank_fraction_free,
+    rank_sparse,
     table_eq,
 )
 from cochain_oracle import GatherComplexes, eval_table
@@ -190,12 +190,38 @@ def test_invalid_data_rejected():
 
 def test_rank_routines_agree_on_random_matrices():
     rng = random.Random(8)
+    matrices = []
     for _ in range(25):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-              for _ in range(cols)] for _ in range(rows)]
-        assert rank_fraction_free(m) == rank_dense_oracle(m)
+        matrices.append([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                          for _ in range(cols)] for _ in range(rows)])
+
+    def entry():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 6),
+                        rng.randint(1, 97))
+
+    for density in (0.2, 0.6):
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+            m = [[entry() if rng.random() < density else Fraction(0)
+                  for _ in range(ncols)] for _ in range(nrows)]
+            # rational combinations of other rows, so that elimination
+            # must cancel to exact zeros
+            for _ in range(rng.randint(0, 12 - nrows)):
+                parts = rng.sample(m, rng.randint(1, min(3, len(m))))
+                coeffs = [entry() for _ in parts]
+                m.append([sum(c * row[j] for c, row in zip(coeffs, parts))
+                          for j in range(ncols)])
+            rng.shuffle(m)
+            matrices.append(m)
+    deficient = 0
+    for m in matrices:
+        transpose = [list(col) for col in zip(*m)]
+        rank = rank_dense_oracle(m)
+        assert rank_sparse(m) == rank_sparse(transpose) == rank
+        deficient += rank < min(len(m), len(m[0]))
+    assert deficient >= 20
 
 
 def test_algebra_json_roundtrip():
@@ -334,13 +360,17 @@ def _product_is_zero(b, a) -> bool:
     return True
 
 
-@pytest.mark.parametrize("alg", [TWO_DIM, SQUARE_ZERO],
-                         ids=["two dim", "square zero"])
-def test_frontier_level_five_and_d_squared(alg):
+@pytest.mark.parametrize("alg, dims", [
+    (TWO_DIM, [0] * 7),
+    (SQUARE_ZERO, [1, 2, 2, 2, 2, 2]),
+    (DUAL_NUMBERS, [1, 2, 1, 0, 0, 0, 0]),
+], ids=["two dim", "square zero", "dual numbers"])
+def test_frontier_level_five_and_d_squared(alg, dims):
     cx = CochainComplexes(alg)
-    assert cx.cohomology_ranks(5) == \
-        cx.cohomology_ranks(5, rank_fn=rank_dense_oracle)
-    matrices = [cx.da_matrix(n) for n in range(6)]
-    for n in range(5):
+    top = len(dims) - 1
+    assert cx.cohomology_ranks(top) == dims == \
+        cx.cohomology_ranks(top, rank_fn=rank_dense_oracle)
+    matrices = [cx.da_matrix(n) for n in range(top + 1)]
+    for n in range(top):
         assert len(matrices[n + 1][0]) == len(matrices[n]) == cx.da_dim(n + 1)
         assert _product_is_zero(matrices[n + 1], matrices[n])

@@ -166,8 +166,8 @@ def test_homology_descent_example():
 
 
 def test_echelon_nullity_and_rank_match_dense_oracle():
-    from operad_forge.cochain import rank_dense_oracle
-    from operad_forge.hda import _echelon
+    from operad_forge.cochain import echelon, rank_dense_oracle
+    from operad_forge.hda import _kernel
 
     rng = random.Random(61)
     for _ in range(60):
@@ -179,7 +179,8 @@ def test_echelon_nullity_and_rank_match_dense_oracle():
             # a dependent row, so that elimination must cancel to zero
             dense.append([a - 2 * b for a, b in zip(dense[0], dense[1])])
         rows = [{c: v for c, v in enumerate(r) if v} for r in dense]
-        pivots, kernel = _echelon(rows, ncols)
+        pivots = echelon(rows)
+        kernel = _kernel(pivots, ncols)
         rank = rank_dense_oracle(dense)
         assert len(pivots) == rank
         assert len(kernel) == ncols - rank
