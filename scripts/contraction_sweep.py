@@ -1,17 +1,27 @@
 #!/usr/bin/env python3
 """Size/timing sweep of the exhaustive homotopy-contraction verification.
 
-Useful for picking weight bounds: prints monomial counts and wall time per
-(arity, degree, weight) configuration, optionally fanning out over worker
-processes.
+Useful for picking weight bounds: prints monomial counts, wall time and
+the peak resident set size so far (``ru_maxrss`` of this process and of its
+finished workers) per (arity, degree, weight) configuration, optionally
+fanning out over worker processes.  The weights run in one process, so each
+peak RSS covers every weight up to its own.
 """
 
 import argparse
+import resource
 import time
 
 from operad_forge.coeffs import LAMBDA
 from operad_forge.contraction import verify_parallel
 from operad_forge.dif_operads import enumerate_monomials
+
+
+def peak_rss_mb() -> float:
+    """Peak RSS so far in MB; Linux reports ``ru_maxrss`` in KiB."""
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return max(own, workers) / 1024
 
 
 def main():
@@ -30,7 +40,8 @@ def main():
                                        LAMBDA, args.jobs)
         elapsed = time.monotonic() - started
         status = "ok" if not bad else f"{len(bad)} VIOLATIONS"
-        print(f"weight<={w}: {count:6d} monomials  {elapsed:8.2f}s  {status}")
+        print(f"weight<={w}: {count:6d} monomials  {elapsed:8.2f}s  "
+              f"peak RSS {peak_rss_mb():7.1f} MB  {status}")
         assert checked == count
 
 

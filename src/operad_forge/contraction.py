@@ -16,6 +16,13 @@ H replaces the effective divisor by its generator, with the sign
 (-1)**omega, omega summing the degrees of all vertices strictly before the
 divisor root in planar order, and recurses on the strictly smaller
 remainder.  `verify` checks diff o H + H o diff = id monomial by monomial.
+
+The memo of H values is the only cache that outlives a call (besides the
+per-generator typical shapes).  `Contraction.h_monomial` runs the recursion
+on an explicit stack of frames: a frame holds its monomial, its order key,
+its effective analysis and its remainder, all computed once on the first
+visit and dropped when the frame's H value is stored.  Every non-effective
+monomial maps to one shared zero element.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ class EffectiveAnalysis:
 
 _NOT_EFFECTIVE = EffectiveAnalysis(False)
 
+# H of every non-effective monomial; shared, so never changed in place
+_ZERO = OperadElement()
+
 
 def generator_above(base: Generator) -> Generator:
     """The generator whose differential has leading monomial base o_1 m2."""
@@ -60,9 +70,7 @@ class Contraction:
     def __init__(self, op: Difinfty):
         self.op = op
         self._typical: dict[Generator, tuple[TreeMonomial, int]] = {}
-        self._eff: dict[TreeMonomial, EffectiveAnalysis] = {}
         self._h: dict[TreeMonomial, OperadElement] = {}
-        self._tbar: dict[TreeMonomial, OperadElement] = {}
         self._m2 = gen_id(m_gen(2))
 
     # -- typical shapes ----------------------------------------------------
@@ -106,9 +114,6 @@ class Contraction:
         that m2 to the leaf have degree 0.  After a candidate the prefix is
         no longer clean, which makes the effective divisor unique.
         """
-        cached = self._eff.get(t)
-        if cached is not None:
-            return cached
         word, m2 = t.word, self._m2
         result = _NOT_EFFECTIVE
         s = 0
@@ -129,7 +134,6 @@ class Contraction:
             if any(DEGREE[word[q]] for q in range(s, z)):
                 break
             s = z + 1
-        self._eff[t] = result
         return result
 
     # -- the contraction ----------------------------------------------------
@@ -138,6 +142,9 @@ class Contraction:
         an = self.analyze_effective(t)
         if not an.is_effective:
             raise ValueError(f"{t!r} is not effective")
+        return self._h_bar(t, an)
+
+    def _h_bar(self, t: TreeMonomial, an: EffectiveAnalysis) -> OperadElement:
         s_mono = TreeMonomial.corolla(an.s_generator)
         sign, replaced = replace_region(t, {an.divisor_root, an.divisor_child},
                                         s_mono)
@@ -147,11 +154,9 @@ class Contraction:
         scalar = an.c_s if an.omega % 2 == 0 else -an.c_s
         return OperadElement.single(replaced, Coefficient.rational(scalar))
 
-    def _tbar_of(self, t: TreeMonomial) -> OperadElement:
-        cached = self._tbar.get(t)
-        if cached is not None:
-            return cached
-        an = self.analyze_effective(t)
+    def _remainder(self, t: TreeMonomial, an: EffectiveAnalysis
+                   ) -> dict[TreeMonomial, Coefficient]:
+        """tbar: t with its divisor replaced by s_hat - diff(s) / c_s."""
         s_hat, c_s = self.typical_info(an.s_generator)
         repl = OperadElement.single(s_hat) - self.op.diff(an.s_generator).scale(
             Fraction(1, c_s))
@@ -160,41 +165,46 @@ class Contraction:
         for mono, c in repl.terms.items():
             sign, new_t = replace_region(t, region, mono)
             add_into(acc, new_t, c if sign == 1 else -c)
-        out = OperadElement(acc)
-        self._tbar[t] = out
-        return out
+        return acc
 
     def h_monomial(self, t: TreeMonomial) -> OperadElement:
-        """H on a single monomial, by well-founded recursion on the order."""
+        """H on a single monomial, by well-founded recursion on the order.
+
+        A frame is (monomial, order key, analysis, tbar).  The first visit
+        fills it and pushes the uncached tbar monomials with the keys it
+        compared them by; the revisit, once they are all cached, sums.
+        """
         cache = self._h
         if t in cache:
             return cache[t]
-        stack = [t]
+        stack = [(t, None, None, None)]
         while stack:
-            cur = stack[-1]
+            cur, key, an, tbar = stack[-1]
+            if tbar is not None:
+                stack.pop()
+                cache[cur] = OperadElement.sum(
+                    [(1, self._h_bar(cur, an))]
+                    + [(c, cache[mono]) for mono, c in tbar.items()])
+                continue
             if cur in cache:
                 stack.pop()
                 continue
-            if not self.analyze_effective(cur).is_effective:
-                cache[cur] = OperadElement.zero()
+            an = self.analyze_effective(cur)
+            if not an.is_effective:
+                cache[cur] = _ZERO
                 stack.pop()
                 continue
-            tbar = self._tbar_of(cur)
-            cur_key = cur.order_key()
-            pending = []
-            for mono in tbar.terms:
-                if mono.order_key() >= cur_key:
+            if key is None:
+                key = cur.order_key()
+            tbar = self._remainder(cur, an)
+            stack[-1] = (cur, key, an, tbar)
+            for mono in tbar:
+                mono_key = mono.order_key()
+                if mono_key >= key:
                     raise InternalInvariantError(
                         f"recursion failed to decrease: {mono!r} vs {cur!r}")
                 if mono not in cache:
-                    pending.append(mono)
-            if pending:
-                stack.extend(pending)
-                continue
-            cache[cur] = OperadElement.sum(
-                [(1, self.h_bar(cur))]
-                + [(c, cache[mono]) for mono, c in tbar.terms.items()])
-            stack.pop()
+                    stack.append((mono, mono_key, None, None))
         return cache[t]
 
     def apply(self, x: OperadElement) -> OperadElement:

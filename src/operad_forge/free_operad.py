@@ -47,7 +47,7 @@ def _monomial(word: Word, arity: int, degree: int, weight: int
     t = _new(TreeMonomial)
     t.word, t.arity, t.degree, t.weight = word, arity, degree, weight
     t._hash = hash(word)
-    t._key = t._leaves = None
+    t._leaves = None
     return t
 
 
@@ -58,8 +58,7 @@ class TreeMonomial:
     equal iff their words are.  ``node`` decodes it to the nested form.
     """
 
-    __slots__ = ("word", "arity", "degree", "weight", "_hash", "_key",
-                 "_leaves")
+    __slots__ = ("word", "arity", "degree", "weight", "_hash", "_leaves")
 
     def __init__(self, node: Node):
         self.word = word = encode(node)
@@ -67,7 +66,7 @@ class TreeMonomial:
         self.arity = len(word) - self.weight
         self.degree = sum(DEGREE[x] for x in word)
         self._hash = hash(word)
-        self._key = self._leaves = None
+        self._leaves = None
 
     from_word = staticmethod(_monomial)
 
@@ -86,9 +85,9 @@ class TreeMonomial:
         return tuple(GENS[x] for x in self.word if x)
 
     def order_key(self):
-        if self._key is None:
-            self._key = word_order_key(self.word, self.arity, self.degree)
-        return self._key
+        """The path-lexicographic sort key; computed afresh on each call,
+        so a monomial kept as a dict key does not hold it."""
+        return word_order_key(self.word, self.arity, self.degree)
 
     def __eq__(self, other):
         return isinstance(other, TreeMonomial) and self.word == other.word

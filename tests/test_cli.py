@@ -35,9 +35,17 @@ def test_contract_verify_small():
                  "1", "--max-weight", "3"]) == 0
 
 
-def test_contract_verify_parallel():
-    assert main(["contract", "verify", "--max-arity", "4", "--max-degree",
-                 "1", "--max-weight", "3", "--jobs", "2"]) == 0
+def test_contract_verify_parallel(tmp_path):
+    argv = ["contract", "verify", "--max-arity", "4", "--max-degree", "1",
+            "--max-weight", "3"]
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["params"].pop("jobs") == int(jobs)
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_linfty_jacobi():

@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
 
+from operad_forge import contraction as contraction_module
 from operad_forge.coeffs import Coefficient
 from operad_forge.contraction import Contraction, generator_above
 from operad_forge.dif_operads import (
     Difinfty,
     DifRewriter,
+    InternalInvariantError,
     d_gen,
     enumerate_monomials,
     m_gen,
@@ -236,14 +240,14 @@ def test_analyze_effective_matches_definition(contraction):
 
 
 def test_cached_values_are_never_changed_in_place():
-    # H, tbar and the generator differentials are handed out by reference;
-    # sums must build fresh dicts instead of accumulating into them
+    # H values, the shared zero and the generator differentials are handed
+    # out by reference; sums must build fresh dicts instead of accumulating
+    # into them
     op = Difinfty()
     c = Contraction(op)
     c.verify(3, 2, 3)
     diff_snap = {g: dict(x.terms) for g, x in op._diff_cache.items()}
     h_snap = {t: dict(x.terms) for t, x in c._h.items()}
-    tbar_snap = {t: dict(x.terms) for t, x in c._tbar.items()}
     assert len(h_snap) > 100
     n, bad = c.verify(4, 2, 3)
     assert n > 0 and bad == []
@@ -255,4 +259,55 @@ def test_cached_values_are_never_changed_in_place():
         assert c.apply(x) == c.apply(x)
     assert {g: op._diff_cache[g].terms for g in diff_snap} == diff_snap
     assert {t: c._h[t].terms for t in h_snap} == h_snap
-    assert {t: c._tbar[t].terms for t in tbar_snap} == tbar_snap
+    assert contraction_module._ZERO.terms == {}
+    assert c.h_monomial(mono("(m2 _ (d1 _))")) is contraction_module._ZERO
+
+
+def test_decrease_check_fires(monkeypatch):
+    # with every order key equal, the first tbar monomial fails the strict
+    # decrease, so the check runs on each frame's first visit; the typical
+    # shape is looked up before the patch, which would break `leading`
+    c = Contraction(Difinfty())
+    c.typical_info(m_gen(3))
+    monkeypatch.setattr(TreeMonomial, "order_key", lambda self: 0)
+    with pytest.raises(InternalInvariantError, match="failed to decrease"):
+        c.h_monomial(mono("(m2 (m2 (m2 _ _) _) _)"))
+
+
+def _naive_h(c, t):
+    """H(t) = h_bar(t) + sum of c * H(m) over the tbar of t, by plain
+    recursion with no memo shared between calls."""
+    an = c.analyze_effective(t)
+    if not an.is_effective:
+        return OperadElement()
+    s_hat, c_s = c.typical_info(an.s_generator)
+    repl = OperadElement.single(s_hat) - c.op.diff(an.s_generator).scale(
+        Fraction(1, c_s))
+    region = {an.divisor_root, an.divisor_child}
+    terms = []
+    for m, w in repl.terms.items():
+        sign, new_t = replace_region(t, region, m)
+        terms.append((sign, OperadElement.single(new_t, w)))
+    tbar = OperadElement.sum(terms)
+    return OperadElement.sum(
+        [(1, c.h_bar(t))] + [(w, _naive_h(c, m)) for m, w in tbar.terms.items()])
+
+
+def test_h_matches_naive_recursion():
+    c = Contraction(Difinfty())
+    nonzero = 0
+    for t in enumerate_monomials(4, 3, min_degree=1, max_degree=2):
+        h = c.h_monomial(t)
+        assert h == _naive_h(c, t), repr(t)
+        nonzero += not h.is_zero()
+    assert nonzero > 20
+
+
+def test_h_does_not_depend_on_frame_order():
+    # a contraction whose memo was filled by verify gives the same H as a
+    # fresh one, which fills its memo in a different order
+    warm = Contraction(Difinfty())
+    assert warm.verify(4, 2, 3)[1] == []
+    fresh = Contraction(Difinfty())
+    for t in enumerate_monomials(4, 3, min_degree=1, max_degree=2):
+        assert fresh.h_monomial(t) == warm.h_monomial(t), repr(t)

@@ -17,6 +17,9 @@ TWO_DIM of test_cochain.py (with coefficients in itself and in the
 bimodule A + A) and the dual numbers k[x]/(x^2) with d(x) = x at weight 1,
 whose ranks [1, 2, 1, 0, 0] are not all zero.
 
+`contract_verify_4_2_3` pins the exhaustive contraction check (232
+monomials) as recorded before the H recursion moved to per-call frames.
+
 To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -44,6 +47,8 @@ CASES = {
     "contract_apply": ["contract", "apply", "--in", "contract_apply_in.json"],
     "dif_normalize": ["dif", "normalize", "--in", "dif_normalize_in.json"],
     "koszul_crosscheck_6": ["koszul", "crosscheck", "--max-arity", "6"],
+    "contract_verify_4_2_3": ["contract", "verify", "--max-arity", "4",
+                              "--max-degree", "2", "--max-weight", "3"],
     "cohomology_two_dim_4": ["cohomology", "compute", "--algebra",
                              "cohomology_two_dim.json", "--max-level", "4"],
     "cohomology_double_bimodule_4": [
