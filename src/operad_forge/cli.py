@@ -424,9 +424,12 @@ def run_hda_check(args) -> Report:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _common(p, seed=False, jobs=False):
-    p.add_argument("--lambda", dest="lam", default="generic",
-                   help="'generic' (polynomial weight) or a rational")
+def _common(p, lam=False, seed=False, jobs=False):
+    """The flags shared by the subcommands; `--lambda` only where the weight
+    is not read from an input file."""
+    if lam:
+        p.add_argument("--lambda", dest="lam", default="generic",
+                       help="'generic' (polynomial weight) or a rational")
     p.add_argument("--out", default=None,
                    help="write the structured report to this file")
     p.add_argument("--selftest", action="store_true",
@@ -448,17 +451,17 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sub", required=True)
     p = difinfty.add_parser("diff")
     p.add_argument("--gen", required=True, help="generator symbol, e.g. m5")
-    _common(p)
+    _common(p, lam=True)
     p.set_defaults(runner=run_difinfty_diff)
     p = difinfty.add_parser("d2check")
     p.add_argument("--max-arity", type=int, default=6)
-    _common(p)
+    _common(p, lam=True)
     p.set_defaults(runner=run_difinfty_d2check)
 
     dif = groups.add_parser("dif").add_subparsers(dest="sub", required=True)
     p = dif.add_parser("normalize")
     p.add_argument("--in", dest="infile")
-    _common(p)
+    _common(p, lam=True)
     p.set_defaults(runner=run_dif_normalize)
 
     koszul = groups.add_parser("koszul").add_subparsers(
@@ -466,24 +469,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = koszul.add_parser("delta")
     p.add_argument("--gen", required=True, help="e.g. sd4, sm3, dt2, mt5")
     p.add_argument("--list", action="store_true")
-    _common(p)
+    _common(p, lam=True)
     p.set_defaults(runner=run_koszul_delta)
     p = koszul.add_parser("crosscheck")
     p.add_argument("--max-arity", type=int, default=6)
-    _common(p)
+    _common(p, lam=True)
     p.set_defaults(runner=run_koszul_crosscheck)
 
     contract = groups.add_parser("contract").add_subparsers(
         dest="sub", required=True)
     p = contract.add_parser("apply")
     p.add_argument("--in", dest="infile")
-    _common(p)
+    _common(p, lam=True)
     p.set_defaults(runner=run_contract_apply)
     p = contract.add_parser("verify")
     p.add_argument("--max-arity", type=int, default=4)
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--max-weight", type=int, default=4)
-    _common(p, jobs=True)
+    _common(p, lam=True, jobs=True)
     p.set_defaults(runner=run_contract_verify)
 
     linfty = groups.add_parser("linfty").add_subparsers(
@@ -495,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--two-degree", action="store_true",
                    help="use a two-degree space instead of degree 0 only")
-    _common(p, seed=True, jobs=True)
+    _common(p, lam=True, seed=True, jobs=True)
     p.set_defaults(runner=run_linfty_jacobi)
 
     mc = groups.add_parser("mc").add_subparsers(dest="sub", required=True)

@@ -6,13 +6,17 @@ complex, and exact cohomology ranks over Q by sparse exact elimination
 (with an independent dense oracle).
 
 A level-n cochain in the total complex is a pair (f, g): f is an n-linear
-map A^n -> M, g an (n-1)-linear map (absent at level 0).  Tables are sparse
-dicts on basis tuples with rational coordinate vectors as values.
+map A^n -> M, g an (n-1)-linear map (absent at level 0).  A table is a dict
+of sparse rows, {basis tuple of A: {basis index of M: coefficient}}, with
+no zeros stored.
 
 The differentials are evaluated entry by entry, in push form: each entry
-(key, v) is sent, through the nonzero structure constants, to the output
-keys its terms reach, and summed there in sparse rows by `coeffs.add_into`.
-The cost is entries x terms, not output keys x table entries.
+(key, x, c) is sent, through the nonzero structure constants, to the output
+keys its terms reach, and summed there into the output rows by
+`coeffs.add_into`.  The cost is entries x terms, not output keys x table
+entries.  The matrix of the total differential at level n is the list of
+images of the basis cochains, each a sparse {coordinate: coefficient}
+vector, and its rank is the rank of `echelon` on those images.
 """
 
 from __future__ import annotations
@@ -30,29 +34,17 @@ from .algebras import (
     bimodule_defects,
     regular_bimodule,
     scale_vec,
-    vec_is_zero,
-    zero_vec,
 )
 from .coeffs import add_into
 
-Table = dict[tuple, Vec]
-Rows = dict[tuple, dict[int, Fraction]]   # sparse rows {basis: coefficient}
+Table = dict[tuple, dict[int, Fraction]]   # sparse rows, as above
 
-
-def table_eq(a: Table, b: Table) -> bool:
-    return {k: v for k, v in a.items() if not vec_is_zero(v)} == \
-        {k: v for k, v in b.items() if not vec_is_zero(v)}
+_ONE = Fraction(1)
 
 
 def _nonzero(vec: Vec) -> tuple[tuple[int, Fraction], ...]:
     """The (index, coefficient) pairs of the nonzero coordinates."""
     return tuple((i, c) for i, c in enumerate(vec) if c)
-
-
-def _dense(rows: Rows, dim: int) -> Table:
-    zero = Fraction(0)
-    return {key: tuple(row.get(t, zero) for t in range(dim))
-            for key, row in rows.items()}
 
 
 @dataclass
@@ -114,8 +106,8 @@ class CochainComplexes:
 
     # -- the three differentials -------------------------------------------
 
-    def _hochschild(self, rows: Rows, n: int, f: Table, actions,
-                    sign: int = 1) -> Rows:
+    def _hochschild(self, rows: Table, n: int, f: Table, actions,
+                    sign: int = 1) -> Table:
         """Add sign * d(f) into rows, for the level-n cochain f:
 
           d(f)(a_0..a_n) = (-1)^(n+1) a_0 f(a_1..a_n)
@@ -123,8 +115,8 @@ class CochainComplexes:
         """
         left, right = actions   # per x_x: the (a, pairs) that act on it
         first = sign * (-1 if (n + 1) % 2 else 1)
-        for key, v in f.items():
-            entries = _nonzero(v)
+        for key, row in f.items():
+            entries = row.items()
             for x, c in entries:
                 for a, pairs in left[x]:
                     add_into(rows, (a,) + key,
@@ -139,11 +131,11 @@ class CochainComplexes:
                              {t: s_i * c * y for t, y in entries})
         return rows
 
-    def _phi(self, rows: Rows, n: int, f: Table, sign: int = 1) -> Rows:
+    def _phi(self, rows: Table, n: int, f: Table, sign: int = 1) -> Table:
         """Add sign * Phi(f) into rows (see `phi`); at L = 0 only the
         subsets of one position contribute."""
-        for key, v in f.items():
-            entries = _nonzero(v)
+        for key, row in f.items():
+            entries = row.items()
             for x, c in entries:
                 add_into(rows, key, {t: -sign * c * y
                                      for t, y in _nonzero(self.bim.d[x])})
@@ -160,17 +152,15 @@ class CochainComplexes:
         return rows
 
     def hochschild_diff(self, n: int, f: Table) -> Table:
-        return _dense(self._hochschild({}, n, f, self._bim_actions),
-                      self.bim.dim)
+        return self._hochschild({}, n, f, self._bim_actions)
 
     def do_diff(self, n: int, g: Table) -> Table:
-        return _dense(self._hochschild({}, n, g, self._vdash_actions),
-                      self.bim.dim)
+        return self._hochschild({}, n, g, self._vdash_actions)
 
     def phi(self, n: int, f: Table) -> Table:
         """Phi(f)(a_1..a_n) = sum_k L^{k-1} sum_{i_1<..<i_k}
         f(.. d(a_{i_t}) ..) - d_M(f(a_1..a_n))."""
-        return _dense(self._phi({}, n, f), self.bim.dim)
+        return self._phi({}, n, f)
 
     def da_diff(self, x: DaCochain) -> DaCochain:
         """D(f, g) = (d f, -Phi(f) - d_DO(g))."""
@@ -178,7 +168,7 @@ class CochainComplexes:
         if x.g is not None:
             self._hochschild(new_g, x.level - 1, x.g, self._vdash_actions, -1)
         return DaCochain(x.level + 1, self.hochschild_diff(x.level, x.f),
-                         _dense(new_g, self.bim.dim))
+                         new_g)
 
     # -- dimensions and ranks ------------------------------------------------
 
@@ -191,51 +181,54 @@ class CochainComplexes:
         return self.alg_dim(n) + self.bim.dim * self.alg.dim ** (n - 1)
 
     def _da_basis(self, n: int):
-        """Basis cochains of the level-n total complex, in a fixed order."""
+        """Basis cochains of the level-n total complex, in coordinate order:
+        unit rows {key: {x: 1}}, f part first."""
         dim_a, dim_m = self.alg.dim, self.bim.dim
         out = []
         for key in itertools.product(range(dim_a), repeat=n):
             for x in range(dim_m):
-                vec = tuple(Fraction(1 if t == x else 0) for t in range(dim_m))
-                out.append(DaCochain(n, {key: vec}, {} if n >= 1 else None))
+                out.append(DaCochain(n, {key: {x: _ONE}}, {} if n else None))
         if n >= 1:
             for key in itertools.product(range(dim_a), repeat=n - 1):
                 for x in range(dim_m):
-                    vec = tuple(Fraction(1 if t == x else 0)
-                                for t in range(dim_m))
-                    out.append(DaCochain(n, {}, {key: vec}))
+                    out.append(DaCochain(n, {}, {key: {x: _ONE}}))
         return out
 
-    def _coords(self, x: DaCochain) -> list[Fraction]:
+    def _coords(self, x: DaCochain) -> dict[int, Fraction]:
+        """The sparse coordinates of x in the order of `_da_basis`: a key's
+        index is its mixed-radix rank in `itertools.product` order, and the
+        g part follows the alg_dim(level) slots of the f part."""
         dim_a, dim_m = self.alg.dim, self.bim.dim
-        n = x.level
-        coords: list[Fraction] = []
-        for key in itertools.product(range(dim_a), repeat=n):
-            v = x.f.get(key, zero_vec(dim_m))
-            coords.extend(v)
-        if n >= 1:
-            for key in itertools.product(range(dim_a), repeat=n - 1):
-                v = (x.g or {}).get(key, zero_vec(dim_m))
-                coords.extend(v)
+        coords = {}
+        for table, offset in ((x.f, 0), (x.g or {}, self.alg_dim(x.level))):
+            for key, row in table.items():
+                index = 0
+                for i in key:
+                    index = index * dim_a + i
+                for t, c in row.items():
+                    coords[offset + index * dim_m + t] = c
         return coords
 
-    def da_matrix(self, n: int) -> list[list[Fraction]]:
-        """Matrix of the level-n total differential, columns = basis."""
-        cols = [self._coords(self.da_diff(b)) for b in self._da_basis(n)]
-        rows = self.da_dim(n + 1)
-        return [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
+    def da_matrix(self, n: int) -> list[dict[int, Fraction]]:
+        """The level-n total differential as the sparse images of the basis
+        cochains, in basis order: column j is {row index: entry}."""
+        return [self._coords(self.da_diff(b)) for b in self._da_basis(n)]
 
     def cohomology_ranks(self, max_level: int,
                          rank_fn=None) -> list[int]:
-        """Dimensions of the total cohomology H^0..H^max_level over Q."""
-        if rank_fn is None:
-            rank_fn = rank_sparse
-        ranks = [rank_fn(self.da_matrix(n)) for n in range(max_level + 1)]
-        dims = []
+        """Dimensions of the total cohomology H^0..H^max_level over Q.
+
+        A level's rank is the number of `echelon` pivots of its columns (a
+        matrix and its transpose have the same rank); a `rank_fn` is given
+        the dense matrix instead, one row per coordinate of level n + 1."""
+        ranks = []
         for n in range(max_level + 1):
-            below = ranks[n - 1] if n >= 1 else 0
-            dims.append(self.da_dim(n) - ranks[n] - below)
-        return dims
+            cols = self.da_matrix(n)
+            ranks.append(len(echelon(cols)) if rank_fn is None else
+                         rank_fn([[col.get(i, 0) for col in cols]
+                                  for i in range(self.da_dim(n + 1))]))
+        return [self.da_dim(n) - ranks[n] - (ranks[n - 1] if n else 0)
+                for n in range(max_level + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +255,6 @@ def echelon(rows) -> list[tuple[int, dict[int, Fraction]]]:
             scale = row[pc]
             pivots.append((pc, {c: val / scale for c, val in row.items()}))
     return pivots
-
-
-def rank_sparse(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by `echelon` on the nonzero entries of each row."""
-    return len(echelon({c: x for c, x in enumerate(row) if x}
-                       for row in matrix))
 
 
 def rank_dense_oracle(matrix: Sequence[Sequence[Fraction]]) -> int:

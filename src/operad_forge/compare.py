@@ -24,6 +24,7 @@ from .linf import (
     DO,
     CdaElement,
     CdoDgla,
+    algebra_space,
     mc_from_algebra,
     remark_bracket,
     transported_do_bracket,
@@ -31,42 +32,32 @@ from .linf import (
 )
 
 
-def table_to_multimap(alg: DifAlgebraData, table, arity: int) -> MultiMap:
-    from .linf import algebra_space
-
+def _rows_to_multimap(alg: DifAlgebraData, rows, arity: int) -> MultiMap:
     space = algebra_space(alg)
-    t = {}
-    for key, vec in table.items():
-        row = {k: Coefficient.rational(c) for k, c in enumerate(vec) if c}
-        if row:
-            t[key] = row
-    return MultiMap(space, space, arity, 0, t)
+    return MultiMap(space, space, arity, 0, {
+        key: {b: Coefficient.rational(c) for b, c in row.items()}
+        for key, row in rows.items()})
+
+
+def table_to_multimap(alg: DifAlgebraData, table, arity: int) -> MultiMap:
+    """The map of a plain table {basis tuple: coordinate vector}."""
+    return _rows_to_multimap(alg, {key: {b: c for b, c in enumerate(vec) if c}
+                                   for key, vec in table.items()}, arity)
 
 
 def multimap_to_table(alg: DifAlgebraData, mm: MultiMap):
-    out = {}
-    for key, row in mm.table.items():
-        vec = [Fraction(0)] * alg.dim
-        for b, c in row.items():
-            vec[b] = c.constant_term()
-        if any(vec):
-            out[key] = tuple(vec)
-    return out
+    """The rows of mm's constant terms, as a `cochain.Table`."""
+    rows = {key: {b: c.constant_term() for b, c in row.items()
+                  if c.constant_term()} for key, row in mm.table.items()}
+    return {key: row for key, row in rows.items() if row}
 
 
 def da_cochain_to_cda(alg: DifAlgebraData, x: DaCochain) -> CdaElement:
-    from .linf import algebra_space
-
-    space = algebra_space(alg)
-    parts = {}
-    f = table_to_multimap(alg, x.f, x.level)
-    if not f.is_zero():
-        parts[(x.level, ALG)] = iso1_up(f)
+    parts = {(x.level, ALG): iso1_up(_rows_to_multimap(alg, x.f, x.level))}
     if x.g:
-        g = table_to_multimap(alg, x.g, x.level - 1)
-        if not g.is_zero():
-            parts[(x.level - 1, DO)] = iso2_up(g)
-    return CdaElement(space, parts)
+        parts[(x.level - 1, DO)] = iso2_up(
+            _rows_to_multimap(alg, x.g, x.level - 1))
+    return CdaElement(algebra_space(alg), parts)
 
 
 def da_twist_mismatches(alg: DifAlgebraData, max_level: int) -> list[str]:
@@ -80,12 +71,7 @@ def da_twist_mismatches(alg: DifAlgebraData, max_level: int) -> list[str]:
         for basis_cochain in cx._da_basis(n):
             lhs = twisted_l1(space, lam, alpha,
                              da_cochain_to_cda(alg, basis_cochain))
-            d = cx.da_diff(basis_cochain)
-            neg = DaCochain(
-                n + 1,
-                {k: tuple(-x for x in v) for k, v in d.f.items()},
-                {k: tuple(-x for x in v) for k, v in (d.g or {}).items()})
-            rhs = da_cochain_to_cda(alg, neg)
+            rhs = da_cochain_to_cda(alg, cx.da_diff(basis_cochain)).scale(-1)
             if lhs != rhs:
                 bad.append(f"level {n}: twisted l1 != -dDA on a basis cochain")
     return bad
@@ -101,13 +87,10 @@ def do_twist_mismatches(alg: DifAlgebraData, max_level: int) -> list[str]:
     for n in range(1, max_level + 1):
         for key in itertools.product(range(alg.dim), repeat=n):
             for x in range(alg.dim):
-                vec = tuple(Fraction(1 if t == x else 0)
-                            for t in range(alg.dim))
-                g = iso2_up(table_to_multimap(alg, {key: vec}, n))
+                unit = {key: {x: Fraction(1)}}
+                g = iso2_up(_rows_to_multimap(alg, unit, n))
                 lhs = multimap_to_table(alg, iso2_down(dgla.twisted_l1(tau, g)))
-                rhs = cx.do_diff(n, {key: vec})
-                rhs = {k: v for k, v in rhs.items() if any(v)}
-                if lhs != rhs:
+                if lhs != cx.do_diff(n, unit):
                     bad.append(f"level {n}: (l1^beta)^tau != dDO at {key}, x{x}")
     return bad
 

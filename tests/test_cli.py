@@ -161,6 +161,18 @@ def test_every_subcommand_selftest(argv):
     assert main(argv + ["--selftest"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["mc", "check"],
+    ["mc", "twist-compare"],
+    ["cohomology", "compute"],
+    ["cohomology", "compare-twist"],
+    ["hda", "check"],
+], ids=" ".join)
+def test_lambda_is_refused_where_the_input_file_fixes_the_weight(argv):
+    # the selftest alone passes, so exit 2 can only come from the flag
+    assert main(argv + ["--selftest", "--lambda", "2"]) == 2
+
+
 def test_unparsable_element_file_exits_two(tmp_path, capsys):
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps([{"coeff": "1", "tree": "(m2 _)"}]))
