@@ -214,21 +214,24 @@ class CochainComplexes:
         cochains, in basis order: column j is {row index: entry}."""
         return [self._coords(self.da_diff(b)) for b in self._da_basis(n)]
 
-    def cohomology_ranks(self, max_level: int,
-                         rank_fn=None) -> list[int]:
-        """Dimensions of the total cohomology H^0..H^max_level over Q.
+    def cohomology_ranks(self, max_level: int, rank_fn=None) -> list[int]:
+        """Dimensions of the total cohomology H^0..H^max_level over Q."""
+        return self.cohomology_dims(
+            [self.da_matrix(n) for n in range(max_level + 1)], rank_fn)
 
-        A level's rank is the number of `echelon` pivots of its columns (a
-        matrix and its transpose have the same rank); a `rank_fn` is given
-        the dense matrix instead, one row per coordinate of level n + 1."""
+    def cohomology_dims(self, columns, rank_fn=None) -> list[int]:
+        """Dimensions of H^0..H^top from ``columns[n] = da_matrix(n)``,
+        which are only read.  A level's rank is the number of `echelon`
+        pivots of its columns fed shortest first (a matrix and its transpose
+        have the same rank); a `rank_fn` is given the dense matrix instead,
+        one row per coordinate of level n + 1."""
         ranks = []
-        for n in range(max_level + 1):
-            cols = self.da_matrix(n)
-            ranks.append(len(echelon(cols)) if rank_fn is None else
-                         rank_fn([[col.get(i, 0) for col in cols]
-                                  for i in range(self.da_dim(n + 1))]))
+        for n, cols in enumerate(columns):
+            ranks.append(len(echelon(sorted(cols, key=len))) if rank_fn is None
+                         else rank_fn([[col.get(i, 0) for col in cols]
+                                       for i in range(self.da_dim(n + 1))]))
         return [self.da_dim(n) - ranks[n] - (ranks[n - 1] if n else 0)
-                for n in range(max_level + 1)]
+                for n in range(len(columns))]
 
 
 # ---------------------------------------------------------------------------

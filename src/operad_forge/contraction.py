@@ -17,8 +17,10 @@ H replaces the effective divisor by its generator, with the sign
 divisor root in planar order, and recurses on the strictly smaller
 remainder.  `verify` checks diff o H + H o diff = id monomial by monomial.
 
-The memo of H values is the only cache that outlives a call (besides the
-per-generator typical shapes).  `Contraction.h_monomial` runs the recursion
+The memo of H values is the only cache that grows with the input; each
+generator s also keeps its typical shape and the terms of
+s_hat - diff(s) / c_s, spliced by `_remainder` through one walk of the
+divisor region per monomial.  `Contraction.h_monomial` runs the recursion
 on an explicit stack of frames: a frame holds its monomial, its order key,
 its effective analysis and its remainder, all computed once on the first
 visit and dropped when the frame's H value is stored.  Every non-effective
@@ -39,7 +41,8 @@ from .dif_operads import (
     enumerate_monomials,
     m_gen,
 )
-from .free_operad import OperadElement, TreeMonomial, replace_region
+from .free_operad import (OperadElement, TreeMonomial, region_splicer,
+                          replace_region)
 from .trees import DEGREE, GENS, Generator, gen_id
 
 
@@ -69,7 +72,7 @@ def generator_above(base: Generator) -> Generator:
 class Contraction:
     def __init__(self, op: Difinfty):
         self.op = op
-        self._typical: dict[Generator, tuple[TreeMonomial, int]] = {}
+        self._typical: dict[Generator, tuple] = {}
         self._h: dict[TreeMonomial, OperadElement] = {}
         self._m2 = gen_id(m_gen(2))
 
@@ -77,10 +80,11 @@ class Contraction:
 
     def typical_info(self, s: Generator) -> tuple[TreeMonomial, int]:
         """Leading monomial of diff(s) and its coefficient, asserted +-1 and
-        of the shape base o_1 m2."""
+        of the shape base o_1 m2.  The entry kept for s also holds the
+        terms (monomial, c, -c) of s_hat - diff(s) / c_s."""
         cached = self._typical.get(s)
         if cached is not None:
-            return cached
+            return cached[:2]
         lead, coeff = self.op.diff(s).leading()
         cval = coeff.coeffs
         if set(cval) != {0} or cval[0] not in (1, -1):
@@ -98,7 +102,10 @@ class Contraction:
         if not shape_ok:
             raise InternalInvariantError(
                 f"leading monomial of diff({s.symbol}) is not typical: {lead!r}")
-        self._typical[s] = (lead, c)
+        repl = OperadElement.single(lead) - self.op.diff(s).scale(
+            Fraction(1, c))
+        self._typical[s] = (lead, c, tuple((m, w, -w)
+                                           for m, w in repl.terms.items()))
         return lead, c
 
     # -- effective divisors -------------------------------------------------
@@ -156,15 +163,13 @@ class Contraction:
 
     def _remainder(self, t: TreeMonomial, an: EffectiveAnalysis
                    ) -> dict[TreeMonomial, Coefficient]:
-        """tbar: t with its divisor replaced by s_hat - diff(s) / c_s."""
-        s_hat, c_s = self.typical_info(an.s_generator)
-        repl = OperadElement.single(s_hat) - self.op.diff(an.s_generator).scale(
-            Fraction(1, c_s))
-        region = {an.divisor_root, an.divisor_child}
+        """tbar: t with its divisor replaced by s_hat - diff(s) / c_s (the
+        analysis has looked up the typical entry of s)."""
+        splice = region_splicer(t, {an.divisor_root, an.divisor_child})
         acc: dict[TreeMonomial, Coefficient] = {}
-        for mono, c in repl.terms.items():
-            sign, new_t = replace_region(t, region, mono)
-            add_into(acc, new_t, c if sign == 1 else -c)
+        for mono, c, neg in self._typical[an.s_generator][2]:
+            sign, new_t = splice(mono)
+            add_into(acc, new_t, c if sign == 1 else neg)
         return acc
 
     def h_monomial(self, t: TreeMonomial) -> OperadElement:

@@ -29,6 +29,7 @@ from .coeffs import Coefficient, LAMBDA, add_into, sign_coeff
 from .free_operad import (
     OperadElement,
     TreeMonomial,
+    compose_monomials,
     extend_derivation,
     partial_compose,
     replace_region,
@@ -113,26 +114,28 @@ class Difinfty:
         return out
 
     def _diff_m(self, n: int) -> OperadElement:
-        return OperadElement.sum(
-            (sign_coeff(i + j * (n - i)),
-             partial_compose(OperadElement.generator(m_gen(n - j + 1)), i,
-                             OperadElement.generator(m_gen(j))))
-            for j in range(2, n) for i in range(1, n - j + 2))
+        acc: dict[TreeMonomial, Coefficient] = {}
+        for j in range(2, n):
+            outer = TreeMonomial.corolla(m_gen(n - j + 1))
+            inner = TreeMonomial.corolla(m_gen(j))
+            for i in range(1, n - j + 2):
+                sign, t = compose_monomials(outer, i, inner)
+                add_into(acc, t, sign_coeff(i + j * (n - i) + (sign < 0)))
+        return OperadElement(acc)
 
     def _diff_d(self, n: int) -> OperadElement:
-        terms = []
+        acc: dict[TreeMonomial, Coefficient] = {}
         for j in range(2, n + 1):
-            outer = OperadElement.generator(d_gen(n - j + 1))
-            inner = OperadElement.generator(m_gen(j))
+            outer = TreeMonomial.corolla(d_gen(n - j + 1))
+            inner = TreeMonomial.corolla(m_gen(j))
             for i in range(1, n - j + 2):
-                terms.append((sign_coeff(i + j * (n - i) + 1),
-                              partial_compose(outer, i, inner)))
-        lam_pow = Coefficient.one()
+                sign, t = compose_monomials(outer, i, inner)
+                add_into(acc, t, sign_coeff(i + j * (n - i) + 1 + (sign < 0)))
         lam_powers = [Coefficient.one()]
         for _ in range(n):
-            lam_pow = lam_pow * self.lam
-            lam_powers.append(lam_pow)
+            lam_powers.append(lam_powers[-1] * self.lam)
         for p in range(2, n + 1):
+            root = TreeMonomial.corolla(m_gen(p))
             for q in range(1, p + 1):
                 rest = n - p + q
                 if rest < q:
@@ -140,17 +143,14 @@ class Difinfty:
                 for ks in itertools.combinations(range(1, p + 1), q):
                     for ls in compositions(rest, q):
                         xi = sum((ls[s] - 1) * (p - ks[s]) for s in range(q))
-                        term = OperadElement.generator(m_gen(p))
-                        shift = 0
-                        for t in range(q):
-                            pos = ks[t] + shift
-                            term = partial_compose(
-                                term, pos, OperadElement.generator(d_gen(ls[t]))
-                            )
-                            shift += ls[t] - 1
-                        terms.append((lam_powers[q - 1] * sign_coeff(xi + 1),
-                                      term))
-        return OperadElement.sum(terms)
+                        t, shift = root, 0
+                        for k, a in zip(ks, ls):
+                            sign, t = compose_monomials(
+                                t, k + shift, TreeMonomial.corolla(d_gen(a)))
+                            xi += sign < 0
+                            shift += a - 1
+                        add_into(acc, t, lam_powers[q - 1] * sign_coeff(xi + 1))
+        return OperadElement(acc)
 
     def _images_for(self, x: OperadElement) -> dict[Generator, OperadElement]:
         return {g: self.diff(g) for t in x.terms for g in t.gens}

@@ -16,6 +16,12 @@ that sign is a block parity:
 
 That is the only sign convention in this module; everything else is
 derived from it.
+
+`region_splicer` walks a region once and returns a ``splice`` that
+costs one concatenation per replacement monomial.  `extend_derivation`
+splices every term of a generator's image through one splicer per vertex
+and adds the products as raw rationals keyed by (monomial, power of L),
+building the Coefficients at the end.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .coeffs import Coefficient, add_into, as_coefficient, unit_sign
+from .coeffs import Coefficient, Rat, add_into, as_coefficient, unit_sign
 from .trees import (
     ARITY,
     DEGREE,
@@ -105,19 +111,22 @@ class TreeMonomial:
         return format_tree(self.node)
 
 
-def _leaf_parities(m: TreeMonomial) -> tuple[tuple[int, int], ...]:
-    """Per leaf of ``m``: (token position, parity of the total degree of
-    the vertices of ``m`` after it)."""
+def _leaf_pieces(m: TreeMonomial) -> tuple[tuple, tuple[int, ...]]:
+    """The slices of m's word between its leaves (arity + 1 of them), and
+    per leaf the parity of the total degree of the vertices after it."""
     leaves = m._leaves
     if leaves is None:
-        out = []
-        before = 0
+        pieces, after = [], []
+        start = before = 0
         for q, x in enumerate(m.word):
             if x:
                 before += DEGREE[x]
             else:
-                out.append((q, (m.degree - before) & 1))
-        leaves = m._leaves = tuple(out)
+                pieces.append(m.word[start:q])
+                after.append((m.degree - before) & 1)
+                start = q + 1
+        pieces.append(m.word[start:])
+        leaves = m._leaves = (tuple(pieces), tuple(after))
     return leaves
 
 
@@ -137,12 +146,12 @@ def compose_monomials(f: TreeMonomial, i: int, g: TreeMonomial):
                            f.weight + g.weight)
 
 
-def replace_region(t: TreeMonomial, region: frozenset[int] | set[int],
-                   m: TreeMonomial):
-    """Replace a connected region of vertices by the monomial ``m``.
+def region_splicer(t: TreeMonomial, region: frozenset[int] | set[int]):
+    """Walk a connected region of vertices of ``t`` once; returns
+    ``splice(m)``, which replaces the region by the monomial ``m``.
 
     The region's external branches are grafted onto m's leaves in planar
-    order; m's arity must match the region's arity.  Returns
+    order; m's arity must match the region's arity.  ``splice`` returns
     (sign, monomial) where the sign reorders the decoration tensor read as
     (prefix, m's vertices, remaining old vertices) into the planar order of
     the result.
@@ -159,7 +168,7 @@ def replace_region(t: TreeMonomial, region: frozenset[int] | set[int],
         raise ValueError(f"vertex {root} out of range")
     # Walk the region's span: region vertices in place, each external branch
     # (a leaf or a subtree outside the region) skipped as one slice.
-    ext = []
+    branches, odd_branches = [], []
     need, q, rdeg, rsize = 1, p, 0, 0
     while need:
         x = word[q]
@@ -178,25 +187,37 @@ def replace_region(t: TreeMonomial, region: frozenset[int] | set[int],
                 bdeg += DEGREE[y]
                 v += 1
             q += 1
-        ext.append((s, q, bdeg & 1))
+        if bdeg & 1:
+            odd_branches.append(len(branches))
+        branches.append(word[s:q])
         need -= 1
     if rsize != len(region):
         raise ValueError("replacement region is not connected")
-    if len(ext) != m.arity:
-        raise ValueError("replacement arity mismatch")
-    mw = m.word
-    out = list(word[:p])
-    last = odd = 0
-    for (z, after), (s, e, bodd) in zip(_leaf_parities(m), ext):
-        out += mw[last:z]
-        out += word[s:e]
-        last = z + 1
-        odd ^= after & bodd
-    out += mw[last:]
-    out += word[q:]
-    return (-1 if odd else 1), _monomial(
-        tuple(out), t.arity, t.degree - rdeg + m.degree,
-        t.weight - rsize + m.weight)
+    head, tail, arity = word[:p], word[q:], len(branches)
+    degree, weight = t.degree - rdeg, t.weight - rsize
+
+    def splice(m: TreeMonomial):
+        if m.arity != arity:
+            raise ValueError("replacement arity mismatch")
+        pieces, after = _leaf_pieces(m)
+        out = list(head)
+        for piece, branch in zip(pieces, branches):
+            out += piece
+            out += branch
+        out += pieces[-1]
+        out += tail
+        odd = sum(after[b] for b in odd_branches) & 1
+        return (-1 if odd else 1), _monomial(
+            tuple(out), t.arity, degree + m.degree, weight + m.weight)
+
+    return splice
+
+
+def replace_region(t: TreeMonomial, region: frozenset[int] | set[int],
+                   m: TreeMonomial):
+    """Replace a connected region of vertices by the monomial ``m``: one
+    `region_splicer` walk and one splice.  Returns (sign, monomial)."""
+    return region_splicer(t, region)(m)
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +466,30 @@ def extend_derivation(images: Mapping[Generator, OperadElement],
     """
     if x.is_zero():
         return OperadElement.zero()
-    acc: dict[TreeMonomial, Coefficient] = {}
+    raw = {g: [(m, tuple(w.coeffs.items())) for m, w in img.terms.items()]
+           for g, img in images.items()}
+    acc: dict[tuple, Rat] = {}   # (monomial, power of L) -> rational
     for t, c in x.terms.items():
+        cterms = c.coeffs.items()
         prefix = 0
         for v, gen in enumerate(t.gens):
-            try:
-                img = images[gen]
-            except KeyError:
+            img = raw.get(gen)
+            if img is None:
                 raise KeyError(f"no derivation image for generator {gen.symbol}")
-            if not img.is_zero():
-                for m_mono, m_coeff in img.terms.items():
-                    sign, new_t = replace_region(t, {v}, m_mono)
-                    if prefix % 2:
-                        sign = -sign
-                    w = c * m_coeff
-                    add_into(acc, new_t, -w if sign < 0 else w)
+            if img:
+                splice = region_splicer(t, {v})
+                for m, mterms in img:
+                    sign, new_t = splice(m)
+                    neg = (sign < 0) ^ (prefix & 1)
+                    for ec, vc in cterms:
+                        for em, vm in mterms:
+                            w = vc * vm
+                            key = (new_t, ec + em)
+                            acc[key] = acc.get(key, 0) + (-w if neg else w)
             prefix += gen.degree
-    return OperadElement(acc)
+    out = OperadElement()
+    for (t, e), v in acc.items():
+        if v:
+            out._admit(t)
+            add_into(out.terms, t, Coefficient.lam(e, v))
+    return out

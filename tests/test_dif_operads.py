@@ -1,9 +1,14 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
-from operad_forge.coeffs import Coefficient, LAMBDA
+from operad_forge.coeffs import Coefficient, LAMBDA, sign_coeff
 from operad_forge.dif_operads import (
     Difinfty,
     DifRewriter,
+    alphabet,
+    compositions,
     d_gen,
     enumerate_monomials,
     m_gen,
@@ -243,3 +248,42 @@ def test_redexes_match_definition(rw):
         redexes, picked = _redexes_by_definition(t.node)
         assert rw.find_redexes(t) == redexes
         assert rw._pick_redex(t) == picked
+
+
+def _diff_by_partial_compose(op, gen):
+    """The generator differential built as before the word kernel: every
+    composite a chain of `partial_compose` on one-term elements."""
+    kind, n = gen.symbol[0], gen.arity
+    g = OperadElement.generator
+    terms = []
+    outer_of = m_gen if kind == "m" else d_gen
+    for j in range(2, n if kind == "m" else n + 1):
+        for i in range(1, n - j + 2):
+            exp = i + j * (n - i) + (kind == "d")
+            terms.append((sign_coeff(exp), partial_compose(
+                g(outer_of(n - j + 1)), i, g(m_gen(j)))))
+    if kind == "d":
+        for p in range(2, n + 1):
+            for q in range(1, p + 1):
+                if n - p + q < q:
+                    continue
+                for ks in itertools.combinations(range(1, p + 1), q):
+                    for ls in compositions(n - p + q, q):
+                        xi = sum((ls[s] - 1) * (p - ks[s]) for s in range(q))
+                        term, shift = g(m_gen(p)), 0
+                        for k, a in zip(ks, ls):
+                            term = partial_compose(term, k + shift, g(d_gen(a)))
+                            shift += a - 1
+                        lam_pow = Coefficient.one()
+                        for _ in range(q - 1):
+                            lam_pow = lam_pow * op.lam
+                        terms.append((lam_pow * sign_coeff(xi + 1), term))
+    return OperadElement.sum(terms)
+
+
+@pytest.mark.parametrize("lam", [LAMBDA, Coefficient.rational(Fraction(1, 2))],
+                         ids=["generic", "half"])
+def test_diff_equals_partial_compose_construction(lam):
+    op = Difinfty(lam)
+    for gen in alphabet(8):
+        assert op.diff(gen) == _diff_by_partial_compose(op, gen), gen.symbol

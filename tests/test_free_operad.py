@@ -1,9 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from operad_forge.coeffs import Coefficient
+from operad_forge.coeffs import Coefficient, add_into
 from operad_forge.dif_operads import (
     Difinfty,
     alphabet,
@@ -23,6 +24,7 @@ from operad_forge.free_operad import (
     gerstenhaber,
     partial_compose,
     pre_jacobi_check,
+    region_splicer,
     replace_region,
 )
 from operad_forge.trees import (
@@ -393,3 +395,85 @@ def test_scale_by_units_returns_or_negates():
     assert x.scale(1) is x and x.scale(Coefficient.one()) is x
     assert x.scale(-1) == -x and x.scale(-Coefficient.one()) == -x
     assert x.scale(0).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The one-walk derivation kernel against its per-term body
+# ---------------------------------------------------------------------------
+
+def _derivation_oracle(images, x):
+    """extend_derivation with one `replace_region` call and one Coefficient
+    product and sum per image term, as before the one-walk kernel."""
+    acc = {}
+    for t, c in x.terms.items():
+        prefix = 0
+        for v, gen in enumerate(t.gens):
+            for m, w in images[gen].terms.items():
+                sign, new_t = replace_region(t, {v}, m)
+                if prefix % 2:
+                    sign = -sign
+                w = c * w
+                add_into(acc, new_t, -w if sign < 0 else w)
+            prefix += gen.degree
+    return OperadElement(acc)
+
+
+def _seeded_coefficient(rng):
+    """A nonzero rational polynomial in L with up to three powers."""
+    powers = rng.sample(range(4), rng.randint(1, 3))
+    return Coefficient({e: Fraction(rng.choice([-3, -1, 1, 2, 5]),
+                                    rng.randint(1, 3)) for e in powers})
+
+
+@pytest.mark.parametrize("lam", [Coefficient.lam(),
+                                 Coefficient.rational(Fraction(1, 2))],
+                         ids=["generic", "half"])
+def test_extend_derivation_equals_per_term_oracle(lam):
+    op = Difinfty(lam)
+    rng = random.Random(1301)
+    gens = alphabet(5)
+    images = {g: op.diff(g) for g in gens}
+    scaled = {g: x.scale(_seeded_coefficient(rng)) for g, x in images.items()}
+    buckets = {}
+    for t in enumerate_monomials(5, 3):
+        buckets.setdefault((t.arity, t.degree), []).append(t)
+    multi_power = 0
+    for g in gens:
+        dg = images[g]
+        if dg.is_zero():
+            continue
+        bucket = buckets.get((dg.arity, dg.degree), [])
+        y = OperadElement({t: _seeded_coefficient(rng)
+                           for t in rng.sample(bucket, min(6, len(bucket)))})
+        # diff(g) is a cycle, so every power of L of its share cancels
+        x = OperadElement.sum([(_seeded_coefficient(rng), dg), (1, y)])
+        got = extend_derivation(images, x)
+        assert got == _derivation_oracle(images, x)
+        assert got == extend_derivation(images, y)
+        assert extend_derivation(images, dg.scale(_seeded_coefficient(rng))
+                                 ).is_zero()
+        got = extend_derivation(scaled, x)
+        assert got == _derivation_oracle(scaled, x)
+        multi_power += sum(len(c.coeffs) > 1 for _, c in got)
+        if not got.is_zero():
+            assert (got.arity, got.degree) == (x.arity, x.degree - 1)
+    assert multi_power > 50
+
+
+def test_splicer_matches_replace_region_and_its_errors():
+    t = TreeMonomial(parse_tree("(m3 (d2 _ (m2 _ _)) _ (d1 _))"))
+    region = {1, 2}                     # d2 and its second input m2
+    splice = region_splicer(t, region)
+    for m in enumerate_monomials(3, 2):
+        if m.arity == 3:
+            assert splice(m) == replace_region(t, region, m)
+    cases = [({0, 2}, TreeMonomial.corolla(m_gen(2)),
+              "replacement region is not connected"),
+             ({4}, TreeMonomial.corolla(d_gen(1)), "vertex 4 out of range"),
+             ({1}, TreeMonomial.corolla(m_gen(3)),
+              "replacement arity mismatch")]
+    for bad_region, m, message in cases:
+        with pytest.raises(ValueError, match=message):
+            replace_region(t, bad_region, m)
+        with pytest.raises(ValueError, match=message):
+            region_splicer(t, bad_region)(m)
