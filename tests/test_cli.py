@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from operad_forge.algebras import DifAlgebraData, dump_algebra
-from operad_forge.cli import main
+from operad_forge.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -159,6 +160,62 @@ SELFTESTS = [
 @pytest.mark.parametrize("argv", SELFTESTS, ids=lambda a: " ".join(a[:2]))
 def test_every_subcommand_selftest(argv):
     assert main(argv + ["--selftest"]) == 0
+
+
+# every subcommand's options in --help order, each with the value it parses
+# to when only the required ones are given
+LAM, OUT = ("--lambda", "generic"), ("--out", None)
+SELFTEST, SEED, JOBS = ("--selftest", False), ("--seed", 0), ("--jobs", 1)
+FLAGS = {
+    ("difinfty", "diff", "--gen", "m2"): [
+        ("--gen", "m2"), LAM, OUT, SELFTEST],
+    ("difinfty", "d2check"): [("--max-arity", 6), LAM, OUT, SELFTEST],
+    ("dif", "normalize"): [("--in", None), LAM, OUT, SELFTEST],
+    ("koszul", "delta", "--gen", "sd2"): [
+        ("--gen", "sd2"), ("--list", False), LAM, OUT, SELFTEST],
+    ("koszul", "crosscheck"): [("--max-arity", 6), LAM, OUT, SELFTEST],
+    ("contract", "apply"): [("--in", None), LAM, OUT, SELFTEST],
+    ("contract", "verify"): [
+        ("--max-arity", 4), ("--max-degree", 2), ("--max-weight", 4), LAM,
+        OUT, SELFTEST, JOBS],
+    ("linfty", "jacobi"): [
+        ("--dim", 2), ("--maxn", 5), ("--arity", 3), ("--trials", 64),
+        ("--two-degree", False), LAM, OUT, SELFTEST, SEED, JOBS],
+    ("mc", "check"): [("--algebra", None), OUT, SELFTEST],
+    ("mc", "twist-compare"): [
+        ("--algebra", None), ("--max-arity", 4), OUT, SELFTEST],
+    ("cohomology", "compute"): [
+        ("--algebra", None), ("--bimodule", None), ("--max-level", 4), OUT,
+        SELFTEST],
+    ("cohomology", "compare-twist"): [
+        ("--algebra", None), ("--max-level", 4), OUT, SELFTEST, SEED],
+    ("hda", "check"): [
+        ("--structure", None), ("--max-arity", 4), OUT, SELFTEST],
+}
+
+
+def _choices(parser):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_flags_table_covers_every_subcommand():
+    parser = build_parser()
+    listed = {(group, sub) for group, gp in _choices(parser).items()
+              for sub in _choices(gp)}
+    assert listed == {argv[:2] for argv in FLAGS}
+    assert len(listed) == len(SELFTESTS)
+
+
+@pytest.mark.parametrize("argv", FLAGS, ids=lambda a: " ".join(a[:2]))
+def test_subcommand_flags_and_defaults(argv):
+    parser = build_parser()
+    args = parser.parse_args(list(argv))
+    sub = _choices(_choices(parser)[argv[0]])[argv[1]]
+    got = [(opt, getattr(args, a.dest)) for a in sub._actions
+           if a.dest != "help" for opt in a.option_strings]
+    assert got == FLAGS[argv]
 
 
 @pytest.mark.parametrize("argv", [

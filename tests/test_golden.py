@@ -20,12 +20,19 @@ whose ranks [1, 2, 1, 0, 0] are not all zero.
 `contract_verify_4_2_3` pins the exhaustive contraction check (232
 monomials) as recorded before the H recursion moved to per-call frames.
 
+`cli_reports.json` pins the `--out` report of every subcommand's
+`--selftest` run (the `SELFTESTS` of test_cli.py), of `koszul delta --list`
+and of a two-process `linfty jacobi`, keyed by argv.  Each report is stored
+parsed; the written file must equal it dumped as `Report.to_json` dumps
+(indent 1, sorted keys), byte for byte.
+
 To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import json
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -39,6 +46,7 @@ from operad_forge.hom_complex import (
     hom_gerstenhaber,
 )
 from operad_forge.linf import ALG, DO, CdaElement, cda_bracket, random_multimap
+from test_cli import SELFTESTS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -68,6 +76,34 @@ def test_out_matches_golden(name, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.json"
     assert main(CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+CLI_REPORT_ARGVS = [argv + ["--selftest"] for argv in SELFTESTS] + [
+    ["koszul", "delta", "--gen", "sd2", "--list"],
+    ["linfty", "jacobi", "--dim", "1", "--maxn", "2", "--trials", "2",
+     "--seed", "5", "--jobs", "2"],
+]
+
+
+def _cli_report(argv, out: Path) -> str:
+    if main(argv + ["--out", str(out)]) != 0:
+        raise AssertionError(f"{' '.join(argv)}: command failed")
+    return out.read_text()
+
+
+@pytest.mark.parametrize("argv", CLI_REPORT_ARGVS, ids=" ".join)
+def test_cli_report_matches_golden(argv, tmp_path):
+    golden = json.loads((GOLDEN_DIR / "cli_reports.json").read_text())
+    expected = json.dumps(golden[" ".join(argv)], indent=1, sort_keys=True)
+    assert _cli_report(argv, tmp_path / "report.json") == expected
+
+
+def cli_reports() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = {" ".join(argv): json.loads(
+            _cli_report(argv, Path(tmp) / "report.json"))
+            for argv in CLI_REPORT_ARGVS}
+    return json.dumps(reports, indent=1, sort_keys=True) + "\n"
 
 
 def _triples(mm):
@@ -163,6 +199,7 @@ def record() -> None:
         if main(argv + ["--out", f"{name}.json"]) != 0:
             raise SystemExit(f"{name}: command failed")
     Path("brackets.json").write_text(bracket_report())
+    Path("cli_reports.json").write_text(cli_reports())
 
 
 if __name__ == "__main__":
