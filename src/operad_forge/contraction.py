@@ -19,18 +19,19 @@ remainder.  `verify` checks diff o H + H o diff = id monomial by monomial.
 
 The memo of H values is the only cache that grows with the input; each
 generator s also keeps its typical shape and the terms of
-s_hat - diff(s) / c_s, spliced by `_remainder` through one walk of the
-divisor region per monomial.  `Contraction.h_monomial` runs the recursion
-on an explicit stack of frames: a frame holds its monomial, its order key,
-its effective analysis and its remainder, all computed once on the first
-visit and dropped when the frame's H value is stored.  Every non-effective
-monomial maps to one shared zero element.
+s_hat - diff(s) / c_s.  `Contraction.h_monomial` runs the recursion on an
+explicit stack of frames: a frame holds its monomial, its order key, its
+generator term and its remainder, both spliced by `_split` through one walk
+of the divisor region on the first visit, and is dropped when its H value
+is stored.  Every non-effective monomial maps to one shared zero element.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .coeffs import Coefficient, add_into
@@ -149,33 +150,39 @@ class Contraction:
         an = self.analyze_effective(t)
         if not an.is_effective:
             raise ValueError(f"{t!r} is not effective")
-        return self._h_bar(t, an)
+        return self._generator_term(an, replace_region(
+            t, {an.divisor_root, an.divisor_child},
+            TreeMonomial.corolla(an.s_generator)))
 
-    def _h_bar(self, t: TreeMonomial, an: EffectiveAnalysis) -> OperadElement:
-        s_mono = TreeMonomial.corolla(an.s_generator)
-        sign, replaced = replace_region(t, {an.divisor_root, an.divisor_child},
-                                        s_mono)
+    @staticmethod
+    def _generator_term(an: EffectiveAnalysis, spliced) -> OperadElement:
+        """(-1)**omega c_s times t with its divisor replaced by s, from the
+        (sign, monomial) of that replacement."""
+        sign, replaced = spliced
         if sign != 1:
             raise InternalInvariantError("divisor-to-generator replacement "
                                          "should never reorder odd factors")
         scalar = an.c_s if an.omega % 2 == 0 else -an.c_s
         return OperadElement.single(replaced, Coefficient.rational(scalar))
 
-    def _remainder(self, t: TreeMonomial, an: EffectiveAnalysis
-                   ) -> dict[TreeMonomial, Coefficient]:
-        """tbar: t with its divisor replaced by s_hat - diff(s) / c_s (the
+    def _split(self, t: TreeMonomial, an: EffectiveAnalysis
+               ) -> tuple[OperadElement, dict[TreeMonomial, Coefficient]]:
+        """h_bar(t) and tbar, t with its divisor replaced by
+        s_hat - diff(s) / c_s, from one walk of the divisor region (the
         analysis has looked up the typical entry of s)."""
         splice = region_splicer(t, {an.divisor_root, an.divisor_child})
         acc: dict[TreeMonomial, Coefficient] = {}
         for mono, c, neg in self._typical[an.s_generator][2]:
             sign, new_t = splice(mono)
             add_into(acc, new_t, c if sign == 1 else neg)
-        return acc
+        h_bar = self._generator_term(
+            an, splice(TreeMonomial.corolla(an.s_generator)))
+        return h_bar, acc
 
     def h_monomial(self, t: TreeMonomial) -> OperadElement:
         """H on a single monomial, by well-founded recursion on the order.
 
-        A frame is (monomial, order key, analysis, tbar).  The first visit
+        A frame is (monomial, order key, h_bar, tbar).  The first visit
         fills it and pushes the uncached tbar monomials with the keys it
         compared them by; the revisit, once they are all cached, sums.
         """
@@ -184,11 +191,11 @@ class Contraction:
             return cache[t]
         stack = [(t, None, None, None)]
         while stack:
-            cur, key, an, tbar = stack[-1]
+            cur, key, h_bar, tbar = stack[-1]
             if tbar is not None:
                 stack.pop()
                 cache[cur] = OperadElement.sum(
-                    [(1, self._h_bar(cur, an))]
+                    [(1, h_bar)]
                     + [(c, cache[mono]) for mono, c in tbar.items()])
                 continue
             if cur in cache:
@@ -201,8 +208,8 @@ class Contraction:
                 continue
             if key is None:
                 key = cur.order_key()
-            tbar = self._remainder(cur, an)
-            stack[-1] = (cur, key, an, tbar)
+            h_bar, tbar = self._split(cur, an)
+            stack[-1] = (cur, key, h_bar, tbar)
             for mono in tbar:
                 mono_key = mono.order_key()
                 if mono_key >= key:
@@ -231,49 +238,57 @@ class Contraction:
         max_arity, weight <= max_weight, 1 <= degree <= max_degree."""
         monomials = enumerate_monomials(max_arity, max_weight,
                                         min_degree=1, max_degree=max_degree)
-        violations = []
+        return len(monomials), self.violations(monomials)
+
+    def violations(self, monomials: list[TreeMonomial]
+                   ) -> list[tuple[TreeMonomial, OperadElement]]:
+        """(t, residual) for each of ``monomials`` where the identity
+        fails, in their order."""
+        out = []
         for t in monomials:
             residual = self.check_identity(t)
             if not residual.is_zero():
-                violations.append((t, residual))
-        return len(monomials), violations
+                out.append((t, residual))
+        return out
 
 
-def _verify_slice(args):
+def max_workers(jobs: int, tasks: int) -> int:
+    """The worker processes for ``jobs`` requested over ``tasks`` tasks: no
+    more than the tasks or the CPUs this process may run on, because a
+    ProcessPoolExecutor starts all its workers at the first submit."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(jobs, tasks, cpus)
+
+
+def _verify_slice(max_arity: int, max_degree: int, max_weight: int,
+                  lam: Coefficient, lo: int, hi: int):
     """Worker for parallel verification; re-enumerates deterministically."""
-    max_arity, max_degree, max_weight, lam_coeffs, lo, hi = args
-    lam = Coefficient(dict(lam_coeffs))
-    contraction = Contraction(Difinfty(lam))
-    monomials = enumerate_monomials(max_arity, max_weight,
-                                    min_degree=1, max_degree=max_degree)
-    bad = []
-    for t in monomials[lo:hi]:
-        residual = contraction.check_identity(t)
-        if not residual.is_zero():
-            bad.append((repr(t), repr(residual)))
-    return len(monomials[lo:hi]), bad
+    monomials = enumerate_monomials(max_arity, max_weight, min_degree=1,
+                                    max_degree=max_degree)[lo:hi]
+    bad = Contraction(Difinfty(lam)).violations(monomials)
+    return len(monomials), [(repr(t), repr(r)) for t, r in bad]
 
 
 def verify_parallel(max_arity: int, max_degree: int, max_weight: int,
                     lam: Coefficient, jobs: int):
-    """Deterministic fan-out of `Contraction.verify` over worker processes."""
+    """Deterministic fan-out of `Contraction.verify` over worker processes,
+    at most ``jobs`` of them (see `max_workers`)."""
     monomials = enumerate_monomials(max_arity, max_weight,
                                     min_degree=1, max_degree=max_degree)
     total = len(monomials)
-    if jobs <= 1 or total < 64:
-        contraction = Contraction(Difinfty(lam))
-        n, bad = contraction.verify(max_arity, max_degree, max_weight)
-        return n, [(repr(t), repr(r)) for t, r in bad]
+    workers = max_workers(jobs, total)
+    if workers <= 1 or total < 64:
+        bad = Contraction(Difinfty(lam)).violations(monomials)
+        return total, [(repr(t), repr(r)) for t, r in bad]
     from concurrent.futures import ProcessPoolExecutor
 
-    lam_coeffs = tuple(sorted(lam.coeffs.items()))
-    bounds = [round(k * total / jobs) for k in range(jobs + 1)]
-    tasks = [(max_arity, max_degree, max_weight, lam_coeffs, lo, hi)
-             for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    bounds = [round(k * total / workers) for k in range(workers + 1)]
+    check = partial(_verify_slice, max_arity, max_degree, max_weight, lam)
     checked = 0
     bad: list[tuple[str, str]] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for n, b in pool.map(_verify_slice, tasks):
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for n, b in pool.map(check, bounds, bounds[1:]):
             checked += n
             bad.extend(b)
     return checked, bad

@@ -315,14 +315,6 @@ def jacobi_check(space: GradedSpace, lam: Coefficient, n: int, trials: int,
     return {"checked": checked, "failures": failures, "seed": seed}
 
 
-def _jacobi_width_worker(task):
-    """Process-pool entry: rebuilds the inputs so results merge in width
-    order, independent of scheduling."""
-    dims, lam_items, n, trials, seed, max_arity = task
-    return jacobi_check(GradedSpace(dims), Coefficient(dict(lam_items)), n,
-                        trials, seed, max_arity)
-
-
 # ---------------------------------------------------------------------------
 # Maurer-Cartan elements and twisting
 # ---------------------------------------------------------------------------

@@ -140,6 +140,43 @@ def test_linfty_jacobi_jobs_report_matches_serial(tmp_path):
     assert parallel.read_bytes() == serial.read_bytes()
 
 
+def test_worker_count_is_bounded_by_cpus_and_tasks(tmp_path, monkeypatch):
+    # a stand-in pool records max_workers and runs the tasks in this process
+    import concurrent.futures
+    import os
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    verify = ["contract", "verify", "--max-arity", "4", "--max-degree", "1",
+              "--max-weight", "3", "--jobs", "4000"]   # 99 monomials
+    jacobi = ["linfty", "jacobi", "--dim", "1", "--maxn", "2", "--trials",
+              "2", "--jobs", "4000"]                   # 2 widths
+    for cpus, expected in (({0, 1, 2}, [3, 2]), ({0}, [])):
+        seen.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        out = tmp_path / "verify.json"
+        assert main(verify + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"]["jobs"] == 4000
+        assert main(jacobi) == 0
+        assert seen == expected
+
+
 SELFTESTS = [
     ["difinfty", "diff", "--gen", "m2"],
     ["difinfty", "d2check"],
