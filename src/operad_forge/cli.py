@@ -3,8 +3,8 @@
 `COMMANDS` is the one list of the subcommands and their flags: each row
 names its group, subcommand, runner, own flags and shared flags, and
 `build_parser` and the report header of every run are built from it
-(`opforge GROUP SUB --help` prints a row).  The groups are difinfty, dif,
-koszul, contract, linfty, mc, cohomology and hda.
+(`opforge GROUP SUB --help` prints one row's flags).  The groups are
+difinfty, dif, koszul, contract, linfty, mc, cohomology and hda.
 
 Exit codes: 0 all checks pass, 1 check failures, 2 usage errors (bad
 arguments, an input file that does not parse, or the rewriting step bound
