@@ -11,15 +11,25 @@ two translations
 then carry the sign (-1)**(sum_j (n-j) p_j) on inputs of V-degrees
 p_1..p_n, and similarly for their inverses.
 
-Composition and braces run on one kernel, `compose_sum`, a sum of terms
-c * f o (h_1, ..., h_k) whose scalars c are in Q[L] (a sign, a power of L
-or any other polynomial).  It folds each c into f's rows once per (f, c)
-and indexes each slot map by output basis element once per call, with
-each entry's block degree, then adds the products of every insertion
-position of every term into one table of raw Q[L] values; each output
-entry becomes a Coefficient once, at the end.  The Koszul sign is summed
-as an exponent while a composite grows slot by slot and is applied once,
-by taking f's scaled row or its negative.
+Composition and braces run on two kernels over raw Q[L] values.
+
+`compose_sum` sums terms c * f o (h_1, ..., h_k) with fixed slot lists and
+scalars c in Q[L] (a sign, a power of L or any other polynomial).  It
+folds each c into f's rows once per (f, c) and indexes each slot map by
+output basis element once per call, with each entry's block degree, then
+adds the products of every insertion position of every term into one
+table of raw Q[L] values; each output entry becomes a Coefficient once, at
+the end.  The Koszul sign is summed as an exponent while a composite grows
+slot by slot and is applied once, by taking f's scaled row or its
+negative.  Compositions, single braces and the Gerstenhaber bracket use
+it: their few fixed slot lists share no partial composites to merge.
+
+`brace_orderings` sums f{g_sigma(1), ..., g_sigma(m)} over all orderings
+sigma, with a sign exponent read per placement from a table the caller
+builds (bracket item (iii) of `linf`).  It walks f's inputs once, left to
+right, on states (input key so far, set of maps placed so far, rest of
+f's key) that merge whenever orderings reach the same key, so it visits at
+most 2^m sets of placed maps where the orderings are m! brace terms.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ class GradedSpace:
     """Finitely supported dims per integer degree, with a flat basis
     enumeration (degree-major, ascending)."""
 
-    __slots__ = ("dims", "degrees", "_offsets")
+    __slots__ = ("dims", "degrees", "_offsets", "_shifts")
 
     def __init__(self, dims: Mapping[int, int]):
         self.dims = {int(d): int(n) for d, n in sorted(dims.items()) if n > 0}
@@ -47,6 +57,7 @@ class GradedSpace:
             degs.extend([d] * n)
         self.degrees = tuple(degs)
         self._offsets = offsets
+        self._shifts: dict[int, GradedSpace] = {}
 
     def dim(self) -> int:
         return len(self.degrees)
@@ -58,8 +69,15 @@ class GradedSpace:
         return range(len(self.degrees))
 
     def shift(self, k: int = 1) -> "GradedSpace":
-        """Suspension: same flat basis, degrees moved up by k."""
-        return GradedSpace({d + k: n for d, n in self.dims.items()})
+        """Suspension: same flat basis, degrees moved up by k.  A space is
+        never changed, so each shift is built once and shifting back
+        returns this space itself."""
+        out = self._shifts.get(k)
+        if out is None:
+            out = self._shifts[k] = GradedSpace(
+                {d + k: n for d, n in self.dims.items()})
+            out._shifts[-k] = self
+        return out
 
     def label(self, i: int) -> str:
         d = self.degrees[i]
@@ -227,7 +245,7 @@ def sum_maps(pairs: Iterable[tuple]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Composition and braces: one kernel on raw Q[L] values
+# Composition and braces: two kernels on raw Q[L] values
 # ---------------------------------------------------------------------------
 
 def _terms(c: Coefficient) -> tuple:
@@ -383,6 +401,96 @@ def hom_gerstenhaber(f: MultiMap, g: MultiMap) -> MultiMap:
     """[f,g] = f{g} - (-1)**(|f||g|) g{f} on maps with target = source."""
     return brace_sum([(1, f, [g]),
                       (1 if f.degree * g.degree % 2 else -1, g, [f])])
+
+
+def brace_orderings(c, f: MultiMap, gs: Sequence[MultiMap],
+                    step: Sequence[Sequence[int]]) -> MultiMap:
+    """sum over sigma in S_m of (-1)**e(sigma) * c * f{g_sigma(1), ...,
+    g_sigma(m)}, where e(sigma) adds up step[S][t] over the placements of
+    sigma: t placed after the maps of the bitmask S.
+
+    One left-to-right pass over f's inputs.  A state is (input key so far,
+    bitmask of the maps placed so far, the rest of f's key) and holds a row
+    of raw Q[L] cells.  At each input of f a state either keeps it, if
+    enough inputs are left for the maps still to place, or places any
+    unplaced g_t through its output index.  States that reach the same key
+    merge, so the orderings fold together wherever their input keys agree:
+    at most 2**m masks per key instead of m! separate brace terms.
+    """
+    m = len(gs)
+    source, degs = f.source, f.source.degrees
+    out = MultiMap.zero(source, f.target, f.arity + sum(g.arity - 1 for g in gs),
+                        f.degree + sum(g.degree for g in gs))
+    index: dict[int, tuple] = {}
+    for g in gs:
+        if g.target != source or g.source != source:
+            raise ValueError("slot maps must go from and to the input space")
+        if id(g) not in index:
+            index[id(g)] = _index_slot(g)
+    slots = [index[id(g)] for g in gs]
+    c = as_coefficient(c)
+    if not c or m > f.arity:
+        return out
+    # (input key so far, placed mask, rest of f's key) -> (degree of the
+    # key so far, row: output basis -> {power of L: rational})
+    states: dict[tuple, tuple] = {
+        ((), 0, key): (0, {b: v.coeffs for b, v in row.items()})
+        for key, row in f.scale(c).table.items()}
+    for _ in range(f.arity):
+        nxt: dict[tuple, tuple] = {}
+        for (key, mask, rest), (pd, row) in states.items():
+            b, rest = rest[0], rest[1:]
+            todo = m - mask.bit_count()
+            if len(rest) >= todo:
+                # the identity: no Koszul sign, and the row moves on as it
+                # is (it belongs to this state alone)
+                skey = (key + (b,), mask, rest)
+                dst = nxt.get(skey)
+                if dst is None:
+                    nxt[skey] = (pd + degs[b], row)
+                else:
+                    drow = dst[1]
+                    for ob, cell in row.items():
+                        dcell = drow.get(ob)
+                        if dcell is None:
+                            drow[ob] = dict(cell)
+                            continue
+                        for e, v in cell.items():
+                            dcell[e] = dcell.get(e, 0) + v
+            if not todo:
+                continue
+            signs = step[mask]
+            for t in range(m):
+                if mask >> t & 1:
+                    continue
+                by_out, odd = slots[t]
+                opts = by_out.get(b)
+                if opts is None:
+                    continue
+                neg = (signs[t] + pd * odd) & 1
+                placed = mask | 1 << t
+                for block, d, hc in opts:
+                    skey = (key + block, placed, rest)
+                    dst = nxt.get(skey)
+                    if dst is None:
+                        drow = {}
+                        nxt[skey] = (pd + d, drow)
+                    else:
+                        drow = dst[1]
+                    if neg:
+                        hc = [(eh, -vh) for eh, vh in hc]
+                    for ob, cell in row.items():
+                        dcell = drow.get(ob)
+                        if dcell is None:
+                            dcell = drow[ob] = {}
+                        for eh, vh in hc:
+                            for e, v in cell.items():
+                                dcell[e + eh] = dcell.get(e + eh, 0) + v * vh
+        states = nxt
+    table: dict[tuple, dict[int, Coefficient]] = {}
+    for (key, _, _), (_, row) in states.items():
+        add_into(table, key, {b: Coefficient(cell) for b, cell in row.items()})
+    return out._with(table)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,14 @@ sg = s o g their target suspension):
   (v)   everything else vanishes (including l_1 and any component with two
         alg arguments in arity >= 3).
 
+Item (iii) is not summed ordering by ordering: `hom_complex.brace_orderings`
+places the g's in one left-to-right pass over sf's inputs, on subsets of
+placed maps (2^m of them instead of m! orderings).  Placing g_t after the
+set S of maps already placed adds #{s in S: s > t} (the permutation's
+inversions), #{s in S: s > t, |g_s| and |g_t| odd} (chi's Koszul part) and
+(m-1-|S|)|g_t| to the sign exponent, so the total over a whole ordering is
+chi(sigma; g*) times the exponent displayed in (iii).
+
 Maurer-Cartan elements of degree -1 over a degree-0 space V are exactly
 weighted differential algebra structures; twisting by them recovers the
 classical cochain complexes (see the cochain module for the comparison).
@@ -36,7 +44,7 @@ from .coeffs import (Coefficient, LAMBDA, add_into, as_coefficient,
 from .hom_complex import (
     GradedSpace,
     MultiMap,
-    brace_sum,
+    brace_orderings,
     desuspend_target,
     hom_gerstenhaber,
     iso1_down,
@@ -175,20 +183,28 @@ def _component_bracket(space: GradedSpace, lam: Coefficient,
         out = desuspend_target(bracket)
         exp = exp_iv + sf.degree
         return (DO, out if exp % 2 == 0 else -out)
-    # item (iii), with item (iv)'s sign and L^(m-1) folded into every term
+    # item (iii), with item (iv)'s sign and L^(m-1) folded into the scalar
+    # and step[S][t] the sign exponent of placing g_t after the set S
+    # (see the module docstring)
+    if m > sf.arity:
+        return None
     lam_pow = Coefficient.one()
     for _ in range(m - 1):
         lam_pow = lam_pow * lam
-    sgs = [suspend_target(g) for g in gs]
-    terms = []
-    for sigma in itertools.permutations(range(m)):
-        chi = chi_sign(gdeg, sigma)
-        exp = exp_iv + m * sf.degree + sum(
-            (m - 1 - j) * gdeg[sigma[j]] for j in range(m - 1))
-        sign = -chi if exp % 2 else chi
-        terms.append((lam_pow if sign > 0 else -lam_pow, sf,
-                      [sgs[s] for s in sigma]))
-    total = brace_sum(terms)
+    if (exp_iv + m * sf.degree) % 2:
+        lam_pow = -lam_pow
+    odd = sum(1 << t for t, d in enumerate(gdeg) if d % 2)
+    step = []
+    for placed in range(1 << m):
+        left = m - 1 - placed.bit_count()
+        row = []
+        for t, d in enumerate(gdeg):
+            later = placed >> (t + 1)
+            row.append(later.bit_count() + left * d
+                       + (d % 2) * (later & (odd >> (t + 1))).bit_count())
+        step.append(row)
+    total = brace_orderings(lam_pow, sf, [suspend_target(g) for g in gs],
+                            step)
     if total.is_zero():
         return None
     return (DO, desuspend_target(total))

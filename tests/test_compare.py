@@ -20,6 +20,12 @@ def test_twisted_l1_is_minus_total_differential(alg):
     assert da_twist_mismatches(alg, 4) == []
 
 
+def test_twisted_l1_is_minus_total_differential_at_level_five():
+    # the benchmark's dim-2 idempotent algebra (d = -id, L = 1); twisting
+    # feeds item (iii) up to seven copies of tau at this level
+    assert da_twist_mismatches(TWO_DIM, 5) == []
+
+
 @pytest.mark.parametrize("alg", ALGEBRAS)
 def test_operator_twist_is_operator_differential(alg):
     assert do_twist_mismatches(alg, 4) == []
