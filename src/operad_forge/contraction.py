@@ -261,11 +261,9 @@ def max_workers(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, cpus)
 
 
-def _verify_slice(max_arity: int, max_degree: int, max_weight: int,
-                  lam: Coefficient, lo: int, hi: int):
-    """Worker for parallel verification; re-enumerates deterministically."""
-    monomials = enumerate_monomials(max_arity, max_weight, min_degree=1,
-                                    max_degree=max_degree)[lo:hi]
+def _verify_slice(lam: Coefficient, monomials: list[TreeMonomial]):
+    """Worker for parallel verification: the identity on one slice of the
+    enumeration, handed over by `verify_parallel`."""
     bad = Contraction(Difinfty(lam)).violations(monomials)
     return len(monomials), [(repr(t), repr(r)) for t, r in bad]
 
@@ -284,11 +282,11 @@ def verify_parallel(max_arity: int, max_degree: int, max_weight: int,
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = [round(k * total / workers) for k in range(workers + 1)]
-    check = partial(_verify_slice, max_arity, max_degree, max_weight, lam)
+    slices = [monomials[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     checked = 0
     bad: list[tuple[str, str]] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for n, b in pool.map(check, bounds, bounds[1:]):
+        for n, b in pool.map(partial(_verify_slice, lam), slices):
             checked += n
             bad.extend(b)
     return checked, bad
