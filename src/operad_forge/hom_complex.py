@@ -419,7 +419,8 @@ def brace_orderings(c, f: MultiMap, gs: Sequence[MultiMap],
     """
     m = len(gs)
     source, degs = f.source, f.source.degrees
-    out = MultiMap.zero(source, f.target, f.arity + sum(g.arity - 1 for g in gs),
+    out = MultiMap.zero(source, f.target,
+                        f.arity + sum(g.arity - 1 for g in gs),
                         f.degree + sum(g.degree for g in gs))
     index: dict[int, tuple] = {}
     for g in gs:
