@@ -19,11 +19,16 @@ remainder.  `verify` checks diff o H + H o diff = id monomial by monomial.
 
 The memo of H values is the only cache that grows with the input; each
 generator s also keeps its typical shape and the terms of
-s_hat - diff(s) / c_s.  `Contraction.h_monomial` runs the recursion on an
-explicit stack of frames: a frame holds its monomial, its order key, its
-generator term and its remainder, both spliced by `_split` through one walk
-of the divisor region on the first visit, and is dropped when its H value
-is stored.  Every non-effective monomial maps to one shared zero element.
+s_hat - diff(s) / c_s.  The memo keeps only nonzero values, keyed by the
+monomial's word so that lookups hash and compare in C, with coefficients
+drawn from one table of shared `Coefficient` objects.  A non-effective
+monomial maps to one shared zero element that is never stored, so
+`analyze_effective` finds it again on each occurrence, by tuple searches
+and slices.  `Contraction.h_monomial` runs the recursion on an explicit
+stack of frames: a frame holds its monomial, its order key, its analysis,
+its generator term and its remainder, both spliced by `_split` through one
+walk of the divisor region on the first visit, and is dropped when its H
+value is stored.
 """
 
 from __future__ import annotations
@@ -74,7 +79,8 @@ class Contraction:
     def __init__(self, op: Difinfty):
         self.op = op
         self._typical: dict[Generator, tuple] = {}
-        self._h: dict[TreeMonomial, OperadElement] = {}
+        self._h: dict[tuple, OperadElement] = {}
+        self._coefficients: dict[Coefficient, Coefficient] = {}
         self._m2 = gen_id(m_gen(2))
 
     # -- typical shapes ----------------------------------------------------
@@ -120,29 +126,32 @@ class Contraction:
         an m2 first input, a run's only candidate is the vertex above its
         last m2 past the run's head; it is effective when the tokens from
         that m2 to the leaf have degree 0.  After a candidate the prefix is
-        no longer clean, which makes the effective divisor unique.
+        no longer clean, which makes the effective divisor unique.  The
+        scans are tuple searches and slices, so they run in C.
         """
         word, m2 = t.word, self._m2
-        result = _NOT_EFFECTIVE
+        if m2 not in word:
+            return _NOT_EFFECTIVE
+        degree = DEGREE.__getitem__
         s = 0
-        zeros = (q for q, x in enumerate(word) if not x)
-        for leaf, z in enumerate(zeros, 1):
-            top = max((q for q in range(s + 1, z) if word[q] == m2),
-                      default=None)
-            if top is not None:
-                if all(DEGREE[word[q]] == 0 for q in range(top, z)):
-                    v = top - 1
-                    root = v - (leaf - 1)   # planar index: zeros before v
-                    s_gen = generator_above(GENS[word[v]])
-                    _, c_s = self.typical_info(s_gen)
-                    omega = sum(DEGREE[word[q]] for q in range(s, v))
-                    result = EffectiveAnalysis(True, root, root + 1, s_gen,
-                                               c_s, leaf, omega)
-                break
-            if any(DEGREE[word[q]] for q in range(s, z)):
+        for leaf in range(1, t.arity + 1):
+            z = word.index(0, s)
+            run = word[z - 1:s:-1]   # the run past its head, leaf first
+            if m2 in run:
+                top = z - 1 - run.index(m2)
+                if any(map(degree, word[top:z])):
+                    break
+                v = top - 1
+                root = v - (leaf - 1)   # planar index: zeros before v
+                s_gen = generator_above(GENS[word[v]])
+                _, c_s = self.typical_info(s_gen)
+                omega = sum(map(degree, word[s:v]))
+                return EffectiveAnalysis(True, root, root + 1, s_gen, c_s,
+                                         leaf, omega)
+            if any(map(degree, word[s:z])):
                 break
             s = z + 1
-        return result
+        return _NOT_EFFECTIVE
 
     # -- the contraction ----------------------------------------------------
 
@@ -182,42 +191,51 @@ class Contraction:
     def h_monomial(self, t: TreeMonomial) -> OperadElement:
         """H on a single monomial, by well-founded recursion on the order.
 
-        A frame is (monomial, order key, h_bar, tbar).  The first visit
-        fills it and pushes the uncached tbar monomials with the keys it
-        compared them by; the revisit, once they are all cached, sums.
+        A frame is (monomial, order key, analysis, h_bar, tbar).  The first
+        visit splits the monomial, checks that every tbar monomial is
+        smaller, drops the non-effective ones (their H is zero) and pushes
+        the effective uncached ones with their keys and analyses; the
+        revisit, once they are all done, sums and stores a nonzero value.
         """
         cache = self._h
-        if t in cache:
-            return cache[t]
-        stack = [(t, None, None, None)]
+        h = cache.get(t.word)
+        if h is not None:
+            return h
+        an = self.analyze_effective(t)
+        if not an.is_effective:
+            return _ZERO
+        intern = self._coefficients.setdefault
+        stack = [(t, t.order_key(), an, None, None)]
         while stack:
-            cur, key, h_bar, tbar = stack[-1]
+            cur, key, an, h_bar, tbar = stack[-1]
             if tbar is not None:
                 stack.pop()
-                cache[cur] = OperadElement.sum(
+                h = OperadElement.sum(
                     [(1, h_bar)]
-                    + [(c, cache[mono]) for mono, c in tbar.items()])
+                    + [(c, cache.get(w, _ZERO)) for w, c in tbar])
+                if h.terms:
+                    h.terms = {m: intern(c, c) for m, c in h.terms.items()}
+                    cache[cur.word] = h
                 continue
-            if cur in cache:
+            if cur.word in cache:
                 stack.pop()
                 continue
-            an = self.analyze_effective(cur)
-            if not an.is_effective:
-                cache[cur] = _ZERO
-                stack.pop()
-                continue
-            if key is None:
-                key = cur.order_key()
-            h_bar, tbar = self._split(cur, an)
-            stack[-1] = (cur, key, h_bar, tbar)
-            for mono in tbar:
+            h_bar, split = self._split(cur, an)
+            tbar = []
+            stack[-1] = (cur, key, an, h_bar, tbar)
+            for mono, c in split.items():
                 mono_key = mono.order_key()
                 if mono_key >= key:
                     raise InternalInvariantError(
                         f"recursion failed to decrease: {mono!r} vs {cur!r}")
-                if mono not in cache:
-                    stack.append((mono, mono_key, None, None))
-        return cache[t]
+                w = mono.word
+                if w not in cache:
+                    mono_an = self.analyze_effective(mono)
+                    if not mono_an.is_effective:
+                        continue
+                    stack.append((mono, mono_key, mono_an, None, None))
+                tbar.append((w, c))
+        return cache.get(t.word, _ZERO)
 
     def apply(self, x: OperadElement) -> OperadElement:
         return OperadElement.sum((c, self.h_monomial(t))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -376,7 +377,14 @@ def twisted_l1(space: GradedSpace, lam: Coefficient, alpha: CdaElement,
 # ---------------------------------------------------------------------------
 
 def algebra_space(alg: DifAlgebraData) -> GradedSpace:
-    return GradedSpace({0: alg.dim})
+    """The algebra's underlying space, in degree 0: one shared space per
+    dimension, so its shifts are built once (a space is never changed)."""
+    return _space_in_degree_zero(alg.dim)
+
+
+@cache
+def _space_in_degree_zero(dim: int) -> GradedSpace:
+    return GradedSpace({0: dim})
 
 
 def _mult_map(alg: DifAlgebraData, space: GradedSpace) -> MultiMap:

@@ -6,6 +6,7 @@ from operad_forge.compare import (
     do_bracket_mismatches,
     do_twist_mismatches,
 )
+from test_cochain import DUAL_NUMBERS, GAUGE_DUAL_NUMBERS
 
 IDEMPOTENT = DifAlgebraData.build([[[1]]], [[-1]], 1)
 TWO_DIM = DifAlgebraData.build(
@@ -13,6 +14,9 @@ TWO_DIM = DifAlgebraData.build(
 HALF_WEIGHT = DifAlgebraData.build([[[1]]], [[-2]], "1/2")
 
 ALGEBRAS = [IDEMPOTENT, TWO_DIM, HALF_WEIGHT]
+# the unital dual numbers, in a basis where d is diagonal and in one where
+# it is not
+DUAL = [DUAL_NUMBERS, GAUGE_DUAL_NUMBERS]
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS)
@@ -26,12 +30,17 @@ def test_twisted_l1_is_minus_total_differential_at_level_five():
     assert da_twist_mismatches(TWO_DIM, 5) == []
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS)
+@pytest.mark.parametrize("alg", DUAL)
+def test_twisted_l1_of_dual_numbers_at_level_five(alg):
+    assert da_twist_mismatches(alg, 5) == []
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS + DUAL)
 def test_operator_twist_is_operator_differential(alg):
     assert do_twist_mismatches(alg, 4) == []
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS)
+@pytest.mark.parametrize("alg", ALGEBRAS + DUAL)
 def test_transported_bracket_matches_everywhere(alg):
     assert do_bracket_mismatches(alg, 3, corrected=True) == []
 

@@ -16,6 +16,7 @@ from operad_forge.dif_operads import (
 )
 from operad_forge.formats import parse_tree
 from operad_forge.free_operad import OperadElement, TreeMonomial, replace_region
+from operad_forge.trees import DEGREE, GENS, decode
 
 
 def mono(s):
@@ -239,28 +240,77 @@ def test_analyze_effective_matches_definition(contraction):
             assert an.omega == sum(g.degree for g in t.gens[:v])
 
 
+def _analyze_effective_by_generators(c, t):
+    """The effective-divisor scan as generator loops over the word's
+    tokens: the reference for the tuple searches of `analyze_effective`."""
+    word, m2 = t.word, c._m2
+    result = contraction_module._NOT_EFFECTIVE
+    s = 0
+    zeros = (q for q, x in enumerate(word) if not x)
+    for leaf, z in enumerate(zeros, 1):
+        top = max((q for q in range(s + 1, z) if word[q] == m2),
+                  default=None)
+        if top is not None:
+            if all(DEGREE[word[q]] == 0 for q in range(top, z)):
+                v = top - 1
+                root = v - (leaf - 1)   # planar index: zeros before v
+                s_gen = generator_above(GENS[word[v]])
+                _, c_s = c.typical_info(s_gen)
+                omega = sum(DEGREE[word[q]] for q in range(s, v))
+                result = contraction_module.EffectiveAnalysis(
+                    True, root, root + 1, s_gen, c_s, leaf, omega)
+            break
+        if any(DEGREE[word[q]] for q in range(s, z)):
+            break
+        s = z + 1
+    return result
+
+
+def test_analyze_effective_matches_generator_scan(contraction, op):
+    # the enumeration to weight 4 with degree-0 trees, and the monomials
+    # the differential produces from the weight-3 enumeration
+    produced = {}
+    for t in enumerate_monomials(5, 3, min_degree=1, max_degree=3):
+        produced.update(op.diff_element(OperadElement.single(t)).terms)
+    monomials = (enumerate_monomials(5, 4, min_degree=0, max_degree=4)
+                 + list(produced))
+    assert len(monomials) == 9113
+    effective = 0
+    for t in monomials:
+        an = contraction.analyze_effective(t)
+        assert an == _analyze_effective_by_generators(contraction, t), repr(t)
+        effective += an.is_effective
+    assert 0 < effective < len(monomials)
+
+
 def test_cached_values_are_never_changed_in_place():
     # H values, the shared zero and the generator differentials are handed
     # out by reference; sums must build fresh dicts instead of accumulating
-    # into them
+    # into them.  The memo is keyed by word and keeps only nonzero values.
     op = Difinfty()
     c = Contraction(op)
     c.verify(3, 2, 3)
     diff_snap = {g: dict(x.terms) for g, x in op._diff_cache.items()}
-    h_snap = {t: dict(x.terms) for t, x in c._h.items()}
+    h_snap = {w: dict(x.terms) for w, x in c._h.items()}
     assert len(h_snap) > 100
     n, bad = c.verify(4, 2, 3)
     assert n > 0 and bad == []
+    assert c._h and not any(x.is_zero() for x in c._h.values())
+    shared = {id(w) for x in c._h.values() for w in x.terms.values()}
+    assert shared == {id(w) for w in c._coefficients.values()}
     groups = {}
-    for t in h_snap:
+    for w in h_snap:
+        t = TreeMonomial(decode(w))
         groups.setdefault((t.arity, t.degree), []).append(t)
     for ts in groups.values():
         x = OperadElement({t: Coefficient.rational(1) for t in ts})
         assert c.apply(x) == c.apply(x)
     assert {g: op._diff_cache[g].terms for g in diff_snap} == diff_snap
-    assert {t: c._h[t].terms for t in h_snap} == h_snap
+    assert {w: c._h[w].terms for w in h_snap} == h_snap
     assert contraction_module._ZERO.terms == {}
+    entries = len(c._h)
     assert c.h_monomial(mono("(m2 _ (d1 _))")) is contraction_module._ZERO
+    assert len(c._h) == entries
 
 
 def test_decrease_check_fires(monkeypatch):
