@@ -32,7 +32,7 @@ from .coeffs import Coefficient, LAMBDA, add_into
 from .hom_complex import (
     GradedSpace,
     MultiMap,
-    brace_terms,
+    brace_sum,
     compose_sum,
     iso1_down,
     iso1_up,
@@ -204,9 +204,9 @@ def br_b_residual(space: GradedSpace, bs: dict[int, MultiMap], n: int
                   ) -> MultiMap:
     """sum_{i+j-1=n} b_i{b_j}."""
     sv = space.shift(1)
-    return compose_sum(sv, sv, n, -2, [
-        t for i, bi in bs.items() if n - i + 1 in bs
-        for t in brace_terms(1, bi, [bs[n - i + 1]])])
+    terms = [(1, bi, [bs[n - i + 1]]) for i, bi in bs.items()
+             if n - i + 1 in bs]
+    return brace_sum(terms) if terms else MultiMap.zero(sv, sv, n, -2)
 
 
 def br_r_residual(space: GradedSpace, lam: Coefficient,
@@ -215,8 +215,8 @@ def br_r_residual(space: GradedSpace, lam: Coefficient,
     """sum_{u+j-1=n} sR_u{b_j} - sum L^(q-1) b_p{sR_{l_1},..,sR_{l_q}}."""
     sv = space.shift(1)
     srs = {u: suspend_target(ru) for u, ru in rs.items()}
-    terms = [t for u, sru in srs.items() if n - u + 1 in bs
-             for t in brace_terms(1, sru, [bs[n - u + 1]])]
+    terms = [(1, sru, [bs[n - u + 1]]) for u, sru in srs.items()
+             if n - u + 1 in bs]
     lam_pows = [Coefficient.one()]
     for _ in range(n):
         lam_pows.append(lam_pows[-1] * lam)
@@ -227,9 +227,9 @@ def br_r_residual(space: GradedSpace, lam: Coefficient,
                 continue
             for ls in _positive_compositions(n - p + q, q):
                 if all(l in srs for l in ls):
-                    terms.extend(brace_terms(-lam_pows[q - 1], bp,
-                                             [srs[l] for l in ls]))
-    return compose_sum(sv, sv, n, -1, terms)
+                    terms.append((-lam_pows[q - 1], bp,
+                                  [srs[l] for l in ls]))
+    return brace_sum(terms) if terms else MultiMap.zero(sv, sv, n, -1)
 
 
 def mc_element(s: HdaStructure) -> CdaElement:

@@ -11,30 +11,25 @@ two translations
 then carry the sign (-1)**(sum_j (n-j) p_j) on inputs of V-degrees
 p_1..p_n, and similarly for their inverses.
 
-Composition and braces run on two kernels over raw Q[L] values.
-
-`compose_sum` sums terms c * f o (h_1, ..., h_k) with fixed slot lists and
-scalars c in Q[L] (a sign, a power of L or any other polynomial).  It
-folds each c into f's rows once per (f, c) and indexes each slot map by
-output basis element once per call, with each entry's block degree, then
-adds the products of every insertion position of every term into one
-table of raw Q[L] values; each output entry becomes a Coefficient once, at
-the end.  The Koszul sign is summed as an exponent while a composite grows
-slot by slot and is applied once, by taking f's scaled row or its
-negative.  Compositions, single braces and the Gerstenhaber bracket use
-it: their few fixed slot lists share no partial composites to merge.
-
-`brace_orderings` sums f{g_sigma(1), ..., g_sigma(m)} over all orderings
-sigma, with a sign exponent read per placement from a table the caller
-builds (bracket item (iii) of `linf`).  It walks f's inputs once, left to
-right, on states (input key so far, set of maps placed so far, rest of
-f's key) that merge whenever orderings reach the same key, so it visits at
-most 2^m sets of placed maps where the orderings are m! brace terms.
+Composition and braces run on one kernel over raw Q[L] values, `_walk`.
+It sums terms c * f with slot maps placed into f's inputs, c in Q[L] (a
+sign, a power of L or any other polynomial).  Each slot map is indexed by
+output basis element once per call, with each entry's block degree.  The
+walk passes over f's inputs once, left to right, on states (input key so
+far, node of a small automaton, rest of f's key) that hold rows of raw
+Q[L] cells and merge wherever two paths meet; the Koszul sign is
+paid per placement, and each output entry becomes a Coefficient once, at
+the end.  The callers differ only in the automaton: `compose_sum` follows
+one fixed path per slot list, `brace_sum` counts the maps placed in
+order, so all insertion positions fold into one pass, and
+`brace_orderings` tracks the set of maps placed, with a sign exponent per
+placement from a table the caller builds (bracket item (iii) of `linf`),
+so it visits at most 2^m sets of placed maps where the orderings are m!
+brace terms.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .coeffs import Coefficient, add_into, as_coefficient, unit_sign
@@ -245,109 +240,130 @@ def sum_maps(pairs: Iterable[tuple]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Composition and braces: two kernels on raw Q[L] values
+# Composition and braces: one kernel on raw Q[L] values
 # ---------------------------------------------------------------------------
 
-def _terms(c: Coefficient) -> tuple:
-    return tuple(c.coeffs.items())
-
-
-def _index_slot(h: MultiMap) -> tuple[dict, int]:
+def _slot(index: dict, source: GradedSpace, h: MultiMap) -> tuple:
     """h by output basis element, b -> [(input block, its degree, raw
-    coefficient)], and the parity of h's degree."""
-    degs = h.source.degrees
-    by_out: dict[int, list] = {}
-    for key, out in h.table.items():
-        d = sum(degs[i] for i in key)
-        for b, c in out.items():
-            by_out.setdefault(b, []).append((key, d, _terms(c)))
-    return by_out, h.degree & 1
+    coefficient)], and the parity of h's degree; built once per map and
+    call (``index`` is keyed by id(h))."""
+    out = index.get(id(h))
+    if out is None:
+        if h.target != source or h.source != source:
+            raise ValueError("slot maps must go from and to the input space")
+        degs, by_out = source.degrees, {}
+        for key, row in h.table.items():
+            d = sum(degs[i] for i in key)
+            for b, c in row.items():
+                by_out.setdefault(b, []).append(
+                    (key, d, tuple(c.coeffs.items())))
+        out = index[id(h)] = (by_out, h.degree & 1)
+    return out
 
 
-def _mul_terms(a: tuple, b: tuple) -> tuple:
-    if len(a) == 1 == len(b):
-        return ((a[0][0] + b[0][0], a[0][1] * b[0][1]),)
-    out: dict = {}
-    for ea, va in a:
-        for eb, vb in b:
-            out[ea + eb] = out.get(ea + eb, 0) + va * vb
-    return tuple(out.items())
+def _put(states: dict, skey, pd: int, row: dict) -> None:
+    """Add ``row``, which no other state holds, into the state ``skey``."""
+    dst = states.get(skey)
+    if dst is None:
+        states[skey] = (pd, row)
+        return
+    drow = dst[1]
+    for ob, cell in row.items():
+        dcell = drow.get(ob)
+        if dcell is None:
+            drow[ob] = cell
+            continue
+        for e, v in cell.items():
+            dcell[e] = dcell.get(e, 0) + v
+
+
+def _walk(out: MultiMap, starts: Iterable[tuple], nodes: Sequence[tuple]
+          ) -> MultiMap:
+    """``out`` with the table of the sum over (c, f, q) starts of c * f
+    with slot maps placed into f's inputs, as the automaton ``nodes`` allows
+    from node q.
+
+    A node is (need, ident, places).  An input of f either passes through
+    to node ``ident``, if that is not None and at least ``need`` inputs are
+    left after it, or gets a slot map from ``places``, a list of (indexed
+    map, next node, sign exponent).  A state is (input key so far, node,
+    rest of f's key) and holds a row of raw Q[L] cells; paths that reach
+    the same state merge.  A placement pays its sign exponent plus the
+    map's degree times the degree of the key so far (the Koszul sign).
+    """
+    degs = out.source.degrees
+    states: dict[tuple, tuple] = {}
+    for c, f, q in starts:
+        if f.source != out.source or f.target != out.target:
+            raise ValueError("f must go from the source to the target")
+        for key, frow in f.scale(c).table.items():
+            _put(states, ((), q, key), 0,
+                 {b: v.coeffs for b, v in frow.items()})
+    done: dict[tuple, tuple] = {}
+    while states:
+        nxt: dict[tuple, tuple] = {}
+        for (key, q, rest), (pd, row) in states.items():
+            if not rest:
+                _put(done, key, 0, row)
+                continue
+            b, rest = rest[0], rest[1:]
+            need, ident, places = nodes[q]
+            if ident is not None and len(rest) >= need:
+                # the row moves on uncopied: it belongs to this state alone
+                _put(nxt, (key + (b,), ident, rest), pd + degs[b], row)
+            for (by_out, odd), nq, sign in places:
+                opts = by_out.get(b)
+                if opts is None:
+                    continue
+                neg = (sign + pd * odd) & 1
+                for block, d, hc in opts:
+                    skey = (key + block, nq, rest)
+                    dst = nxt.get(skey)
+                    if dst is None:
+                        drow = {}
+                        nxt[skey] = (pd + d, drow)
+                    else:
+                        drow = dst[1]
+                    if neg:
+                        hc = [(eh, -vh) for eh, vh in hc]
+                    for ob, cell in row.items():
+                        dcell = drow.get(ob)
+                        if dcell is None:
+                            dcell = drow[ob] = {}
+                        for eh, vh in hc:
+                            for e, v in cell.items():
+                                dcell[e + eh] = dcell.get(e + eh, 0) + v * vh
+        states = nxt
+    table: dict[tuple, dict[int, Coefficient]] = {}
+    for key, (_, row) in done.items():
+        add_into(table, key, {b: Coefficient(cell) for b, cell in row.items()})
+    return out._with(table)
 
 
 def compose_sum(source: GradedSpace, target: GradedSpace, arity: int,
                 degree: int, terms: Iterable[tuple]) -> MultiMap:
     """sum of c * f o (slots) over (c, f, slots) terms, c a Coefficient or
     a rational; every f goes from ``source`` to ``target`` and every term
-    has the given arity and degree.
-
-    Each c is folded into f's rows once per (f, c), so the product loop
-    does the same work for any scalar.
-    """
-    degs = source.degrees
-    rows: dict[tuple, list] = {}
-    index: dict[int, tuple] = {}
-    acc: dict = {}    # input key -> output basis -> {power of L: rational}
-    # a list keeps every map alive for the whole call: the caches are keyed
-    # by id()
+    has the given arity and degree.  Each slot list is one fixed path of
+    the walk, shared by the terms that repeat it."""
+    index, paths, nodes, starts = {}, {}, [], []
+    # a list keeps every map alive for the whole call: index and paths are
+    # keyed by id()
     for c, f, slots in list(terms):
         if (len(slots) != f.arity
                 or sum(1 if h is None else h.arity for h in slots) != arity
                 or f.degree + sum(h.degree for h in slots if h is not None)
                 != degree):
             raise ValueError("terms of mixed arity or degree")
-        unit = unit_sign(c)
-        c = as_coefficient(c)
-        if not c:
-            continue
-        fold = (id(f), unit or c)
-        if fold not in rows:
-            if f.source != source or f.target != target:
-                raise ValueError("f must go from the source to the target")
-            rows[fold] = [(key, [(b, _terms(v)) for b, v in out.items()],
-                           [(b, _terms(-v)) for b, v in out.items()])
-                          for key, out in f.scale(c).table.items()]
-        for h in slots:
-            if h is not None and id(h) not in index:
-                if h.target != source or h.source != source:
-                    raise ValueError(
-                        "slot maps must go from and to the input space")
-                index[id(h)] = _index_slot(h)
-        plan = [None if h is None else index[id(h)] for h in slots]
-        for fkey, fpos, fneg in rows[fold]:
-            # partial composites (input key, coefficient or None for 1,
-            # degree of the blocks so far, Koszul exponent)
-            partial = [((), None, 0, 0)]
-            for b, slot in zip(fkey, plan):
-                if slot is None:
-                    d = degs[b]
-                    partial = [(k + (b,), pc, pd + d, e)
-                               for k, pc, pd, e in partial]
-                    continue
-                opts = slot[0].get(b)
-                if opts is None:
-                    break
-                odd = slot[1]
-                partial = [(k + block, hc if pc is None else _mul_terms(pc, hc),
-                            pd + d, e + pd * odd)
-                           for k, pc, pd, e in partial
-                           for block, d, hc in opts]
-            else:
-                for key, pc, _, e in partial:
-                    pc = pc or ((0, 1),)
-                    row = acc.get(key)
-                    if row is None:
-                        row = acc[key] = {}
-                    for b, fc in (fneg if e & 1 else fpos):
-                        cell = row.get(b)
-                        if cell is None:
-                            cell = row[b] = {}
-                        for ef, vf in fc:
-                            for ec, vc in pc:
-                                cell[ef + ec] = cell.get(ef + ec, 0) + vf * vc
-    table: dict[tuple, dict[int, Coefficient]] = {}
-    for key, row in acc.items():
-        add_into(table, key, {b: Coefficient(cell) for b, cell in row.items()})
-    return MultiMap.zero(source, target, arity, degree)._with(table)
+        ids = tuple(map(id, slots))
+        q = paths.get(ids)
+        if q is None:
+            q = paths[ids] = len(nodes)
+            nodes.extend((0, i, ()) if h is None else
+                         (0, None, ((_slot(index, source, h), i, 0),))
+                         for i, h in enumerate(slots, q + 1))
+        starts.append((c, f, q))
+    return _walk(MultiMap.zero(source, target, arity, degree), starts, nodes)
 
 
 def compose_full(f: MultiMap, slots: Sequence[Optional[MultiMap]]
@@ -371,24 +387,28 @@ def compose_at(f: MultiMap, i: int, g: MultiMap) -> MultiMap:
     return compose_full(f, slots)
 
 
-def brace_terms(c, f: MultiMap, gs: Sequence[MultiMap]):
-    """The (c, f, slots) terms of c * f{g_1,...,g_k}: one per strictly
-    increasing choice of insertion slots."""
-    for positions in itertools.combinations(range(f.arity), len(gs)):
-        slots: list[Optional[MultiMap]] = [None] * f.arity
-        for p, g in zip(positions, gs):
-            slots[p] = g
-        yield c, f, slots
-
-
 def brace_sum(terms: Sequence[tuple]) -> MultiMap:
     """sum of c * f{g_1,...,g_k} over nonempty (c, f, gs) terms of one
-    arity and degree, every insertion position of every term in one pass."""
+    arity and degree.  A term's walk places its maps in order, its node
+    counting the maps placed, so every insertion position of every term
+    folds into one pass; a term with more maps than inputs gives nothing."""
     _, f0, gs0 = terms[0]
-    return compose_sum(f0.source, f0.target,
-                       f0.arity + sum(g.arity - 1 for g in gs0),
-                       f0.degree + sum(g.degree for g in gs0),
-                       [t for term in terms for t in brace_terms(*term)])
+    out = MultiMap.zero(f0.source, f0.target,
+                        f0.arity + sum(g.arity - 1 for g in gs0),
+                        f0.degree + sum(g.degree for g in gs0))
+    index, nodes, starts = {}, [], []
+    for c, f, gs in terms:
+        if (f.arity + sum(g.arity - 1 for g in gs) != out.arity
+                or f.degree + sum(g.degree for g in gs) != out.degree):
+            raise ValueError("terms of mixed arity or degree")
+        m, q = len(gs), len(nodes)
+        for k, g in enumerate(gs):
+            slot = _slot(index, out.source, g)
+            nodes.append((m - k, q + k, ((slot, q + k + 1, 0),)))
+        nodes.append((0, q + m, ()))
+        if m <= f.arity:
+            starts.append((c, f, q))
+    return _walk(out, starts, nodes)
 
 
 def hom_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
@@ -409,89 +429,24 @@ def brace_orderings(c, f: MultiMap, gs: Sequence[MultiMap],
     g_sigma(m)}, where e(sigma) adds up step[S][t] over the placements of
     sigma: t placed after the maps of the bitmask S.
 
-    One left-to-right pass over f's inputs.  A state is (input key so far,
-    bitmask of the maps placed so far, the rest of f's key) and holds a row
-    of raw Q[L] cells.  At each input of f a state either keeps it, if
-    enough inputs are left for the maps still to place, or places any
-    unplaced g_t through its output index.  States that reach the same key
-    merge, so the orderings fold together wherever their input keys agree:
-    at most 2**m masks per key instead of m! separate brace terms.
+    The walk's node is the bitmask of the maps placed so far: an input of
+    f either passes through, if enough inputs are left for the maps still
+    to place, or gets any unplaced g_t.  Orderings fold together wherever
+    their input keys agree: at most 2**m masks per key instead of m!
+    separate brace terms.
     """
-    m = len(gs)
-    source, degs = f.source, f.source.degrees
-    out = MultiMap.zero(source, f.target,
+    m, index = len(gs), {}
+    slots = [_slot(index, f.source, g) for g in gs]
+    out = MultiMap.zero(f.source, f.target,
                         f.arity + sum(g.arity - 1 for g in gs),
                         f.degree + sum(g.degree for g in gs))
-    index: dict[int, tuple] = {}
-    for g in gs:
-        if g.target != source or g.source != source:
-            raise ValueError("slot maps must go from and to the input space")
-        if id(g) not in index:
-            index[id(g)] = _index_slot(g)
-    slots = [index[id(g)] for g in gs]
-    c = as_coefficient(c)
-    if not c or m > f.arity:
+    if m > f.arity:
         return out
-    # (input key so far, placed mask, rest of f's key) -> (degree of the
-    # key so far, row: output basis -> {power of L: rational})
-    states: dict[tuple, tuple] = {
-        ((), 0, key): (0, {b: v.coeffs for b, v in row.items()})
-        for key, row in f.scale(c).table.items()}
-    for _ in range(f.arity):
-        nxt: dict[tuple, tuple] = {}
-        for (key, mask, rest), (pd, row) in states.items():
-            b, rest = rest[0], rest[1:]
-            todo = m - mask.bit_count()
-            if len(rest) >= todo:
-                # the identity: no Koszul sign, and the row moves on as it
-                # is (it belongs to this state alone)
-                skey = (key + (b,), mask, rest)
-                dst = nxt.get(skey)
-                if dst is None:
-                    nxt[skey] = (pd + degs[b], row)
-                else:
-                    drow = dst[1]
-                    for ob, cell in row.items():
-                        dcell = drow.get(ob)
-                        if dcell is None:
-                            drow[ob] = dict(cell)
-                            continue
-                        for e, v in cell.items():
-                            dcell[e] = dcell.get(e, 0) + v
-            if not todo:
-                continue
-            signs = step[mask]
-            for t in range(m):
-                if mask >> t & 1:
-                    continue
-                by_out, odd = slots[t]
-                opts = by_out.get(b)
-                if opts is None:
-                    continue
-                neg = (signs[t] + pd * odd) & 1
-                placed = mask | 1 << t
-                for block, d, hc in opts:
-                    skey = (key + block, placed, rest)
-                    dst = nxt.get(skey)
-                    if dst is None:
-                        drow = {}
-                        nxt[skey] = (pd + d, drow)
-                    else:
-                        drow = dst[1]
-                    if neg:
-                        hc = [(eh, -vh) for eh, vh in hc]
-                    for ob, cell in row.items():
-                        dcell = drow.get(ob)
-                        if dcell is None:
-                            dcell = drow[ob] = {}
-                        for eh, vh in hc:
-                            for e, v in cell.items():
-                                dcell[e + eh] = dcell.get(e + eh, 0) + v * vh
-        states = nxt
-    table: dict[tuple, dict[int, Coefficient]] = {}
-    for (key, _, _), (_, row) in states.items():
-        add_into(table, key, {b: Coefficient(cell) for b, cell in row.items()})
-    return out._with(table)
+    return _walk(out, [(c, f, 0)], [
+        (m - mask.bit_count(), mask,
+         [(slots[t], mask | 1 << t, step[mask][t])
+          for t in range(m) if not mask >> t & 1])
+        for mask in range(1 << m)])
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ sg = s o g their target suspension):
         alg arguments in arity >= 3).
 
 Item (iii) is not summed ordering by ordering: `hom_complex.brace_orderings`
-places the g's in one left-to-right pass over sf's inputs, on subsets of
-placed maps (2^m of them instead of m! orderings).  Placing g_t after the
+places the g's in one left-to-right pass of the composition walk over sf's
+inputs, whose nodes are the subsets of placed maps (2^m of them instead of
+m! orderings).  Placing g_t after the
 set S of maps already placed adds #{s in S: s > t} (the permutation's
 inversions), #{s in S: s > t, |g_s| and |g_t| odd} (chi's Koszul part) and
 (m-1-|S|)|g_t| to the sign exponent, so the total over a whole ordering is

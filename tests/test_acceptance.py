@@ -99,6 +99,39 @@ def test_acceptance_05_linfinity_jacobi():
                " 64 seeded tuples per configuration, generic weight", ok)
 
 
+def test_linfinity_jacobi_on_every_dim_one_basis_tuple():
+    # Beside acceptance 05: on V = Q in degree 0 with arity support <= 3
+    # the basis components are one alg and one do map per arity (6 in
+    # all).  Every l_n is multilinear, so graded symmetry on every ordered
+    # basis tuple (adjacent transpositions generate S_n) and Jacobi on
+    # every multiset of basis components prove both identities on the
+    # whole range, widths 2..5 (455 multisets).
+    from operad_forge.hom_complex import MultiMap
+    from operad_forge.linf import (ALG, DO, CdaElement,
+                                   antisymmetry_residual, jacobi_residual)
+
+    space = GradedSpace({0: 1})
+    sv = space.shift(1)
+    basis = []
+    for n in range(1, 4):
+        for flag, target in ((ALG, sv), (DO, space)):
+            mm = MultiMap(sv, target, n, target.degrees[0] - n,
+                          {(0,) * n: {0: Coefficient.one()}})
+            basis.append(CdaElement(space, {(n, flag): mm}))
+    multisets = 0
+    for width in range(2, 6):
+        for args in itertools.product(basis, repeat=width):
+            for i in range(width - 1):
+                sigma = list(range(width))
+                sigma[i], sigma[i + 1] = i + 1, i
+                assert antisymmetry_residual(space, LAMBDA, args,
+                                             sigma).is_zero()
+        for args in itertools.combinations_with_replacement(basis, width):
+            multisets += 1
+            assert jacobi_residual(space, LAMBDA, args).is_zero()
+    assert multisets == 455
+
+
 def test_acceptance_06_mc_iff_axioms():
     ok = True
     # dim 1: the full structure-constant grid over {-1,0,1}

@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from operad_forge.algebras import DifAlgebraData
@@ -5,7 +8,11 @@ from operad_forge.compare import (
     da_twist_mismatches,
     do_bracket_mismatches,
     do_twist_mismatches,
+    multimap_to_table,
+    table_to_multimap,
 )
+from operad_forge.hom_complex import iso2_down, iso2_up
+from operad_forge.linf import CdoDgla, transported_do_bracket
 from test_cochain import DUAL_NUMBERS, GAUGE_DUAL_NUMBERS
 
 IDEMPOTENT = DifAlgebraData.build([[[1]]], [[-1]], 1)
@@ -57,13 +64,9 @@ def test_remark_bracket_verbatim_at_mixed_parity():
 
 def test_remark_bracket_on_equal_parity_arities():
     # restricted to n = k mod 2 the displayed formula is the transported one
-    import itertools
     import random
-    from fractions import Fraction
 
-    from operad_forge.compare import multimap_to_table, table_to_multimap
-    from operad_forge.hom_complex import iso2_down, iso2_up
-    from operad_forge.linf import CdoDgla, remark_bracket
+    from operad_forge.linf import remark_bracket
 
     rng = random.Random(2)
     for alg in (IDEMPOTENT, TWO_DIM):
@@ -85,3 +88,29 @@ def test_remark_bracket_on_equal_parity_arities():
                 rhs = remark_bracket(alg, f, g)
                 assert multimap_to_table(alg, lhs) == \
                     multimap_to_table(alg, rhs)
+
+
+def basis_operator_maps(alg, max_arity):
+    """Every plain operator map A^n -> A with one entry 1 at (key, x), for
+    n up to max_arity."""
+    return [table_to_multimap(alg, {key: tuple(Fraction(int(b == x))
+                                               for b in range(alg.dim))}, n)
+            for n in range(1, max_arity + 1)
+            for key in itertools.product(range(alg.dim), repeat=n)
+            for x in range(alg.dim)]
+
+
+@pytest.mark.parametrize("alg", [TWO_DIM, DUAL_NUMBERS])
+def test_transported_bracket_on_every_pair_of_basis_maps(alg):
+    # both sides are bilinear, so agreement on all 28 * 28 pairs of basis
+    # maps of arity <= 3 proves it on every pair of such maps
+    dgla = CdoDgla(alg)
+    maps = basis_operator_maps(alg, 3)
+    assert len(maps) == 28
+    bad = []
+    for f, g in itertools.product(maps, repeat=2):
+        lhs = iso2_down(dgla.l2(iso2_up(f), iso2_up(g)))
+        if (multimap_to_table(alg, lhs)
+                != multimap_to_table(alg, transported_do_bracket(alg, f, g))):
+            bad.append((f.table, g.table))
+    assert bad == []

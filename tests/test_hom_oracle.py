@@ -1,4 +1,5 @@
-"""compose_full, hom_brace and compose_sum against a naive evaluation.
+"""compose_full, hom_brace, brace_sum and compose_sum against a naive
+evaluation.
 
 The oracle reads the definition in `compose_full`'s docstring literally:
 for every input tuple it splits the tuple into one block per slot,
@@ -6,7 +7,10 @@ evaluates each slot map on its block (an identity slot passes its basis
 element through), applies f to every combination of slot outputs, and
 pays (-1)**(deg(h_s) * deg(the blocks left of slot s)) for each slot map.
 It walks input tuples rather than f's table and never indexes a slot map
-by output, so it shares no code path with the kernel.
+by output, so it shares no code path with the kernel.  A brace is the sum
+of such compositions over every strictly increasing choice of insertion
+slots.  Every caller of the walk kernel in `hom_complex` (fixed slot
+lists, braces, sums of either) is checked here against this evaluation.
 """
 
 import itertools
@@ -15,8 +19,8 @@ import random
 import pytest
 
 from operad_forge.coeffs import Coefficient
-from operad_forge.hom_complex import (GradedSpace, MultiMap, compose_full,
-                                      compose_sum, hom_brace)
+from operad_forge.hom_complex import (GradedSpace, MultiMap, brace_sum,
+                                      compose_full, compose_sum, hom_brace)
 
 ONE = Coefficient.one()
 ZERO = Coefficient.zero()
@@ -214,3 +218,113 @@ def test_compose_sum_rejects_terms_of_another_degree():
     g = random_map(rng, space, 1, 1)
     with pytest.raises(ValueError):
         compose_sum(space, space, 1, 0, [(1, f, [None]), (1, f, [g])])
+
+
+def random_scalar(rng):
+    return rng.choice(VALUES + (Coefficient.lam(2, 3), 2, -1))
+
+
+def negated(c):
+    return -Coefficient.rational(c) if isinstance(c, int) else -c
+
+
+def as_scalar(c):
+    return c if isinstance(c, Coefficient) else Coefficient.rational(c)
+
+
+def arities_summing_to(rng, total, parts):
+    """Random positive arities of ``parts`` maps summing to ``total``."""
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def test_brace_sum_of_mixed_terms_matches_naive_evaluation():
+    # terms c * f{g_1..g_m} of one arity and degree with outer arities 1 to
+    # 3, m from 1 to 3 (more maps than inputs now and then) and Q[L]
+    # scalars; some terms come twice with opposite scalars
+    rng = random.Random(35)
+    zeros = too_many = 0
+    for _ in range(40):
+        space = rng.choice(SPACES)
+        arity, degree = rng.randint(2, 4), rng.choice([-1, 0, 1])
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            a, m = rng.randint(1, 3), rng.randint(1, 3)
+            if a > arity:
+                continue
+            gdegs = [rng.choice([-1, 0, 1]) for _ in range(m)]
+            gs = [random_map(rng, space, k, d) for k, d in
+                  zip(arities_summing_to(rng, arity - a + m, m), gdegs)]
+            f = random_map(rng, space, a, degree - sum(gdegs))
+            c = random_scalar(rng)
+            terms.append((c, f, gs))
+            if m > a:
+                too_many += 1
+                assert brace_sum([(c, f, gs)]).is_zero()
+            if rng.random() < 0.3:
+                terms.append((negated(c), f, gs))
+        if not terms:
+            continue
+        want = {}
+        for c, f, gs in terms:
+            add_tables(want, scaled(naive_brace(f, gs), as_scalar(c)))
+        got = brace_sum(terms)
+        assert_clean(got)
+        assert got == MultiMap(space, space, arity, degree, want)
+        zeros += cancelled(want)
+    assert zeros > 2 and too_many > 2
+
+
+def stasheff_shaped_terms(rng, ms, n):
+    """The terms of the Stasheff sum at arity n over the maps ``ms`` by
+    arity, each with a Q[L] scalar times its sign (-1)**(i + jk)."""
+    terms = []
+    for j in range(1, n + 1):
+        for i in range(n - j + 1):
+            k = n - j - i
+            slots = [None] * (n - j + 1)
+            slots[i] = ms[j]
+            c = as_scalar(random_scalar(rng))
+            terms.append((-c if (i + j * k) % 2 else c, ms[n - j + 1], slots))
+    return terms
+
+
+def test_compose_sum_of_mixed_outer_arities_matches_naive_evaluation():
+    # m_{i+1+k} o (1^i, m_j, 1^k) over every i + j + k = n: outer maps of
+    # arities 1 to n in one call, each term with its own Q[L] scalar; m_k
+    # has degree k - 2 + shift, so every term has degree n - 3 + 2 shift
+    rng = random.Random(36)
+    zeros = 0
+    for _ in range(20):
+        space = rng.choice(SPACES)
+        n, shift = rng.randint(2, 4), rng.randint(0, 1)
+        ms = {k: random_map(rng, space, k, k - 2 + shift, density=0.5)
+              for k in range(1, n + 1)}
+        terms = stasheff_shaped_terms(rng, ms, n)
+        if rng.random() < 0.5:
+            c, f, slots = rng.choice(terms)
+            terms.append((-c, f, slots))
+        want = {}
+        for c, f, slots in terms:
+            add_tables(want, scaled(naive_table(f, slots), c))
+        degree = n - 3 + 2 * shift
+        got = compose_sum(space, space, n, degree, terms)
+        assert_clean(got)
+        assert got == MultiMap(space, space, n, degree, want)
+        zeros += cancelled(want)
+    assert zeros > 5
+
+
+def test_compose_sum_of_an_associative_product_cancels_exactly():
+    # Q[L][x]/(x^2 - L x) on the basis (1, x): m(x, x) = L x is associative,
+    # so m o (m, 1) - m o (1, m) cancels on every input
+    space = GradedSpace({0: 2})
+    m = MultiMap(space, space, 2, 0, {(0, 0): {0: ONE}, (0, 1): {1: ONE},
+                                       (1, 0): {1: ONE}, (1, 1): {1: L}})
+    terms = [(1, m, [m, None]), (-1, m, [None, m])]
+    assert compose_sum(space, space, 3, 0, terms).is_zero()
+    assert all(c.is_zero() for row in add_tables(
+        add_tables({}, naive_table(m, [m, None])),
+        scaled(naive_table(m, [None, m]), -ONE)).values()
+        for c in row.values())
+    assert brace_sum([(1, m, [m]), (-1, m, [m])]).is_zero()
