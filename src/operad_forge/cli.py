@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .coeffs import Coefficient, LAMBDA, parse_rational
+from .coeffs import Coefficient, parse_weight
 from .dif_operads import InternalInvariantError, RewriteLimitError
 from .free_operad import HomogeneityError
 from .trees import ForeignGeneratorError
@@ -80,12 +80,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _lambda_of(text: str) -> Coefficient:
-    if text == "generic":
-        return LAMBDA
-    return Coefficient.rational(parse_rational(text))
-
-
 class InputError(Exception):
     """An input file that cannot be read or parsed."""
 
@@ -108,7 +102,7 @@ def run_difinfty_diff(args, rep: Report) -> None:
     from .dif_operads import Difinfty, parse_generator
     from .formats import element_records
 
-    op = Difinfty(_lambda_of(args.lam))
+    op = Difinfty(parse_weight(args.lam))
     if args.selftest:
         rep.add("diff(m2) = 0", op.diff(parse_generator("m2")).is_zero())
         rep.add("diff(d1) = 0", op.diff(parse_generator("d1")).is_zero())
@@ -122,10 +116,10 @@ def run_difinfty_d2check(args, rep: Report) -> None:
     from .dif_operads import Difinfty
 
     if args.selftest:
-        bad = Difinfty(_lambda_of(args.lam)).check_d_square(2)
+        bad = Difinfty(parse_weight(args.lam)).check_d_square(2)
         rep.add("diff^2 = 0 up to arity 2", not bad)
         return
-    bad = Difinfty(_lambda_of(args.lam)).check_d_square(args.max_arity)
+    bad = Difinfty(parse_weight(args.lam)).check_d_square(args.max_arity)
     rep.add(f"diff^2 = 0 on all generators up to arity {args.max_arity}",
             not bad, "; ".join(f"{g}: {r!r}" for g, r in bad))
 
@@ -134,7 +128,7 @@ def run_dif_normalize(args, rep: Report) -> None:
     from .dif_operads import DifRewriter
     from .formats import element_records, parse_element
 
-    rw = DifRewriter(_lambda_of(args.lam))
+    rw = DifRewriter(parse_weight(args.lam))
     if args.selftest:
         from .dif_operads import d_gen
         from .free_operad import OperadElement, partial_compose
@@ -153,7 +147,7 @@ def run_koszul_delta(args, rep: Report) -> None:
     from .coeffs import format_coefficient
     from .koszul_dual import CoopGenerator, TypeI, delta, delta_table
 
-    lam = _lambda_of(args.lam)
+    lam = parse_weight(args.lam)
     if args.selftest:
         rows = delta(CoopGenerator("mt", 1), TypeI(1, 1, 1), lam)
         rep.add("counit: Delta(mt1) = mt1 x mt1 on the two-vertex tree",
@@ -174,7 +168,7 @@ def run_koszul_delta(args, rep: Report) -> None:
 def run_koszul_crosscheck(args, rep: Report) -> None:
     from .koszul_dual import cross_check_cobar, sdif_cobar_d_square
 
-    lam = _lambda_of(args.lam)
+    lam = parse_weight(args.lam)
     if args.selftest:
         rep.add("cobar differential matches up to arity 3",
                 not cross_check_cobar(3, lam))
@@ -193,7 +187,7 @@ def run_contract_apply(args, rep: Report) -> None:
     from .dif_operads import Difinfty
     from .formats import element_records, parse_element
 
-    contraction = Contraction(Difinfty(_lambda_of(args.lam)))
+    contraction = Contraction(Difinfty(parse_weight(args.lam)))
     if args.selftest:
         from .dif_operads import d_gen, m_gen
         from .free_operad import OperadElement, partial_compose
@@ -212,7 +206,7 @@ def run_contract_apply(args, rep: Report) -> None:
 def run_contract_verify(args, rep: Report) -> None:
     from .contraction import verify_parallel
 
-    lam = _lambda_of(args.lam)
+    lam = parse_weight(args.lam)
     if args.selftest:
         checked, bad = verify_parallel(3, 1, 2, lam, 1)
         rep.add("identity on arity<=3, degree 1, weight<=2", not bad,
@@ -230,7 +224,7 @@ def run_contract_verify(args, rep: Report) -> None:
 def run_linfty_jacobi(args, rep: Report) -> None:
     from functools import partial
 
-    from .contraction import max_workers
+    from .contraction import map_in_order, max_workers
     from .hom_complex import GradedSpace
     from .linf import jacobi_check
 
@@ -241,16 +235,10 @@ def run_linfty_jacobi(args, rep: Report) -> None:
     trials = 2 if args.selftest else args.trials
     maxn = min(args.maxn, 3) if args.selftest else args.maxn
     widths = list(range(1, maxn + 1))
-    check = partial(jacobi_check, space, _lambda_of(args.lam), trials=trials,
+    check = partial(jacobi_check, space, parse_weight(args.lam), trials=trials,
                     seed=args.seed, max_arity=args.arity)
     workers = 1 if args.selftest else max_workers(args.jobs, len(widths))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check, widths))
-    else:
-        results = list(map(check, widths))
+    results = map_in_order(check, widths, workers)
     for n, result in zip(widths, results):
         rep.add(f"generalized Jacobi at width {n}", not result["failures"],
                 f"{result['checked']} seeded tuples"

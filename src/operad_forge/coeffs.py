@@ -123,6 +123,15 @@ class Coefficient:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k: int) -> "Coefficient":
+        """self**k for an int k >= 0."""
+        if k < 0:
+            raise ValueError("negative exponent of a Q[L] coefficient")
+        out = _ONE
+        for _ in range(k):
+            out = out * self
+        return out
+
     def scale(self, v: Rat) -> "Coefficient":
         if not v:
             return _ZERO
@@ -229,6 +238,23 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
+def parse_weight(spec: str) -> Coefficient:
+    """The weight named by ``spec``: "generic" for L, else a rational."""
+    if spec == "generic":
+        return LAMBDA
+    return Coefficient.rational(parse_rational(spec))
+
+
+def format_weight(lam: Coefficient) -> str:
+    """Inverse of `parse_weight`; a weight that is neither L nor a constant
+    has no spec, so it raises ValueError rather than lose its L terms."""
+    if lam == LAMBDA:
+        return "generic"
+    if set(lam._c) - {0}:
+        raise ValueError(f"weight {lam} is neither L nor a rational")
+    return str(lam.constant_term())
+
+
 def parse_coefficient(s: str) -> Coefficient:
     """Parse the coefficient grammar; inverse of :func:`format_coefficient`."""
     s = s.strip()
@@ -326,6 +352,21 @@ def koszul_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
 def chi_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
     """chi = sgn(perm) * koszul_sign."""
     return perm_sign(perm) * koszul_sign(degrees, perm)
+
+
+def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
+    """Ordered tuples of `parts` positive integers summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def shuffles(i: int, j: int) -> Iterable[tuple[int, ...]]:

@@ -24,39 +24,30 @@ from .linf import (
     DO,
     CdaElement,
     CdoDgla,
+    algebra_maps,
     algebra_space,
     mc_from_algebra,
+    multimap_to_table,
     remark_bracket,
+    table_to_multimap,
     transported_do_bracket,
     twisted_l1,
 )
 
 
-def _rows_to_multimap(alg: DifAlgebraData, rows, arity: int) -> MultiMap:
-    space = algebra_space(alg)
-    return MultiMap(space, space, arity, 0, {
-        key: {b: Coefficient.rational(c) for b, c in row.items()}
-        for key, row in rows.items()})
-
-
-def table_to_multimap(alg: DifAlgebraData, table, arity: int) -> MultiMap:
-    """The map of a plain table {basis tuple: coordinate vector}."""
-    return _rows_to_multimap(alg, {key: {b: c for b, c in enumerate(vec) if c}
-                                   for key, vec in table.items()}, arity)
-
-
-def multimap_to_table(alg: DifAlgebraData, mm: MultiMap):
-    """The rows of mm's constant terms, as a `cochain.Table`."""
-    rows = {key: {b: c.constant_term() for b, c in row.items()
-                  if c.constant_term()} for key, row in mm.table.items()}
-    return {key: row for key, row in rows.items() if row}
+def random_plain_map(rng, alg: DifAlgebraData, arity: int) -> MultiMap:
+    """A plain map A^arity -> A whose coordinates are drawn from -1, 0, 1,
+    one vector per basis tuple in lexicographic order."""
+    return table_to_multimap(alg, {
+        key: [rng.choice((-1, 0, 1)) for _ in range(alg.dim)]
+        for key in itertools.product(range(alg.dim), repeat=arity)}, arity)
 
 
 def da_cochain_to_cda(alg: DifAlgebraData, x: DaCochain) -> CdaElement:
-    parts = {(x.level, ALG): iso1_up(_rows_to_multimap(alg, x.f, x.level))}
+    parts = {(x.level, ALG): iso1_up(table_to_multimap(alg, x.f, x.level))}
     if x.g:
         parts[(x.level - 1, DO)] = iso2_up(
-            _rows_to_multimap(alg, x.g, x.level - 1))
+            table_to_multimap(alg, x.g, x.level - 1))
     return CdaElement(algebra_space(alg), parts)
 
 
@@ -81,14 +72,13 @@ def do_twist_mismatches(alg: DifAlgebraData, max_level: int) -> list[str]:
     """(l_1^beta)^tau vs the operator differential at levels 1..max_level."""
     cx = CochainComplexes(alg)
     dgla = CdoDgla(alg)
-    tau = iso2_up(table_to_multimap(alg, {(i,): alg.d[i]
-                                          for i in range(alg.dim)}, 1))
+    tau = iso2_up(algebra_maps(alg)[1])
     bad = []
     for n in range(1, max_level + 1):
         for key in itertools.product(range(alg.dim), repeat=n):
             for x in range(alg.dim):
                 unit = {key: {x: Fraction(1)}}
-                g = iso2_up(_rows_to_multimap(alg, unit, n))
+                g = iso2_up(table_to_multimap(alg, unit, n))
                 lhs = multimap_to_table(alg, iso2_down(dgla.twisted_l1(tau, g)))
                 if lhs != cx.do_diff(n, unit):
                     bad.append(f"level {n}: (l1^beta)^tau != dDO at {key}, x{x}")
@@ -112,20 +102,8 @@ def do_bracket_mismatches(alg: DifAlgebraData, max_arity: int,
     for nf in range(1, max_arity + 1):
         for ng in range(1, max_arity + 1):
             for _ in range(samples):
-                ftab = {}
-                for key in itertools.product(range(alg.dim), repeat=nf):
-                    vec = tuple(Fraction(rng.choice([-1, 0, 1]))
-                                for _ in range(alg.dim))
-                    if any(vec):
-                        ftab[key] = vec
-                gtab = {}
-                for key in itertools.product(range(alg.dim), repeat=ng):
-                    vec = tuple(Fraction(rng.choice([-1, 0, 1]))
-                                for _ in range(alg.dim))
-                    if any(vec):
-                        gtab[key] = vec
-                f_plain = table_to_multimap(alg, ftab, nf)
-                g_plain = table_to_multimap(alg, gtab, ng)
+                f_plain = random_plain_map(rng, alg, nf)
+                g_plain = random_plain_map(rng, alg, ng)
                 lhs = iso2_down(dgla.l2(iso2_up(f_plain), iso2_up(g_plain)))
                 rhs = formula(alg, f_plain, g_plain)
                 if multimap_to_table(alg, lhs) != multimap_to_table(alg, rhs):

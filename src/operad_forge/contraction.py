@@ -279,6 +279,18 @@ def max_workers(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, cpus)
 
 
+def map_in_order(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks]: in this process for at most one worker, else
+    on a pool of ``workers`` processes (imported here, so a test can stand
+    in its own pool)."""
+    if workers <= 1:
+        return list(map(fn, tasks))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _verify_slice(lam: Coefficient, monomials: list[TreeMonomial]):
     """Worker for parallel verification: the identity on one slice of the
     enumeration, handed over by `verify_parallel`."""
@@ -293,18 +305,12 @@ def verify_parallel(max_arity: int, max_degree: int, max_weight: int,
     monomials = enumerate_monomials(max_arity, max_weight,
                                     min_degree=1, max_degree=max_degree)
     total = len(monomials)
-    workers = max_workers(jobs, total)
-    if workers <= 1 or total < 64:
-        bad = Contraction(Difinfty(lam)).violations(monomials)
-        return total, [(repr(t), repr(r)) for t, r in bad]
-    from concurrent.futures import ProcessPoolExecutor
-
+    workers = max(max_workers(jobs, total), 1) if total >= 64 else 1
     bounds = [round(k * total / workers) for k in range(workers + 1)]
     slices = [monomials[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     checked = 0
     bad: list[tuple[str, str]] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for n, b in pool.map(partial(_verify_slice, lam), slices):
-            checked += n
-            bad.extend(b)
+    for n, b in map_in_order(partial(_verify_slice, lam), slices, workers):
+        checked += n
+        bad.extend(b)
     return checked, bad

@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 import os
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .coeffs import Coefficient, LAMBDA, add_into, sign_coeff
+from .coeffs import Coefficient, LAMBDA, add_into, compositions, sign_coeff
 from .free_operad import (
     OperadElement,
     TreeMonomial,
@@ -73,21 +73,6 @@ def alphabet(max_arity: int) -> list[Generator]:
     return gens
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 class Difinfty:
     """The dg operad of homotopy weighted differential algebras.
 
@@ -131,15 +116,13 @@ class Difinfty:
             for i in range(1, n - j + 2):
                 sign, t = compose_monomials(outer, i, inner)
                 add_into(acc, t, sign_coeff(i + j * (n - i) + 1 + (sign < 0)))
-        lam_powers = [Coefficient.one()]
-        for _ in range(n):
-            lam_powers.append(lam_powers[-1] * self.lam)
         for p in range(2, n + 1):
             root = TreeMonomial.corolla(m_gen(p))
             for q in range(1, p + 1):
                 rest = n - p + q
                 if rest < q:
                     continue
+                lam_q = self.lam ** (q - 1)
                 for ks in itertools.combinations(range(1, p + 1), q):
                     for ls in compositions(rest, q):
                         xi = sum((ls[s] - 1) * (p - ks[s]) for s in range(q))
@@ -149,7 +132,7 @@ class Difinfty:
                                 t, k + shift, TreeMonomial.corolla(d_gen(a)))
                             xi += sign < 0
                             shift += a - 1
-                        add_into(acc, t, lam_powers[q - 1] * sign_coeff(xi + 1))
+                        add_into(acc, t, lam_q * sign_coeff(xi + 1))
         return OperadElement(acc)
 
     def _images_for(self, x: OperadElement) -> dict[Generator, OperadElement]:

@@ -22,13 +22,14 @@ equivalence checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
+from .algebras import DifAlgebraData
 from .cochain import echelon
-from .coeffs import Coefficient, LAMBDA, add_into
+from .coeffs import (Coefficient, add_into, compositions, format_weight,
+                     parse_weight)
 from .hom_complex import (
     GradedSpace,
     MultiMap,
@@ -40,7 +41,8 @@ from .hom_complex import (
     iso2_up,
     suspend_target,
 )
-from .linf import ALG, DO, CdaElement, mc_residual
+from .linf import (ALG, DO, CdaElement, algebra_maps, mc_residual,
+                   random_multimap)
 
 
 @dataclass
@@ -100,7 +102,7 @@ def _leibniz_rhs_terms(n: int) -> Iterator[tuple[int, int, tuple, tuple]]:
             if l_total < q:
                 continue
             for js in _weak_compositions(free, q + 1):
-                for ls in _positive_compositions(l_total, q):
+                for ls in compositions(l_total, q):
                     yield q, p, ls, js
 
 
@@ -110,20 +112,6 @@ def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         return
     for first in range(total + 1):
         for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -147,9 +135,6 @@ def eta_sign_exponent_long(n: int, p: int, ls: tuple[int, ...],
 
 def weighted_leibniz_residual(s: HdaStructure, n: int) -> MultiMap:
     terms = _insertion_terms(s.d_at, s.m_at, n)
-    lam_pows = [Coefficient.one()]
-    for _ in range(n):
-        lam_pows.append(lam_pows[-1] * s.lam)
     for q, p, ls, js in _leibniz_rhs_terms(n):
         outer = s.m_at(p)
         if outer is None:
@@ -163,7 +148,7 @@ def weighted_leibniz_residual(s: HdaStructure, n: int) -> MultiMap:
             pos += js[t]
             slots[pos] = inners[t]
             pos += 1
-        coeff = lam_pows[q - 1]    # the right-hand side is subtracted
+        coeff = s.lam ** (q - 1)    # the right-hand side is subtracted
         terms.append((coeff if eta_sign_exponent(ls, js) % 2 else -coeff,
                       outer, slots))
     return compose_sum(s.space, s.space, n, n - 2, terms)
@@ -217,17 +202,14 @@ def br_r_residual(space: GradedSpace, lam: Coefficient,
     srs = {u: suspend_target(ru) for u, ru in rs.items()}
     terms = [(1, sru, [bs[n - u + 1]]) for u, sru in srs.items()
              if n - u + 1 in bs]
-    lam_pows = [Coefficient.one()]
-    for _ in range(n):
-        lam_pows.append(lam_pows[-1] * lam)
     for q in range(1, n + 1):
         for p in range(q, n + 1):
             bp = bs.get(p)
             if bp is None:
                 continue
-            for ls in _positive_compositions(n - p + q, q):
+            for ls in compositions(n - p + q, q):
                 if all(l in srs for l in ls):
-                    terms.append((-lam_pows[q - 1], bp,
+                    terms.append((-lam ** (q - 1), bp,
                                   [srs[l] for l in ls]))
     return brace_sum(terms) if terms else MultiMap.zero(sv, sv, n, -1)
 
@@ -278,42 +260,19 @@ def random_structure(rng, dims: dict[int, int], bound: int,
     d: dict[int, MultiMap] = {}
     for n in range(1, bound + 1):
         for store, degree in ((m, n - 2), (d, n - 1)):
-            table = {}
-            for key in itertools.product(space.basis(), repeat=n):
-                in_deg = sum(space.degree_of(i) for i in key)
-                row = {}
-                for b in space.basis():
-                    if space.degree_of(b) == in_deg + degree and \
-                            rng.random() < density:
-                        row[b] = Coefficient.rational(rng.choice(values))
-                if row:
-                    table[key] = row
-            if table:
-                store[n] = MultiMap(space, space, n, degree, table,
-                                    check=False)
+            mm = random_multimap(rng, space, space, n, degree, density, values)
+            if mm:
+                store[n] = mm
     return HdaStructure(space, lam, bound, m, d)
 
 
 def embed_algebra(mult_table, d_table, lam, bound: int = 4) -> HdaStructure:
     """A plain differential algebra seen as a structure with m_2, d_1 only."""
-    dim = len(mult_table)
-    space = GradedSpace({0: dim})
-    m2 = {}
-    for i in range(dim):
-        for j in range(dim):
-            row = {k: Coefficient.rational(c)
-                   for k, c in enumerate(mult_table[i][j]) if c}
-            if row:
-                m2[(i, j)] = row
-    d1 = {}
-    for i in range(dim):
-        row = {k: Coefficient.rational(c) for k, c in enumerate(d_table[i])
-               if c}
-        if row:
-            d1[(i,)] = row
-    m = {2: MultiMap(space, space, 2, 0, m2)} if m2 else {}
-    d = {1: MultiMap(space, space, 1, 0, d1)} if d1 else {}
-    return HdaStructure(space, lam, bound, m, d)
+    # the weight is the structure's own: the plain algebra only carries
+    # the tables
+    m2, d1 = algebra_maps(DifAlgebraData.build(mult_table, d_table, 0))
+    return HdaStructure(m2.source, lam, bound, {2: m2} if m2 else {},
+                        {1: d1} if d1 else {})
 
 
 def load_structure(obj) -> HdaStructure:
@@ -322,14 +281,12 @@ def load_structure(obj) -> HdaStructure:
     "d": {...}} with basis labels "<degree>:<index>"."""
     import json
 
-    from .coeffs import parse_coefficient, parse_rational
+    from .coeffs import parse_coefficient
 
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     space = GradedSpace({int(k): v for k, v in obj["dims"].items()})
-    lam_spec = obj.get("lambda", "generic")
-    lam = LAMBDA if lam_spec == "generic" else \
-        Coefficient.rational(parse_rational(lam_spec))
+    lam = parse_weight(obj.get("lambda", "generic"))
     bound = int(obj.get("bound", 4))
 
     def load_maps(block, degree_of_n):
@@ -368,14 +325,9 @@ def dump_structure(s: HdaStructure) -> str:
             out[str(n)] = records
         return out
 
-    lam_c = s.lam.coeffs
-    if lam_c == {1: 1}:
-        lam_str = "generic"
-    else:
-        lam_str = str(s.lam.constant_term())
     return json.dumps({
         "dims": {str(k): v for k, v in s.space.dims.items()},
-        "lambda": lam_str,
+        "lambda": format_weight(s.lam),
         "bound": s.bound,
         "m": dump_maps(s.m),
         "d": dump_maps(s.d),

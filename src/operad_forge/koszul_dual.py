@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Literal, Sequence, Union
 
-from .coeffs import Coefficient, LAMBDA, add_into, sign_coeff
-from .dif_operads import Difinfty, compositions, d_gen, m_gen
+from .coeffs import Coefficient, LAMBDA, add_into, compositions, sign_coeff
+from .dif_operads import Difinfty, d_gen, m_gen
 from .free_operad import OperadElement, TreeMonomial
 from .trees import Generator, gen_id
 
@@ -156,9 +156,7 @@ def delta(c: CoopGenerator, shape: TreeShape,
             return []
         p, ks, ls = shape.p, shape.ks, shape.ls
         q = len(ks)
-        lam_q = Coefficient.one()
-        for _ in range(q - 1):
-            lam_q = lam_q * lam
+        lam_q = lam ** (q - 1)
         if c.kind == "dt":
             coeff = lam_q * sign_coeff(q * (q - 1) // 2)
             decs = (CoopGenerator("mt", p),) + tuple(

@@ -190,9 +190,7 @@ def _component_bracket(space: GradedSpace, lam: Coefficient,
     # (see the module docstring)
     if m > sf.arity:
         return None
-    lam_pow = Coefficient.one()
-    for _ in range(m - 1):
-        lam_pow = lam_pow * lam
+    lam_pow = lam ** (m - 1)
     if (exp_iv + m * sf.degree) % 2:
         lam_pow = -lam_pow
     odd = sum(1 << t for t, d in enumerate(gdeg) if d % 2)
@@ -388,38 +386,38 @@ def _space_in_degree_zero(dim: int) -> GradedSpace:
     return GradedSpace({0: dim})
 
 
-def _mult_map(alg: DifAlgebraData, space: GradedSpace) -> MultiMap:
-    table = {}
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            row = {k: Coefficient.rational(c)
-                   for k, c in enumerate(alg.mult[i][j]) if c}
-            if row:
-                table[(i, j)] = row
-    return MultiMap(space, space, 2, 0, table)
+def table_to_multimap(alg: DifAlgebraData, table, arity: int) -> MultiMap:
+    """The degree-0 map on `algebra_space(alg)` of a plain table {basis
+    tuple: coordinate vector or sparse row {basis index: rational}}."""
+    space = algebra_space(alg)
+    return MultiMap(space, space, arity, 0, {
+        key: {b: Coefficient.rational(c) for b, c in
+              (row.items() if isinstance(row, dict) else enumerate(row)) if c}
+        for key, row in table.items()})
 
 
-def _d_map(alg: DifAlgebraData, space: GradedSpace) -> MultiMap:
-    table = {}
-    for i in range(alg.dim):
-        row = {k: Coefficient.rational(c)
-               for k, c in enumerate(alg.d[i]) if c}
-        if row:
-            table[(i,)] = row
-    return MultiMap(space, space, 1, 0, table)
+def multimap_to_table(alg: Optional[DifAlgebraData], mm: MultiMap):
+    """The rows of mm's constant terms, as a `cochain.Table` (the rows
+    carry their own basis indices, so ``alg`` is not read)."""
+    rows = {key: {b: c.constant_term() for b, c in row.items()
+                  if c.constant_term()} for key, row in mm.table.items()}
+    return {key: row for key, row in rows.items() if row}
+
+
+def algebra_maps(alg: DifAlgebraData) -> tuple[MultiMap, MultiMap]:
+    """The plain maps m: A^2 -> A and d: A -> A of the algebra's tables."""
+    pairs = itertools.product(range(alg.dim), repeat=2)
+    mult = {(i, j): alg.mult[i][j] for i, j in pairs}
+    d = {(i,): row for i, row in enumerate(alg.d)}
+    return table_to_multimap(alg, mult, 2), table_to_multimap(alg, d, 1)
 
 
 def mc_from_algebra(alg: DifAlgebraData) -> tuple[GradedSpace, CdaElement]:
     """The degree -1 element (m, tau) encoding multiplication and operator."""
     space = algebra_space(alg)
-    m = iso1_up(_mult_map(alg, space))
-    tau = iso2_up(_d_map(alg, space))
-    parts = {}
-    if not m.is_zero():
-        parts[(2, ALG)] = m
-    if not tau.is_zero():
-        parts[(1, DO)] = tau
-    return space, CdaElement(space, parts)
+    m, d = algebra_maps(alg)
+    return space, CdaElement(space, {(2, ALG): iso1_up(m),
+                                     (1, DO): iso2_up(d)})
 
 
 def algebra_from_mc(space: GradedSpace, alpha: CdaElement,
@@ -427,26 +425,22 @@ def algebra_from_mc(space: GradedSpace, alpha: CdaElement,
     """Inverse of mc_from_algebra on degree-0 spaces."""
     if set(space.dims) - {0}:
         raise ValueError("only degree-0 spaces translate to plain algebras")
-    dim = space.dim()
-    zero = [Fraction(0)] * dim
-    mult = [[list(zero) for _ in range(dim)] for _ in range(dim)]
-    d = [list(zero) for _ in range(dim)]
-    m = alpha.parts.get((2, ALG))
-    if m is not None:
-        plain = iso1_down(m)
-        for (i, j), out in plain.table.items():
-            for k, c in out.items():
-                mult[i][j][k] = c.constant_term()
-    tau = alpha.parts.get((1, DO))
-    if tau is not None:
-        plain = iso2_down(tau)
-        for (i,), out in plain.table.items():
-            for k, c in out.items():
-                d[i][k] = c.constant_term()
     for key in alpha.parts:
         if key not in ((2, ALG), (1, DO)):
             raise ValueError(f"unexpected component {key}")
-    return DifAlgebraData.build(mult, d, lam)
+    dim = space.dim()
+
+    def rows(key, down):
+        mm = alpha.parts.get(key)
+        return {} if mm is None else multimap_to_table(None, down(mm))
+
+    def vec(row):
+        return [row.get(k, 0) for k in range(dim)]
+
+    m, d = rows((2, ALG), iso1_down), rows((1, DO), iso2_down)
+    return DifAlgebraData.build(
+        [[vec(m.get((i, j), {})) for j in range(dim)] for i in range(dim)],
+        [vec(d.get((i,), {})) for i in range(dim)], lam)
 
 
 def mc_residual_of_algebra(alg: DifAlgebraData) -> CdaElement:
@@ -468,9 +462,8 @@ class CdoDgla:
         self.alg = alg
         self.space = algebra_space(alg)
         self.lam = Coefficient.rational(alg.lam)
-        m = iso1_up(_mult_map(alg, self.space))
-        self.beta = CdaElement(self.space, {(2, ALG): m} if not m.is_zero()
-                               else {})
+        self.beta = CdaElement(self.space,
+                               {(2, ALG): iso1_up(algebra_maps(alg)[0])})
 
     def _wrap(self, g: MultiMap) -> CdaElement:
         return CdaElement.do_part(self.space, g)

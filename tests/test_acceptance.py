@@ -99,27 +99,29 @@ def test_acceptance_05_linfinity_jacobi():
                " 64 seeded tuples per configuration, generic weight", ok)
 
 
-def test_linfinity_jacobi_on_every_dim_one_basis_tuple():
-    # Beside acceptance 05: on V = Q in degree 0 with arity support <= 3
-    # the basis components are one alg and one do map per arity (6 in
-    # all).  Every l_n is multilinear, so graded symmetry on every ordered
-    # basis tuple (adjacent transpositions generate S_n) and Jacobi on
-    # every multiset of basis components prove both identities on the
-    # whole range, widths 2..5 (455 multisets).
+def _jacobi_on_every_basis_tuple(space, max_arity, widths):
+    """Graded symmetry on every ordered tuple of basis components (one
+    entry 1, arity <= max_arity) and Jacobi on every multiset of them, at
+    the given widths.  Every l_n is multilinear and adjacent transpositions
+    generate S_n, so this proves both identities on the whole range.
+    Returns the number of multisets."""
     from operad_forge.hom_complex import MultiMap
     from operad_forge.linf import (ALG, DO, CdaElement,
                                    antisymmetry_residual, jacobi_residual)
 
-    space = GradedSpace({0: 1})
     sv = space.shift(1)
     basis = []
-    for n in range(1, 4):
+    for n in range(1, max_arity + 1):
         for flag, target in ((ALG, sv), (DO, space)):
-            mm = MultiMap(sv, target, n, target.degrees[0] - n,
-                          {(0,) * n: {0: Coefficient.one()}})
-            basis.append(CdaElement(space, {(n, flag): mm}))
+            for key in itertools.product(sv.basis(), repeat=n):
+                in_deg = sum(sv.degree_of(i) for i in key)
+                for b in target.basis():
+                    mm = MultiMap(sv, target, n,
+                                  target.degree_of(b) - in_deg,
+                                  {key: {b: Coefficient.one()}})
+                    basis.append(CdaElement(space, {(n, flag): mm}))
     multisets = 0
-    for width in range(2, 6):
+    for width in widths:
         for args in itertools.product(basis, repeat=width):
             for i in range(width - 1):
                 sigma = list(range(width))
@@ -129,7 +131,21 @@ def test_linfinity_jacobi_on_every_dim_one_basis_tuple():
         for args in itertools.combinations_with_replacement(basis, width):
             multisets += 1
             assert jacobi_residual(space, LAMBDA, args).is_zero()
-    assert multisets == 455
+    return multisets
+
+
+def test_linfinity_jacobi_on_every_dim_one_basis_tuple():
+    # Beside acceptance 05: on V = Q in degree 0 with arity support <= 3
+    # the basis components are one alg and one do map per arity (6 in
+    # all), widths 2..5.
+    assert _jacobi_on_every_basis_tuple(GradedSpace({0: 1}), 3,
+                                        range(2, 6)) == 455
+
+
+def test_linfinity_jacobi_on_every_two_degree_basis_tuple():
+    # V = Q + Q[-1] with arity support <= 2: 24 basis components, width 3
+    assert _jacobi_on_every_basis_tuple(GradedSpace({0: 1, 1: 1}), 2,
+                                        [3]) == 2600
 
 
 def test_acceptance_06_mc_iff_axioms():
@@ -175,7 +191,7 @@ def test_acceptance_07_twisted_complex_comparisons():
         do_bracket_mismatches,
         do_twist_mismatches,
     )
-    from operad_forge.compare import multimap_to_table, table_to_multimap
+    from operad_forge.compare import multimap_to_table, random_plain_map
     from operad_forge.hom_complex import iso2_down, iso2_up
     from operad_forge.linf import CdoDgla, remark_bracket
 
@@ -194,17 +210,8 @@ def test_acceptance_07_twisted_complex_comparisons():
         dgla = CdoDgla(alg)
         for n, k in ((1, 1), (2, 2), (1, 3), (3, 3)):
             for _ in range(3):
-                def rand_plain(arity):
-                    tab = {}
-                    for key in itertools.product(range(alg.dim),
-                                                 repeat=arity):
-                        vec = tuple(Fraction(rng.choice([-1, 0, 1]))
-                                    for _ in range(alg.dim))
-                        if any(vec):
-                            tab[key] = vec
-                    return table_to_multimap(alg, tab, arity)
-
-                f, g = rand_plain(n), rand_plain(k)
+                f = random_plain_map(rng, alg, n)
+                g = random_plain_map(rng, alg, k)
                 lhs = iso2_down(dgla.l2(iso2_up(f), iso2_up(g)))
                 if multimap_to_table(alg, lhs) != \
                         multimap_to_table(alg, remark_bracket(alg, f, g)):

@@ -10,8 +10,10 @@ from operad_forge.coeffs import (
     add_into,
     chi_sign,
     format_coefficient,
+    format_weight,
     koszul_sign,
     parse_coefficient,
+    parse_weight,
     shuffles,
 )
 
@@ -67,6 +69,26 @@ def test_coefficient_grammar_examples():
     assert parse_coefficient("L") == LAMBDA
     assert parse_coefficient("-2") == Coefficient.rational(-2)
     assert parse_coefficient("0").is_zero()
+
+
+def test_powers():
+    one = Coefficient.one()
+    assert LAMBDA ** 0 == one and Coefficient.zero() ** 0 == one
+    assert (one + LAMBDA) ** 3 == parse_coefficient("L^3 + 3*L^2 + 3*L + 1")
+    assert Coefficient.rational(Fraction(-2, 3)) ** 3 == \
+        Coefficient.rational(Fraction(-8, 27))
+    with pytest.raises(ValueError):
+        LAMBDA ** -1
+
+
+def test_weight_spec_roundtrip():
+    for spec in ("generic", "0", "1", "-1/2"):
+        assert format_weight(parse_weight(spec)) == spec
+    assert parse_weight("generic") == LAMBDA
+    for lam in (Coefficient.lam(1, 2), Coefficient.lam(2),
+                LAMBDA + Coefficient.one()):
+        with pytest.raises(ValueError):
+            format_weight(lam)
 
 
 def test_rational_normal_form():

@@ -9,6 +9,7 @@ from operad_forge.compare import (
     do_bracket_mismatches,
     do_twist_mismatches,
     multimap_to_table,
+    random_plain_map,
     table_to_multimap,
 )
 from operad_forge.hom_complex import iso2_down, iso2_up
@@ -73,17 +74,8 @@ def test_remark_bracket_on_equal_parity_arities():
         dgla = CdoDgla(alg)
         for n, k in ((1, 1), (2, 2), (1, 3), (3, 1), (3, 3)):
             for _ in range(3):
-                def rand_plain(arity):
-                    tab = {}
-                    for key in itertools.product(range(alg.dim),
-                                                 repeat=arity):
-                        vec = tuple(Fraction(rng.choice([-1, 0, 1]))
-                                    for _ in range(alg.dim))
-                        if any(vec):
-                            tab[key] = vec
-                    return table_to_multimap(alg, tab, arity)
-
-                f, g = rand_plain(n), rand_plain(k)
+                f = random_plain_map(rng, alg, n)
+                g = random_plain_map(rng, alg, k)
                 lhs = iso2_down(dgla.l2(iso2_up(f), iso2_up(g)))
                 rhs = remark_bracket(alg, f, g)
                 assert multimap_to_table(alg, lhs) == \
@@ -93,8 +85,7 @@ def test_remark_bracket_on_equal_parity_arities():
 def basis_operator_maps(alg, max_arity):
     """Every plain operator map A^n -> A with one entry 1 at (key, x), for
     n up to max_arity."""
-    return [table_to_multimap(alg, {key: tuple(Fraction(int(b == x))
-                                               for b in range(alg.dim))}, n)
+    return [table_to_multimap(alg, {key: {x: 1}}, n)
             for n in range(1, max_arity + 1)
             for key in itertools.product(range(alg.dim), repeat=n)
             for x in range(alg.dim)]

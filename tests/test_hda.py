@@ -25,6 +25,7 @@ from operad_forge.hda import (
     weighted_leibniz_residual,
 )
 from operad_forge.hom_complex import GradedSpace, MultiMap
+from operad_forge.linf import random_multimap
 
 ONE = Coefficient.one()
 
@@ -151,6 +152,24 @@ def test_structure_file_roundtrip():
     assert back.space == s.space and back.lam == s.lam
     assert back.m == s.m and back.d == s.d
     assert dump_structure(back) == text
+
+
+def test_dump_refuses_a_weight_it_cannot_write():
+    # a weight of 2L used to be written as its constant term, 0
+    s = HdaStructure(GradedSpace({0: 1}), Coefficient.lam(1, 2), 2)
+    with pytest.raises(ValueError):
+        dump_structure(s)
+
+
+@pytest.mark.parametrize("dims", [{0: 1}, {0: 2}, {0: 1, 1: 1}])
+def test_random_structure_draws_the_tables_of_random_multimap(dims):
+    s = random_structure(random.Random(9), dims, 4, LAMBDA, density=0.6)
+    rng = random.Random(9)
+    for n in range(1, 5):
+        for maps, degree in ((s.m, n - 2), (s.d, n - 1)):
+            mm = random_multimap(rng, s.space, s.space, n, degree,
+                                 density=0.6, values=(-1, 1))
+            assert maps.get(n) == (mm if mm else None)
 
 
 def test_homology_descent_example():
