@@ -238,11 +238,14 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
-def parse_weight(spec: str) -> Coefficient:
-    """The weight named by ``spec``: "generic" for L, else a rational."""
+def parse_weight(spec: "str | int") -> Coefficient:
+    """The weight named by ``spec``: "generic" for L, else a rational, as a
+    string or an int (a JSON integer); anything else is a ValueError."""
     if spec == "generic":
         return LAMBDA
-    return Coefficient.rational(parse_rational(spec))
+    if type(spec) is not int and not isinstance(spec, str):
+        raise ValueError(f"weight {spec!r} is neither a string nor an integer")
+    return Coefficient.rational(parse_rational(str(spec)))
 
 
 def format_weight(lam: Coefficient) -> str:

@@ -18,17 +18,17 @@ divisor root in planar order, and recurses on the strictly smaller
 remainder.  `verify` checks diff o H + H o diff = id monomial by monomial.
 
 The memo of H values is the only cache that grows with the input; each
-generator s also keeps its typical shape and the terms of
+generator s also keeps its typical shape and the raw terms of
 s_hat - diff(s) / c_s.  The memo keeps only nonzero values, keyed by the
-monomial's word so that lookups hash and compare in C, with coefficients
-drawn from one table of shared `Coefficient` objects.  A non-effective
-monomial maps to one shared zero element that is never stored, so
-`analyze_effective` finds it again on each occurrence, by tuple searches
-and slices.  `Contraction.h_monomial` runs the recursion on an explicit
-stack of frames: a frame holds its monomial, its order key, its analysis,
-its generator term and its remainder, both spliced by `_split` through one
-walk of the divisor region on the first visit, and is dropped when its H
-value is stored.
+monomial's word so that lookups hash and compare in C, each one flat tuple
+(m1, e1, v1, m2, e2, v2, ...) of raw Q[L] cells v * L**e * m with its
+rationals from one intern table.  A non-effective monomial has no entry,
+so `analyze_effective` finds it again on each occurrence.  `_h_value`
+runs the recursion on an explicit stack of frames; `h_monomial`, `apply`
+and `h_bar` build elements from the memo on demand.  `check_identity`
+sums diff(H t) + H(diff t) - t as raw cells in one dict, the differentials
+through `free_operad.derivation_into`, and makes Coefficients only for a
+nonzero residual.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
-from .coeffs import Coefficient, add_into
+from .coeffs import Coefficient, Rat
 from .dif_operads import (
     Difinfty,
     InternalInvariantError,
@@ -47,8 +47,8 @@ from .dif_operads import (
     enumerate_monomials,
     m_gen,
 )
-from .free_operad import (OperadElement, TreeMonomial, region_splicer,
-                          replace_region)
+from .free_operad import (OperadElement, TreeMonomial, derivation_into,
+                          raw_terms, region_splicer, replace_region)
 from .trees import DEGREE, GENS, Generator, gen_id
 
 
@@ -75,20 +75,28 @@ def generator_above(base: Generator) -> Generator:
     return m_gen(n + 1) if kind == "m" else d_gen(n + 1)
 
 
+def _add_scaled(acc: dict, h: tuple, e: int, v: Rat) -> None:
+    """acc += v * L**e * h, h a flat memo value, in raw cells."""
+    for i in range(0, len(h), 3):
+        key = (h[i], h[i + 1] + e)
+        acc[key] = acc.get(key, 0) + v * h[i + 2]
+
+
 class Contraction:
     def __init__(self, op: Difinfty):
         self.op = op
         self._typical: dict[Generator, tuple] = {}
-        self._h: dict[tuple, OperadElement] = {}
-        self._coefficients: dict[Coefficient, Coefficient] = {}
+        self._h: dict[tuple, tuple] = {}
+        self._rationals: dict[Rat, Rat] = {}
+        self._diff = cache(lambda gen: raw_terms(op.diff(gen)))
         self._m2 = gen_id(m_gen(2))
 
     # -- typical shapes ----------------------------------------------------
 
     def typical_info(self, s: Generator) -> tuple[TreeMonomial, int]:
         """Leading monomial of diff(s) and its coefficient, asserted +-1 and
-        of the shape base o_1 m2.  The entry kept for s also holds the
-        terms (monomial, c, -c) of s_hat - diff(s) / c_s."""
+        of the shape base o_1 m2.  The entry kept for s also holds the raw
+        terms of s_hat - diff(s) / c_s."""
         cached = self._typical.get(s)
         if cached is not None:
             return cached[:2]
@@ -111,8 +119,7 @@ class Contraction:
                 f"leading monomial of diff({s.symbol}) is not typical: {lead!r}")
         repl = OperadElement.single(lead) - self.op.diff(s).scale(
             Fraction(1, c))
-        self._typical[s] = (lead, c, tuple((m, w, -w)
-                                           for m, w in repl.terms.items()))
+        self._typical[s] = (lead, c, raw_terms(repl))
         return lead, c
 
     # -- effective divisors -------------------------------------------------
@@ -159,37 +166,39 @@ class Contraction:
         an = self.analyze_effective(t)
         if not an.is_effective:
             raise ValueError(f"{t!r} is not effective")
-        return self._generator_term(an, replace_region(
+        (m, _), v = self._generator_term(an, replace_region(
             t, {an.divisor_root, an.divisor_child},
             TreeMonomial.corolla(an.s_generator)))
+        return OperadElement.single(m, v)
 
     @staticmethod
-    def _generator_term(an: EffectiveAnalysis, spliced) -> OperadElement:
-        """(-1)**omega c_s times t with its divisor replaced by s, from the
-        (sign, monomial) of that replacement."""
+    def _generator_term(an: EffectiveAnalysis, spliced) -> tuple:
+        """(-1)**omega c_s times t with its divisor replaced by s, as one
+        raw cell, from the (sign, monomial) of that replacement."""
         sign, replaced = spliced
         if sign != 1:
             raise InternalInvariantError("divisor-to-generator replacement "
                                          "should never reorder odd factors")
-        scalar = an.c_s if an.omega % 2 == 0 else -an.c_s
-        return OperadElement.single(replaced, Coefficient.rational(scalar))
+        return (replaced, 0), an.c_s if an.omega % 2 == 0 else -an.c_s
 
     def _split(self, t: TreeMonomial, an: EffectiveAnalysis
-               ) -> tuple[OperadElement, dict[TreeMonomial, Coefficient]]:
+               ) -> tuple[tuple, dict[tuple, Rat]]:
         """h_bar(t) and tbar, t with its divisor replaced by
-        s_hat - diff(s) / c_s, from one walk of the divisor region (the
-        analysis has looked up the typical entry of s)."""
+        s_hat - diff(s) / c_s, as raw cells, from one walk of the divisor
+        region (the analysis has looked up the typical entry of s)."""
         splice = region_splicer(t, {an.divisor_root, an.divisor_child})
-        acc: dict[TreeMonomial, Coefficient] = {}
-        for mono, c, neg in self._typical[an.s_generator][2]:
+        tbar: dict[tuple, Rat] = {}
+        for mono, cells in self._typical[an.s_generator][2]:
             sign, new_t = splice(mono)
-            add_into(acc, new_t, c if sign == 1 else neg)
+            for e, v in cells:
+                key = (new_t, e)
+                tbar[key] = tbar.get(key, 0) + (v if sign == 1 else -v)
         h_bar = self._generator_term(
             an, splice(TreeMonomial.corolla(an.s_generator)))
-        return h_bar, acc
+        return h_bar, tbar
 
-    def h_monomial(self, t: TreeMonomial) -> OperadElement:
-        """H on a single monomial, by well-founded recursion on the order.
+    def _h_value(self, t: TreeMonomial) -> tuple:
+        """H(t) as its memo value, () for zero, by well-founded recursion.
 
         A frame is (monomial, order key, analysis, h_bar, tbar).  The first
         visit splits the monomial, checks that every tbar monomial is
@@ -197,45 +206,54 @@ class Contraction:
         the effective uncached ones with their keys and analyses; the
         revisit, once they are all done, sums and stores a nonzero value.
         """
-        cache = self._h
-        h = cache.get(t.word)
+        memo = self._h
+        h = memo.get(t.word)
         if h is not None:
             return h
         an = self.analyze_effective(t)
         if not an.is_effective:
-            return _ZERO
-        intern = self._coefficients.setdefault
+            return ()
+        intern = self._rationals.setdefault
         stack = [(t, t.order_key(), an, None, None)]
         while stack:
             cur, key, an, h_bar, tbar = stack[-1]
             if tbar is not None:
                 stack.pop()
-                h = OperadElement.sum(
-                    [(1, h_bar)]
-                    + [(c, cache.get(w, _ZERO)) for w, c in tbar])
-                if h.terms:
-                    h.terms = {m: intern(c, c) for m, c in h.terms.items()}
-                    cache[cur.word] = h
+                acc = dict([h_bar])
+                for w, e, v in tbar:
+                    _add_scaled(acc, memo.get(w, ()), e, v)
+                flat = [x for (m, e), v in acc.items() if v
+                        for x in (m, e, intern(v, v))]
+                if flat:
+                    memo[cur.word] = tuple(flat)
                 continue
-            if cur.word in cache:
+            if cur.word in memo:
                 stack.pop()
                 continue
             h_bar, split = self._split(cur, an)
             tbar = []
             stack[-1] = (cur, key, an, h_bar, tbar)
-            for mono, c in split.items():
+            for (mono, e), v in split.items():
+                if not v:
+                    continue
                 mono_key = mono.order_key()
                 if mono_key >= key:
                     raise InternalInvariantError(
                         f"recursion failed to decrease: {mono!r} vs {cur!r}")
                 w = mono.word
-                if w not in cache:
+                if w not in memo:
                     mono_an = self.analyze_effective(mono)
                     if not mono_an.is_effective:
                         continue
                     stack.append((mono, mono_key, mono_an, None, None))
-                tbar.append((w, c))
-        return cache.get(t.word, _ZERO)
+                tbar.append((w, e, v))
+        return memo.get(t.word, ())
+
+    def h_monomial(self, t: TreeMonomial) -> OperadElement:
+        """H on a single monomial, built from its memo value."""
+        h = self._h_value(t)
+        return OperadElement.from_cells(zip(zip(h[::3], h[1::3]), h[2::3])) \
+            if h else _ZERO
 
     def apply(self, x: OperadElement) -> OperadElement:
         return OperadElement.sum((c, self.h_monomial(t))
@@ -244,11 +262,18 @@ class Contraction:
     # -- the main verification ---------------------------------------------
 
     def check_identity(self, t: TreeMonomial) -> OperadElement:
-        """(diff H + H diff)(t) - t; zero iff the contraction identity holds."""
-        x = OperadElement.single(t)
-        lhs = self.op.diff_element(self.apply(x)) + self.apply(
-            self.op.diff_element(x))
-        return lhs - x
+        """(diff H + H diff)(t) - t, summed as raw cells in one dict; zero
+        iff the contraction identity holds."""
+        h = self._h_value(t)
+        acc: dict[tuple, Rat] = {(t, 0): -1}
+        derivation_into(acc, self._diff, (
+            (h[i], ((h[i + 1], h[i + 2]),)) for i in range(0, len(h), 3)))
+        dt: dict[tuple, Rat] = {}
+        derivation_into(dt, self._diff, ((t, ((0, 1),)),))
+        for (m, e), v in dt.items():
+            if v:
+                _add_scaled(acc, self._h_value(m), e, v)
+        return OperadElement.from_cells(acc.items())
 
     def verify(self, max_arity: int, max_degree: int, max_weight: int
                ) -> tuple[int, list[tuple[TreeMonomial, OperadElement]]]:

@@ -18,16 +18,16 @@ That is the only sign convention in this module; everything else is
 derived from it.
 
 `region_splicer` walks a region once and returns a ``splice`` that
-costs one concatenation per replacement monomial.  `extend_derivation`
+costs one concatenation per replacement monomial.  `derivation_into`
 splices every term of a generator's image through one splicer per vertex
-and adds the products as raw rationals keyed by (monomial, power of L),
-building the Coefficients at the end.
+and adds the products as raw rationals keyed by (monomial, power of L) to
+the caller's dict; `extend_derivation` builds the Coefficients at the end.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .coeffs import Coefficient, Rat, add_into, as_coefficient, unit_sign
 from .trees import (
@@ -267,6 +267,17 @@ class OperadElement:
     def generator(gen: Generator, c: Coefficient | int = 1) -> "OperadElement":
         return OperadElement.single(TreeMonomial.corolla(gen), c)
 
+    @staticmethod
+    def from_cells(cells: Iterable[tuple]) -> "OperadElement":
+        """The sum of v * L**e * t over raw ((t, e), v) cells, each (t, e)
+        once, as a raw dict's items; zero cells are skipped."""
+        out = OperadElement()
+        for (t, e), v in cells:
+            if v:
+                out._admit(t)
+                add_into(out.terms, t, Coefficient.lam(e, v))
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -456,26 +467,19 @@ def pre_jacobi_check(f: OperadElement, gs: Sequence[OperadElement],
     return lhs == OperadElement.sum(terms)
 
 
-def extend_derivation(images: Mapping[Generator, OperadElement],
-                      x: OperadElement) -> OperadElement:
-    """Degree -1 derivation determined by generator images.
-
+def derivation_into(acc: dict, image: Callable[[Generator], Sequence],
+                    terms: Iterable[tuple]) -> None:
+    """Add to ``acc`` the degree -1 derivation determined by the generator
+    images ``image(gen)``, as raw cells (monomial, power of L) -> rational,
+    zeros kept; ``terms`` and the images are as `raw_terms` gives them.
     Acts on a monomial as the signed sum over vertices, the sign being
     (-1)**(total degree of vertices preceding the vertex in planar order),
     followed by the Koszul reordering of the substituted decoration tensor.
     """
-    if x.is_zero():
-        return OperadElement.zero()
-    raw = {g: [(m, tuple(w.coeffs.items())) for m, w in img.terms.items()]
-           for g, img in images.items()}
-    acc: dict[tuple, Rat] = {}   # (monomial, power of L) -> rational
-    for t, c in x.terms.items():
-        cterms = c.coeffs.items()
+    for t, cterms in terms:
         prefix = 0
         for v, gen in enumerate(t.gens):
-            img = raw.get(gen)
-            if img is None:
-                raise KeyError(f"no derivation image for generator {gen.symbol}")
+            img = image(gen)
             if img:
                 splice = region_splicer(t, {v})
                 for m, mterms in img:
@@ -487,9 +491,17 @@ def extend_derivation(images: Mapping[Generator, OperadElement],
                             key = (new_t, ec + em)
                             acc[key] = acc.get(key, 0) + (-w if neg else w)
             prefix += gen.degree
-    out = OperadElement()
-    for (t, e), v in acc.items():
-        if v:
-            out._admit(t)
-            add_into(out.terms, t, Coefficient.lam(e, v))
-    return out
+
+
+def raw_terms(x: OperadElement) -> tuple:
+    """The (monomial, (power, rational) pairs) pairs of ``x``."""
+    return tuple((t, tuple(c.coeffs.items())) for t, c in x.terms.items())
+
+
+def extend_derivation(images: Mapping[Generator, OperadElement],
+                      x: OperadElement) -> OperadElement:
+    """`derivation_into` on elements."""
+    acc: dict[tuple, Rat] = {}
+    raw = {g: raw_terms(img) for g, img in images.items()}
+    derivation_into(acc, raw.__getitem__, raw_terms(x))
+    return OperadElement.from_cells(acc.items())

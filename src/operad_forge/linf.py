@@ -233,7 +233,7 @@ def jacobi_residual(space: GradedSpace, lam: Coefficient,
     degs = [a.degree() for a in args]
 
     def terms():
-        for i in range(1, n + 1):
+        for i in range(2, n):   # i = 1 and i = n give l_1 terms; l_1 = 0
             outer_sign = -1 if (i * (n - i)) % 2 else 1
             for sigma in shuffles(i, n - i):
                 inner = cda_bracket(space, lam,

@@ -94,6 +94,17 @@ def test_hda_check(tmp_path):
                  "--max-arity", "3"]) == 0
 
 
+def test_hda_weight_as_a_json_number(tmp_path, capsys):
+    text = '{"dims": {"0": 1}, "lambda": %s, "bound": 2, "m": {}, "d": {}}'
+    path = tmp_path / "structure.json"
+    path.write_text(text % "1")
+    assert main(["hda", "check", "--structure", str(path)]) == 0
+    for spec in ("0.5", "null", "[1]"):
+        path.write_text(text % spec)
+        assert main(["hda", "check", "--structure", str(path)]) == 2
+        assert "bad input" in capsys.readouterr().err
+
+
 def test_dif_normalize_and_contract_apply(tmp_path):
     element = json.dumps([{"coeff": "1", "tree": "(m2 (m2 _ _) _)"}])
     path = tmp_path / "el.json"

@@ -286,18 +286,21 @@ def test_analyze_effective_matches_generator_scan(contraction, op):
 def test_cached_values_are_never_changed_in_place():
     # H values, the shared zero and the generator differentials are handed
     # out by reference; sums must build fresh dicts instead of accumulating
-    # into them.  The memo is keyed by word and keeps only nonzero values.
+    # into them.  The memo is keyed by word and keeps only nonzero values,
+    # each one flat tuple (monomial, power of L, rational, ...).
     op = Difinfty()
     c = Contraction(op)
     c.verify(3, 2, 3)
     diff_snap = {g: dict(x.terms) for g, x in op._diff_cache.items()}
-    h_snap = {w: dict(x.terms) for w, x in c._h.items()}
+    h_snap = dict(c._h)
     assert len(h_snap) > 100
     n, bad = c.verify(4, 2, 3)
     assert n > 0 and bad == []
-    assert c._h and not any(x.is_zero() for x in c._h.values())
-    shared = {id(w) for x in c._h.values() for w in x.terms.values()}
-    assert shared == {id(w) for w in c._coefficients.values()}
+    assert c._h and all(c._h.values())
+    assert all(all(h[2::3]) and len(set(zip(h[::3], h[1::3]))) == len(h) // 3
+               for h in c._h.values())
+    shared = {id(v) for h in c._h.values() for v in h[2::3]}
+    assert shared == {id(v) for v in c._rationals.values()}
     groups = {}
     for w in h_snap:
         t = TreeMonomial(decode(w))
@@ -306,7 +309,7 @@ def test_cached_values_are_never_changed_in_place():
         x = OperadElement({t: Coefficient.rational(1) for t in ts})
         assert c.apply(x) == c.apply(x)
     assert {g: op._diff_cache[g].terms for g in diff_snap} == diff_snap
-    assert {w: c._h[w].terms for w in h_snap} == h_snap
+    assert all(c._h[w] is h for w, h in h_snap.items())
     assert contraction_module._ZERO.terms == {}
     entries = len(c._h)
     assert c.h_monomial(mono("(m2 _ (d1 _))")) is contraction_module._ZERO
@@ -361,3 +364,28 @@ def test_h_does_not_depend_on_frame_order():
     fresh = Contraction(Difinfty())
     for t in enumerate_monomials(4, 3, min_degree=1, max_degree=2):
         assert fresh.h_monomial(t) == warm.h_monomial(t), repr(t)
+
+
+def test_corrupted_memo_entry_gives_the_element_route_residual():
+    # check_identity sums raw cells; with one memo value made wrong, it must
+    # still equal diff H + H diff - id taken through OperadElements, and be
+    # nonzero exactly on the monomials that read that value, as H(t) or as
+    # H of a monomial of diff(t)
+    op = Difinfty()
+    c = Contraction(op)
+    monomials = enumerate_monomials(4, 3, min_degree=1, max_degree=2)
+    assert c.violations(monomials) == []
+    diffs = {t: op.diff_element(OperadElement.single(t)) for t in monomials}
+    reach = {}
+    for t in monomials:
+        for w in {t.word} | {m.word for m in diffs[t].terms}:
+            reach.setdefault(w, set()).add(t)
+    w = next(w for w, h in c._h.items() if len(reach.get(w, ())) > 2
+             and not op.diff_element(OperadElement.single(h[0])).is_zero())
+    h = c._h[w]
+    c._h[w] = (h[0], h[1], -h[2]) + h[3:]
+    for t in monomials:
+        x = OperadElement.single(t)
+        got = c.check_identity(t)
+        assert got == op.diff_element(c.apply(x)) + c.apply(diffs[t]) - x
+        assert got.is_zero() == (t not in reach[w]), repr(t)

@@ -154,6 +154,17 @@ def test_structure_file_roundtrip():
     assert dump_structure(back) == text
 
 
+def test_structure_weight_as_a_json_number():
+    # a JSON integer is that rational; any other non-string is bad input
+    text = '{"dims": {"0": 1}, "lambda": %s, "bound": 2, "m": {}, "d": {}}'
+    assert load_structure(text % "1").lam == Coefficient.rational(1)
+    assert load_structure(text % '"-1/2"').lam == Coefficient.rational(
+        Fraction(-1, 2))
+    for spec in ("0.5", "null", "[1]", "true"):
+        with pytest.raises(ValueError):
+            load_structure(text % spec)
+
+
 def test_dump_refuses_a_weight_it_cannot_write():
     # a weight of 2L used to be written as its constant term, 0
     s = HdaStructure(GradedSpace({0: 1}), Coefficient.lam(1, 2), 2)
