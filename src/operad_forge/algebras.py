@@ -44,29 +44,31 @@ def scale_vec(c, v: Vec) -> Vec:
     return tuple(c * a for a in v)
 
 
-def vec_is_zero(v: Vec) -> bool:
-    return all(a == 0 for a in v)
+def _table(rows, shape: tuple[int, ...], name: str):
+    """``rows`` as nested tuples of rationals, checked to have ``shape``."""
+    if not isinstance(rows, (list, tuple)) or len(rows) != shape[0]:
+        raise ValueError(f"{name} must be a list of {shape[0]} entries")
+    if len(shape) == 1:
+        return _vec(rows)
+    return tuple(_table(r, shape[1:], f"{name}[{i}]")
+                 for i, r in enumerate(rows))
 
 
-@dataclass(frozen=True)
-class DifAlgebraData:
-    dim: int
-    basis: tuple[str, ...]
-    mult: tuple[tuple[Vec, ...], ...]   # mult[i][j] = e_i * e_j
-    d: tuple[Vec, ...]                  # d[i] = d(e_i)
-    lam: Fraction
+def _basis(basis, dim: int, prefix: str) -> tuple[str, ...]:
+    if basis is None:
+        return tuple(f"{prefix}{i}" for i in range(dim))
+    if len(basis) != dim:
+        raise ValueError(f"basis has {len(basis)} names for dimension {dim}")
+    return tuple(basis)
 
-    @staticmethod
-    def build(mult, d, lam, basis=None) -> "DifAlgebraData":
-        dim = len(mult)
-        if basis is None:
-            basis = tuple(f"e{i}" for i in range(dim))
-        mult_t = tuple(tuple(_vec(mult[i][j]) for j in range(dim))
-                       for i in range(dim))
-        d_t = tuple(_vec(d[i]) for i in range(dim))
-        return DifAlgebraData(dim, tuple(basis), mult_t, d_t, Fraction(lam))
 
-    def product(self, u: Vec, v: Vec) -> Vec:
+class _TableMaps:
+    """The linear and bilinear maps given by tables on the basis, into a
+    space of dimension ``dim``: the algebra's product, the bimodule's
+    actions and both differentials."""
+
+    def _bilinear(self, table, u: Vec, v: Vec) -> Vec:
+        """The map (e_i, e_j) |-> table[i][j] at (u, v)."""
         out = zero_vec(self.dim)
         for i, a in enumerate(u):
             if a == 0:
@@ -74,7 +76,7 @@ class DifAlgebraData:
             for j, b in enumerate(v):
                 if b == 0:
                     continue
-                out = add_vec(out, scale_vec(a * b, self.mult[i][j]))
+                out = add_vec(out, scale_vec(a * b, table[i][j]))
         return out
 
     def apply_d(self, u: Vec) -> Vec:
@@ -86,6 +88,25 @@ class DifAlgebraData:
 
     def unit_vec(self, i: int) -> Vec:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+
+
+@dataclass(frozen=True)
+class DifAlgebraData(_TableMaps):
+    dim: int
+    basis: tuple[str, ...]
+    mult: tuple[tuple[Vec, ...], ...]   # mult[i][j] = e_i * e_j
+    d: tuple[Vec, ...]                  # d[i] = d(e_i)
+    lam: Fraction
+
+    @staticmethod
+    def build(mult, d, lam, basis=None) -> "DifAlgebraData":
+        dim = len(mult)
+        return DifAlgebraData(dim, _basis(basis, dim, "e"),
+                              _table(mult, (dim, dim, dim), "mult"),
+                              _table(d, (dim, dim), "d"), Fraction(lam))
+
+    def product(self, u: Vec, v: Vec) -> Vec:
+        return self._bilinear(self.mult, u, v)
 
 
 def associativity_defects(alg: DifAlgebraData) -> list[tuple[int, int, int]]:
@@ -126,7 +147,7 @@ def is_differential_algebra(alg: DifAlgebraData) -> bool:
 
 
 @dataclass(frozen=True)
-class DifBimoduleData:
+class DifBimoduleData(_TableMaps):
     dim: int
     basis: tuple[str, ...]
     left: tuple[tuple[Vec, ...], ...]    # left[i][x] = e_i . x_x
@@ -136,47 +157,17 @@ class DifBimoduleData:
     @staticmethod
     def build(left, right, d, basis=None) -> "DifBimoduleData":
         dim = len(d)
-        if basis is None:
-            basis = tuple(f"x{i}" for i in range(dim))
         a_dim = len(left)
-        left_t = tuple(tuple(_vec(left[i][x]) for x in range(dim))
-                       for i in range(a_dim))
-        right_t = tuple(tuple(_vec(right[x][i]) for i in range(a_dim))
-                        for x in range(dim))
-        d_t = tuple(_vec(d[x]) for x in range(dim))
-        return DifBimoduleData(dim, tuple(basis), left_t, right_t, d_t)
+        return DifBimoduleData(dim, _basis(basis, dim, "x"),
+                               _table(left, (a_dim, dim, dim), "left"),
+                               _table(right, (dim, a_dim, dim), "right"),
+                               _table(d, (dim, dim), "d"))
 
     def act_left(self, a: Vec, x: Vec) -> Vec:
-        out = zero_vec(self.dim)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cx in enumerate(x):
-                if cx == 0:
-                    continue
-                out = add_vec(out, scale_vec(ca * cx, self.left[i][j]))
-        return out
+        return self._bilinear(self.left, a, x)
 
     def act_right(self, x: Vec, a: Vec) -> Vec:
-        out = zero_vec(self.dim)
-        for j, cx in enumerate(x):
-            if cx == 0:
-                continue
-            for i, ca in enumerate(a):
-                if ca == 0:
-                    continue
-                out = add_vec(out, scale_vec(cx * ca, self.right[j][i]))
-        return out
-
-    def apply_d(self, x: Vec) -> Vec:
-        out = zero_vec(self.dim)
-        for i, c in enumerate(x):
-            if c != 0:
-                out = add_vec(out, scale_vec(c, self.d[i]))
-        return out
-
-    def unit_vec(self, i: int) -> Vec:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+        return self._bilinear(self.right, x, a)
 
 
 def regular_bimodule(alg: DifAlgebraData) -> DifBimoduleData:
@@ -228,13 +219,19 @@ def bimodule_defects(alg: DifAlgebraData, bim: DifBimoduleData) -> list[str]:
 # JSON interchange
 # ---------------------------------------------------------------------------
 
+def _check_dim(declared, dim: int) -> None:
+    if declared != dim:
+        raise ValueError(f"declared dim {declared!r} does not match the "
+                         f"tables, of dimension {dim}")
+
+
 def load_algebra(obj) -> DifAlgebraData:
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
-    dim = obj["dim"]
-    basis = obj.get("basis") or [f"e{i}" for i in range(dim)]
-    return DifAlgebraData.build(obj["mult"], obj["d"], Fraction(obj["lambda"]),
-                                basis)
+    alg = DifAlgebraData.build(obj["mult"], obj["d"], Fraction(obj["lambda"]),
+                               obj.get("basis") or None)
+    _check_dim(obj["dim"], alg.dim)
+    return alg
 
 
 def dump_algebra(alg: DifAlgebraData) -> str:
@@ -251,6 +248,7 @@ def dump_algebra(alg: DifAlgebraData) -> str:
 def load_bimodule(obj) -> DifBimoduleData:
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
-    dim = obj["dim"]
-    basis = obj.get("basis") or [f"x{i}" for i in range(dim)]
-    return DifBimoduleData.build(obj["left"], obj["right"], obj["d"], basis)
+    bim = DifBimoduleData.build(obj["left"], obj["right"], obj["d"],
+                                obj.get("basis") or None)
+    _check_dim(obj["dim"], bim.dim)
+    return bim

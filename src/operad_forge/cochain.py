@@ -31,7 +31,9 @@ from .algebras import (
     DifBimoduleData,
     Vec,
     add_vec,
+    associativity_defects,
     bimodule_defects,
+    leibniz_defects,
     regular_bimodule,
     scale_vec,
 )
@@ -60,23 +62,22 @@ class DaCochain:
 class CochainComplexes:
     """All three differentials for a fixed algebra and bimodule.
 
-    Bimodule axioms are validated eagerly; every theorem below presupposes
-    them and silent bad data is the main failure mode.
+    The algebra and bimodule axioms are validated eagerly; every theorem
+    below presupposes them and silent bad data is the main failure mode.
     """
 
-    def __init__(self, alg: DifAlgebraData, bim: Optional[DifBimoduleData] = None,
-                 validate: bool = True):
+    def __init__(self, alg: DifAlgebraData, bim: Optional[DifBimoduleData] = None):
         self.alg = alg
         self.bim = bim if bim is not None else regular_bimodule(alg)
-        if validate:
-            from .algebras import associativity_defects, leibniz_defects
-
-            problems = [f"algebra: {d}" for d in associativity_defects(alg)]
-            problems += [f"algebra leibniz: {d}" for d in leibniz_defects(alg)]
-            problems += bimodule_defects(alg, self.bim)
-            if problems:
-                raise ValueError("invalid input data:\n  " +
-                                 "\n  ".join(map(str, problems[:10])))
+        if len(self.bim.left) != alg.dim:
+            raise ValueError(f"the bimodule is over an algebra of dimension "
+                             f"{len(self.bim.left)}, not {alg.dim}")
+        problems = [f"algebra: {d}" for d in associativity_defects(alg)]
+        problems += [f"algebra leibniz: {d}" for d in leibniz_defects(alg)]
+        problems += bimodule_defects(alg, self.bim)
+        if problems:
+            raise ValueError("invalid input data:\n  " +
+                             "\n  ".join(map(str, problems[:10])))
         self.vdash_bim = self._shifted_bimodule()
         # by the basis e_k they reach: e_p e_q = c e_k + ..., d(e_a) = c e_k
         r = range(alg.dim)

@@ -27,7 +27,8 @@ so `analyze_effective` finds it again on each occurrence.  `_h_value`
 runs the recursion on an explicit stack of frames; `h_monomial`, `apply`
 and `h_bar` build elements from the memo on demand.  `check_identity`
 sums diff(H t) + H(diff t) - t as raw cells in one dict, the differentials
-through `free_operad.derivation_into`, and makes Coefficients only for a
+through `free_operad.derivation_into` on the operad's one cache of raw
+generator images (`Difinfty.raw_diff`), and makes Coefficients only for a
 nonzero residual.
 """
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import Optional
 
 from .coeffs import Coefficient, Rat
@@ -88,7 +89,6 @@ class Contraction:
         self._typical: dict[Generator, tuple] = {}
         self._h: dict[tuple, tuple] = {}
         self._rationals: dict[Rat, Rat] = {}
-        self._diff = cache(lambda gen: raw_terms(op.diff(gen)))
         self._m2 = gen_id(m_gen(2))
 
     # -- typical shapes ----------------------------------------------------
@@ -266,10 +266,10 @@ class Contraction:
         iff the contraction identity holds."""
         h = self._h_value(t)
         acc: dict[tuple, Rat] = {(t, 0): -1}
-        derivation_into(acc, self._diff, (
+        derivation_into(acc, self.op.raw_diff, (
             (h[i], ((h[i + 1], h[i + 2]),)) for i in range(0, len(h), 3)))
         dt: dict[tuple, Rat] = {}
-        derivation_into(dt, self._diff, ((t, ((0, 1),)),))
+        derivation_into(dt, self.op.raw_diff, ((t, ((0, 1),)),))
         for (m, e), v in dt.items():
             if v:
                 _add_scaled(acc, self._h_value(m), e, v)

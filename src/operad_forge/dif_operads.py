@@ -22,16 +22,18 @@ from __future__ import annotations
 
 import itertools
 import os
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional, Sequence
 
-from .coeffs import Coefficient, LAMBDA, add_into, compositions, sign_coeff
+from .coeffs import (Coefficient, LAMBDA, Rat, add_into, compositions,
+                     sign_coeff)
 from .free_operad import (
     OperadElement,
     TreeMonomial,
     compose_monomials,
-    extend_derivation,
+    derivation_into,
     partial_compose,
+    raw_terms,
     replace_region,
 )
 from .trees import Generator, gen_id, subtree_end
@@ -77,12 +79,16 @@ class Difinfty:
     """The dg operad of homotopy weighted differential algebras.
 
     `lam` is the weight: the generic polynomial variable by default, or any
-    rational constant via Coefficient.rational.
+    rational constant via Coefficient.rational.  `raw_diff(gen)`, the one
+    raw form of the images, is `raw_terms(diff(gen))` converted once; it
+    is a `functools.cache`, so the lookup `derivation_into` makes per
+    vertex (for `diff_element` and the contraction) makes no Python call.
     """
 
     def __init__(self, lam: Coefficient = LAMBDA):
         self.lam = lam
         self._diff_cache: dict[Generator, OperadElement] = {}
+        self.raw_diff = cache(lambda gen: raw_terms(self.diff(gen)))
 
     def diff(self, gen: Generator) -> OperadElement:
         cached = self._diff_cache.get(gen)
@@ -135,13 +141,10 @@ class Difinfty:
                         add_into(acc, t, lam_q * sign_coeff(xi + 1))
         return OperadElement(acc)
 
-    def _images_for(self, x: OperadElement) -> dict[Generator, OperadElement]:
-        return {g: self.diff(g) for t in x.terms for g in t.gens}
-
     def diff_element(self, x: OperadElement) -> OperadElement:
-        if x.is_zero():
-            return x
-        return extend_derivation(self._images_for(x), x)
+        acc: dict[tuple, Rat] = {}
+        derivation_into(acc, self.raw_diff, raw_terms(x))
+        return OperadElement.from_cells(acc.items())
 
     def check_d_square(self, max_arity: int) -> list[tuple[str, OperadElement]]:
         """Residuals of diff(diff(gen)) for every generator up to max_arity.
@@ -263,9 +266,6 @@ class DifRewriter:
             raise ValueError("rewriting only applies to degree-0 elements")
         return OperadElement.sum((c, self.normalize_monomial(t))
                                  for t, c in x.terms.items())
-
-    def is_normal_form(self, t: TreeMonomial) -> bool:
-        return not self.find_redexes(t)
 
 
 def project_p(x: OperadElement, rewriter: DifRewriter) -> OperadElement:

@@ -101,18 +101,10 @@ def _leibniz_rhs_terms(n: int) -> Iterator[tuple[int, int, tuple, tuple]]:
             l_total = n - free
             if l_total < q:
                 continue
-            for js in _weak_compositions(free, q + 1):
+            for shifted in compositions(free + q + 1, q + 1):
+                js = tuple(j - 1 for j in shifted)   # each j_r >= 0
                 for ls in compositions(l_total, q):
                     yield q, p, ls, js
-
-
-def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def eta_sign_exponent(ls: tuple[int, ...], js: tuple[int, ...]) -> int:
@@ -120,17 +112,6 @@ def eta_sign_exponent(ls: tuple[int, ...], js: tuple[int, ...]) -> int:
     q = len(ls)
     return sum((ls[k] - 1) * (q - (k + 1) + sum(js[k + 1:]))
                for k in range(q))
-
-
-def eta_sign_exponent_long(n: int, p: int, ls: tuple[int, ...],
-                           js: tuple[int, ...]) -> int:
-    """The unsimplified eta, kept as an independent cross-check."""
-    q = len(ls)
-    out = n * (n - 1) // 2 + p * (p - 1) // 2
-    out += sum(l * (l - 1) // 2 for l in ls)
-    out += sum((ls[k] - 1) * (sum(js[: k + 1]) + sum(ls[:k]))
-               for k in range(q))
-    return out
 
 
 def weighted_leibniz_residual(s: HdaStructure, n: int) -> MultiMap:

@@ -20,12 +20,15 @@ from operad_forge.algebras import (
     Vec,
     add_vec,
     scale_vec,
-    vec_is_zero,
     zero_vec,
 )
 from operad_forge.cochain import CochainComplexes, DaCochain, Table
 
 Dense = dict[tuple, Vec]     # {basis tuple: coordinate vector}
+
+
+def vec_is_zero(v: Vec) -> bool:
+    return all(a == 0 for a in v)
 
 
 def to_rows(table: Dense) -> Table:

@@ -242,10 +242,10 @@ def test_acceptance_09_hda_correspondence():
         _leibniz_rhs_terms,
         embed_algebra,
         eta_sign_exponent,
-        eta_sign_exponent_long,
         mc_equivalence_report,
         random_structure,
     )
+    from oracles import eta_sign_exponent_long
 
     ok = True
     rng = random.Random(99)

@@ -318,3 +318,62 @@ def test_rewrite_limit_exits_two_naming_the_bound(tmp_path, monkeypatch,
         [{"coeff": "1", "tree": "(d1 (m2 (m2 _ _) _))"}]))
     assert main(["dif", "normalize", "--in", str(path)]) == 2
     assert "OPERAD_FORGE_MAX_STEPS" in capsys.readouterr().err
+
+
+def two_dim_files():
+    """The JSON of TWO_DIM (diagonal, d = -id, L = 1) and of its regular
+    bimodule, as dicts to be broken one entry at a time."""
+    alg = json.loads(dump_algebra(DifAlgebraData.build(
+        [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [[-1, 0], [0, -1]], 1)))
+    bim = {"dim": 2, "left": alg["mult"], "right": alg["mult"], "d": alg["d"]}
+    return alg, bim
+
+
+def malformed(case):
+    alg, bim = two_dim_files()
+    if case == "mult row of one entry":
+        alg["mult"][1] = alg["mult"][1][:1]
+    elif case == "d row of length 1":
+        alg["d"][1] = alg["d"][1][:1]
+    elif case == "algebra dim 3 over 2 x 2 tables":
+        alg["dim"] = 3
+    elif case == "bimodule dim 5":
+        bim["dim"] = 5
+    elif case == "dim-1 bimodule over a dim-2 algebra":
+        bim = {"dim": 1, "left": [[["1"]]], "right": [[["1"]]], "d": [["0"]]}
+    return alg, bim
+
+
+@pytest.mark.parametrize("case, command", [
+    ("mult row of one entry", "mc check"),
+    ("mult row of one entry", "mc twist-compare"),
+    ("mult row of one entry", "cohomology compute"),
+    ("d row of length 1", "mc check"),
+    ("algebra dim 3 over 2 x 2 tables", "mc check"),
+    ("bimodule dim 5", "cohomology compute"),
+    ("dim-1 bimodule over a dim-2 algebra", "cohomology compute"),
+])
+def test_malformed_algebra_or_bimodule_file_exits_two(case, command, tmp_path,
+                                                      capsys):
+    alg, bim = malformed(case)
+    alg_path, bim_path = tmp_path / "alg.json", tmp_path / "bim.json"
+    alg_path.write_text(json.dumps(alg))
+    bim_path.write_text(json.dumps(bim))
+    argv = command.split() + ["--algebra", str(alg_path)]
+    if command == "cohomology compute":
+        argv += ["--bimodule", str(bim_path), "--max-level", "1"]
+    elif command == "mc twist-compare":
+        argv += ["--max-arity", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_well_formed_two_dim_files_pass(tmp_path):
+    # the files the malformed cases start from, unbroken
+    alg, bim = two_dim_files()
+    alg_path, bim_path = tmp_path / "alg.json", tmp_path / "bim.json"
+    alg_path.write_text(json.dumps(alg))
+    bim_path.write_text(json.dumps(bim))
+    assert main(["mc", "check", "--algebra", str(alg_path)]) == 0
+    assert main(["cohomology", "compute", "--algebra", str(alg_path),
+                 "--bimodule", str(bim_path), "--max-level", "1"]) == 0

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from operad_forge.algebras import (
     bimodule_defects,
     dump_algebra,
     load_algebra,
+    load_bimodule,
+    regular_bimodule,
 )
 from operad_forge.cochain import (
     CochainComplexes,
@@ -392,3 +395,83 @@ def test_frontier_level_five_and_d_squared(alg, dims):
         assert len(columns[n + 1]) == cx.da_dim(n + 1)
         assert all(i < cx.da_dim(n + 1) for col in columns[n] for i in col)
         assert _composes_to_zero(columns[n + 1], columns[n])
+
+
+# -- the table actions and the shapes of the input tables -------------------
+
+TABLE_ALGEBRAS = {name: alg for name, (alg, _) in ORACLE_CASES.items()}
+TABLE_ALGEBRAS.update({
+    f"one dim, d = 0, L = {lam}": DifAlgebraData.build([[[1]]], [[0]], lam)
+    for lam in (0, 2, 3, 5)})
+TABLE_ALGEBRAS["one dim, product 0, d = id"] = DifAlgebraData.build(
+    [[[0]]], [[1]], 0)
+# not associative, and e_0 e_1 != e_1 e_0
+TABLE_ALGEBRAS["noncommutative invalid"] = DifAlgebraData.build(
+    [[[0, 1], [0, 0]], [[1, 0], [0, 1]]], [[0, 0], [0, 0]], 1)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ALGEBRAS))
+def test_regular_bimodule_acts_by_the_product(name):
+    alg = TABLE_ALGEBRAS[name]
+    bim = regular_bimodule(alg)
+    r = range(alg.dim)
+    rng = random.Random(name)
+    vectors = [alg.unit_vec(i) for i in r] + [
+        tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in r)
+        for _ in range(4)]
+    for u in vectors:
+        assert bim.apply_d(u) == alg.apply_d(u) == tuple(
+            sum(u[i] * alg.d[i][k] for i in r) for k in r)
+        for v in vectors:
+            want = alg.product(u, v)
+            assert want == tuple(sum(u[i] * v[j] * alg.mult[i][j][k]
+                                     for i in r for j in r) for k in r)
+            assert bim.act_left(u, v) == want
+            assert bim.act_right(u, v) == want
+
+
+@pytest.mark.parametrize("mult, d, basis", [
+    ([[[1, 0], [0, 0]]], [[0, 0], [0, 0]], None),   # d longer than mult
+    ([[[1, 0]], [[0, 0], [0, 1]]], [[0, 0], [0, 0]], None),
+    ([[[1, 0], [0]], [[0, 0], [0, 1]]], [[0, 0], [0, 0]], None),
+    ([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [[0, 0], [0]], None),
+    ([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [[0, 0]], None),
+    ([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [[0, 0], [0, 0]], ["e"]),
+    ([[[1, 0], [0, 0]], [[0, 0], "01"]], [[0, 0], [0, 0]], None),
+])
+def test_algebra_tables_of_the_wrong_shape_are_refused(mult, d, basis):
+    with pytest.raises(ValueError):
+        DifAlgebraData.build(mult, d, 1, basis)
+
+
+@pytest.mark.parametrize("left, right, d, basis", [
+    ([[[1]], [[1]]], [[[1]]], [[0]], None),   # right row too short
+    ([[[1]], [[1, 0]]], [[[1], [1]]], [[0]], None),   # left vector too long
+    ([[[1]], [[1]]], [[[1], [1]], [[1], [1]]], [[0]], None),
+    ([[[1]], [[1]]], [[[1], [1]]], [[0, 0]], None),
+    ([[[1]], [[1]]], [[[1], [1]]], [[0]], ["x", "y"]),
+])
+def test_bimodule_tables_of_the_wrong_shape_are_refused(left, right, d,
+                                                        basis):
+    DifBimoduleData.build([[[1]], [[1]]], [[[1], [1]]], [[0]])   # well formed
+    with pytest.raises(ValueError):
+        DifBimoduleData.build(left, right, d, basis)
+
+
+def test_declared_dims_must_match_the_tables():
+    alg = json.loads(dump_algebra(TWO_DIM))
+    bim = {"dim": 2, "basis": alg["basis"], "left": alg["mult"],
+           "right": alg["mult"], "d": alg["d"]}
+    assert load_algebra(alg) == TWO_DIM
+    assert load_bimodule(bim) == regular_bimodule(TWO_DIM)
+    for obj, load in ((alg, load_algebra), (bim, load_bimodule)):
+        for dim in (1, 3, "2"):
+            with pytest.raises(ValueError):
+                load(dict(obj, dim=dim))
+
+
+def test_bimodule_over_an_algebra_of_another_dimension_is_refused():
+    bim = regular_bimodule(IDEMPOTENT)
+    assert not bimodule_defects(IDEMPOTENT, bim)
+    with pytest.raises(ValueError, match="dimension 1, not 2"):
+        CochainComplexes(TWO_DIM, bim)

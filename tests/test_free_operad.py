@@ -27,7 +27,7 @@ from operad_forge.free_operad import (
     region_splicer,
     replace_region,
 )
-from operad_forge.trees import (
+from oracles import (
     Divisor,
     contract,
     divisor_subtree,

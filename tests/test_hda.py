@@ -13,7 +13,6 @@ from operad_forge.hda import (
     dump_structure,
     embed_algebra,
     eta_sign_exponent,
-    eta_sign_exponent_long,
     from_br,
     homology_descent,
     load_structure,
@@ -26,6 +25,7 @@ from operad_forge.hda import (
 )
 from operad_forge.hom_complex import GradedSpace, MultiMap
 from operad_forge.linf import random_multimap
+from oracles import eta_sign_exponent_long
 
 ONE = Coefficient.one()
 

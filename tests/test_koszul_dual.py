@@ -137,7 +137,7 @@ def test_shape_monomial_words_match_nested_grafting():
     # the old definition: graft the upper corollas into the root one by one
     from operad_forge.free_operad import TreeMonomial
     from operad_forge.koszul_dual import _shape_monomial, mu_gen, nu_gen
-    from operad_forge.trees import corolla, graft
+    from oracles import corolla, graft
 
     def grafted(shape, gens):
         if isinstance(shape, TypeI):

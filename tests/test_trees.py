@@ -6,21 +6,23 @@ from operad_forge.dif_operads import d_gen, enumerate_monomials, m_gen
 from operad_forge.formats import parse_tree
 from operad_forge.free_operad import TreeMonomial
 from operad_forge.trees import (
-    Divisor,
     ForeignGeneratorError,
     Generator,
+    decode,
+    encode,
+    subtree_end,
+)
+from oracles import (
+    Divisor,
     contract,
     corolla,
-    decode,
     divisor_subtree,
-    encode,
     graft,
     monomial_order_key,
     node_arity,
     node_weight,
     path_sequence,
     sigma_permutation,
-    subtree_end,
     vertex_labels,
 )
 
@@ -102,7 +104,7 @@ def test_sigma_interleaved():
 def test_sigma_prefix_identity_property():
     for t in enumerate_monomials(4, 4):
         n = t.weight
-        from operad_forge.trees import _parents
+        from oracles import _parents
 
         parents = _parents(t.node)
         for root in range(n):
