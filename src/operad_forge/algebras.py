@@ -1,15 +1,17 @@
 """Concrete finite-dimensional algebra and bimodule data.
 
-All tables hold exact rationals.  Axioms are never assumed: the checkers
-below are the independent oracles against which the operadic machinery is
-validated.
+All tables and the weight hold exact rationals, as `coeffs.normalize`
+gives them: an int where the value is integral, a Fraction otherwise,
+never a float.  Axioms are never assumed: the checkers below are the
+independent oracles against which the operadic machinery is validated.
 
 JSON formats:
 
 algebra:  {"dim": n, "basis": ["e", ...], "mult": [[[q,...],...],...],
            "d": [[q,...],...], "lambda": "1"}
     mult[i][j][k] = coefficient of basis k in e_i * e_j, d[i][k] likewise,
-    entries are rational strings.
+    entries are integers or rational strings; a float, a boolean or null
+    is refused.
 
 bimodule: {"dim": m, "basis": [...], "left": [[[q,...],...],...],
            "right": [[[q,...],...],...], "d": [[q,...],...]}
@@ -21,26 +23,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-Vec = tuple[Fraction, ...]
+from .coeffs import Rat, normalize
+
+Vec = tuple[Rat, ...]   # int where integral, else Fraction
 
 
 def _vec(entries: Sequence) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(map(normalize, entries))
 
 
 def zero_vec(dim: int) -> Vec:
-    return (Fraction(0),) * dim
+    return (0,) * dim
 
 
 def add_vec(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def scale_vec(c, v: Vec) -> Vec:
-    c = Fraction(c)
+def scale_vec(c: Rat, v: Vec) -> Vec:
     return tuple(c * a for a in v)
 
 
@@ -87,7 +89,7 @@ class _TableMaps:
         return out
 
     def unit_vec(self, i: int) -> Vec:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+        return tuple(1 if j == i else 0 for j in range(self.dim))
 
 
 @dataclass(frozen=True)
@@ -96,14 +98,14 @@ class DifAlgebraData(_TableMaps):
     basis: tuple[str, ...]
     mult: tuple[tuple[Vec, ...], ...]   # mult[i][j] = e_i * e_j
     d: tuple[Vec, ...]                  # d[i] = d(e_i)
-    lam: Fraction
+    lam: Rat
 
     @staticmethod
     def build(mult, d, lam, basis=None) -> "DifAlgebraData":
         dim = len(mult)
         return DifAlgebraData(dim, _basis(basis, dim, "e"),
                               _table(mult, (dim, dim, dim), "mult"),
-                              _table(d, (dim, dim), "d"), Fraction(lam))
+                              _table(d, (dim, dim), "d"), normalize(lam))
 
     def product(self, u: Vec, v: Vec) -> Vec:
         return self._bilinear(self.mult, u, v)
@@ -228,7 +230,7 @@ def _check_dim(declared, dim: int) -> None:
 def load_algebra(obj) -> DifAlgebraData:
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
-    alg = DifAlgebraData.build(obj["mult"], obj["d"], Fraction(obj["lambda"]),
+    alg = DifAlgebraData.build(obj["mult"], obj["d"], obj["lambda"],
                                obj.get("basis") or None)
     _check_dim(obj["dim"], alg.dim)
     return alg

@@ -8,7 +8,10 @@ complex, and exact cohomology ranks over Q by sparse exact elimination
 A level-n cochain in the total complex is a pair (f, g): f is an n-linear
 map A^n -> M, g an (n-1)-linear map (absent at level 0).  A table is a dict
 of sparse rows, {basis tuple of A: {basis index of M: coefficient}}, with
-no zeros stored.
+no zeros stored.  A coefficient is an int or a Fraction, never a float:
+the algebra's tables and weight hold ints wherever they are integral (see
+`algebras`), so on an integral algebra the differentials and `echelon`
+run in integer arithmetic until a pivot other than +-1 divides.
 
 The differentials are evaluated entry by entry, in push form: each entry
 (key, x, c) is sent, through the nonzero structure constants, to the output
@@ -37,14 +40,12 @@ from .algebras import (
     regular_bimodule,
     scale_vec,
 )
-from .coeffs import add_into
+from .coeffs import Rat, add_into
 
-Table = dict[tuple, dict[int, Fraction]]   # sparse rows, as above
-
-_ONE = Fraction(1)
+Table = dict[tuple, dict[int, Rat]]   # sparse rows, as above
 
 
-def _nonzero(vec: Vec) -> tuple[tuple[int, Fraction], ...]:
+def _nonzero(vec: Vec) -> tuple[tuple[int, Rat], ...]:
     """The (index, coefficient) pairs of the nonzero coordinates."""
     return tuple((i, c) for i, c in enumerate(vec) if c)
 
@@ -188,14 +189,14 @@ class CochainComplexes:
         out = []
         for key in itertools.product(range(dim_a), repeat=n):
             for x in range(dim_m):
-                out.append(DaCochain(n, {key: {x: _ONE}}, {} if n else None))
+                out.append(DaCochain(n, {key: {x: 1}}, {} if n else None))
         if n >= 1:
             for key in itertools.product(range(dim_a), repeat=n - 1):
                 for x in range(dim_m):
-                    out.append(DaCochain(n, {}, {key: {x: _ONE}}))
+                    out.append(DaCochain(n, {}, {key: {x: 1}}))
         return out
 
-    def _coords(self, x: DaCochain) -> dict[int, Fraction]:
+    def _coords(self, x: DaCochain) -> dict[int, Rat]:
         """The sparse coordinates of x in the order of `_da_basis`: a key's
         index is its mixed-radix rank in `itertools.product` order, and the
         g part follows the alg_dim(level) slots of the f part."""
@@ -210,7 +211,7 @@ class CochainComplexes:
                     coords[offset + index * dim_m + t] = c
         return coords
 
-    def da_matrix(self, n: int) -> list[dict[int, Fraction]]:
+    def da_matrix(self, n: int) -> list[dict[int, Rat]]:
         """The level-n total differential as the sparse images of the basis
         cochains, in basis order: column j is {row index: entry}."""
         return [self._coords(self.da_diff(b)) for b in self._da_basis(n)]
@@ -239,14 +240,16 @@ class CochainComplexes:
 # Exact ranks
 # ---------------------------------------------------------------------------
 
-def echelon(rows) -> list[tuple[int, dict[int, Fraction]]]:
+def echelon(rows) -> list[tuple[int, dict[int, Rat]]]:
     """Gaussian elimination on sparse rational rows {column: value}.
 
     Returns the pivots, as (column, row) with the row reduced against the
     earlier pivots and scaled to 1 at its column, so that their number is
-    the rank.
+    the rank.  A row whose pivot is 1 is kept and one whose pivot is -1
+    negated, so integer rows stay integer; any other row is divided
+    through a Fraction, never by int / int.
     """
-    pivots: list[tuple[int, dict[int, Fraction]]] = []
+    pivots: list[tuple[int, dict[int, Rat]]] = []
     for row in rows:
         row = dict(row)
         for pc, prow in pivots:
@@ -257,7 +260,12 @@ def echelon(rows) -> list[tuple[int, dict[int, Fraction]]]:
         if row:
             pc = min(row)
             scale = row[pc]
-            pivots.append((pc, {c: val / scale for c, val in row.items()}))
+            if scale == -1:
+                row = {c: -val for c, val in row.items()}
+            elif scale != 1:
+                scale = Fraction(scale)
+                row = {c: val / scale for c, val in row.items()}
+            pivots.append((pc, row))
     return pivots
 
 

@@ -15,10 +15,22 @@ from typing import Iterable, Mapping, Sequence, Union
 Rat = Union[int, Fraction]
 
 
-def _normalize_value(v: Rat) -> Rat:
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
+def normalize(v: "Rat | str") -> Rat:
+    """The exact scalar ``v``: an int where it is integral, else a Fraction.
+
+    An int (not a bool), a Fraction or a rational string is accepted;
+    anything else, a float included, is a ValueError.
+    """
+    if type(v) is int:
+        return v
+    if type(v) is Fraction:
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, str):
+        try:
+            return normalize(Fraction(v))
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"{v!r} is not an exact rational")
 
 
 class Coefficient:
@@ -34,10 +46,11 @@ class Coefficient:
         c: dict[int, Rat] = {}
         if coeffs:
             for e, v in coeffs.items():
+                v = normalize(v)
                 if v:
                     if e < 0:
                         raise ValueError("negative power of L")
-                    c[int(e)] = _normalize_value(v)
+                    c[int(e)] = v
         self._c = c
 
     @staticmethod
@@ -76,7 +89,7 @@ class Coefficient:
         for e, v in other._c.items():
             w = c.get(e, 0) + v
             if w:
-                c[e] = _normalize_value(w)
+                c[e] = normalize(w)
             else:
                 c.pop(e, None)
         out = Coefficient.__new__(Coefficient)
@@ -104,7 +117,7 @@ class Coefficient:
             elif vb == -1:
                 c = {ea + eb: -va for ea, va in a.items()}
             else:
-                c = {ea + eb: _normalize_value(va * vb) for ea, va in a.items()}
+                c = {ea + eb: normalize(va * vb) for ea, va in a.items()}
             out = Coefficient.__new__(Coefficient)
             out._c = c
             return out
@@ -118,7 +131,7 @@ class Coefficient:
                 else:
                     c.pop(e, None)
         out = Coefficient.__new__(Coefficient)
-        out._c = {e: _normalize_value(v) for e, v in c.items()}
+        out._c = {e: normalize(v) for e, v in c.items()}
         return out
 
     __rmul__ = __mul__
@@ -138,7 +151,7 @@ class Coefficient:
         if v == 1:
             return self
         out = Coefficient.__new__(Coefficient)
-        out._c = {e: _normalize_value(w * v) for e, w in self._c.items()}
+        out._c = {e: normalize(w * v) for e, w in self._c.items()}
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -157,8 +170,8 @@ class Coefficient:
             acc += Fraction(v) * lam**e
         return acc
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self._c.get(0, 0))
+    def constant_term(self) -> Rat:
+        return self._c.get(0, 0)
 
     def __repr__(self) -> str:
         return f"Coefficient({format_coefficient(self)!r})"
@@ -234,18 +247,12 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
-def parse_weight(spec: "str | int") -> Coefficient:
-    """The weight named by ``spec``: "generic" for L, else a rational, as a
-    string or an int (a JSON integer); anything else is a ValueError."""
+def parse_weight(spec: "str | Rat") -> Coefficient:
+    """The weight named by ``spec``: "generic" for L, else a rational that
+    `normalize` accepts; anything else is a ValueError."""
     if spec == "generic":
         return LAMBDA
-    if type(spec) is not int and not isinstance(spec, str):
-        raise ValueError(f"weight {spec!r} is neither a string nor an integer")
-    return Coefficient.rational(parse_rational(str(spec)))
+    return Coefficient.rational(normalize(spec))
 
 
 def format_weight(lam: Coefficient) -> str:

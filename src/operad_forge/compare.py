@@ -13,7 +13,6 @@ is the operator differential.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .algebras import DifAlgebraData
 from .cochain import CochainComplexes, DaCochain
@@ -77,7 +76,7 @@ def do_twist_mismatches(alg: DifAlgebraData, max_level: int) -> list[str]:
     for n in range(1, max_level + 1):
         for key in itertools.product(range(alg.dim), repeat=n):
             for x in range(alg.dim):
-                unit = {key: {x: Fraction(1)}}
+                unit = {key: {x: 1}}
                 g = iso2_up(table_to_multimap(alg, unit, n))
                 lhs = multimap_to_table(alg, iso2_down(dgla.twisted_l1(tau, g)))
                 if lhs != cx.do_diff(n, unit):

@@ -23,12 +23,11 @@ equivalence checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .algebras import DifAlgebraData
 from .cochain import echelon
-from .coeffs import (Coefficient, add_into, compositions, format_weight,
+from .coeffs import (Coefficient, Rat, add_into, compositions, format_weight,
                      parse_weight)
 from .hom_complex import (
     GradedSpace,
@@ -326,23 +325,22 @@ def homology_descent(s: HdaStructure) -> dict:
     v = s.space
 
     def as_matrix(mm: Optional[MultiMap]) -> dict:
-        cols: dict[int, dict[int, Fraction]] = {}
+        cols: dict[int, dict[int, Rat]] = {}
         if mm is None:
             return cols
         for (i,), out in mm.table.items():
             col = cols.setdefault(i, {})
             for b, c in out.items():
-                cc = c.coeffs
-                if set(cc) - {0}:
+                if set(c.coeffs) - {0}:
                     raise ValueError("homology descent needs constant tables")
-                col[b] = Fraction(cc.get(0, 0))
+                col[b] = c.constant_term()
         return cols
 
     m1_cols = as_matrix(s.m_at(1))
     d1_cols = as_matrix(s.d_at(1))
 
-    def apply_cols(cols, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def apply_cols(cols, vec: dict[int, Rat]) -> dict[int, Rat]:
+        out: dict[int, Rat] = {}
         for i, c in vec.items():
             for b, w in cols.get(i, {}).items():
                 add_into(out, b, c * w)
@@ -355,12 +353,12 @@ def homology_descent(s: HdaStructure) -> dict:
         r = rank(span)
         return all(rank(span + [apply_cols(d1_cols, x)]) == r for x in span)
 
-    m1_rows: dict[int, dict[int, Fraction]] = {}
+    m1_rows: dict[int, dict[int, Rat]] = {}
     for i, col in m1_cols.items():
         for b, c in col.items():
             m1_rows.setdefault(b, {})[i] = c
     cycles = _kernel(echelon(m1_rows.values()), v.dim())
-    boundaries = [apply_cols(m1_cols, {i: Fraction(1)}) for i in v.basis()]
+    boundaries = [apply_cols(m1_cols, {i: 1}) for i in v.basis()]
     return {"cycles_preserved": preserved(cycles),
             "boundaries_preserved": preserved(boundaries),
             "homology_dim": len(cycles) - rank(boundaries)}
@@ -375,7 +373,7 @@ def _kernel(pivots, ncols: int) -> list[dict]:
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        vec = {free: Fraction(1)}
+        vec = {free: 1}
         for pc, prow in reversed(pivots):
             val = -sum(prow.get(c, 0) * x for c, x in vec.items())
             if val:

@@ -41,7 +41,7 @@ from math import factorial
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebras import DifAlgebraData
-from .coeffs import (Coefficient, LAMBDA, add_into, as_coefficient,
+from .coeffs import (Coefficient, LAMBDA, Rat, add_into, as_coefficient,
                      chi_sign, shuffles, unit_sign)
 from .hom_complex import (
     GradedSpace,
@@ -421,7 +421,7 @@ def mc_from_algebra(alg: DifAlgebraData) -> tuple[GradedSpace, CdaElement]:
 
 
 def algebra_from_mc(space: GradedSpace, alpha: CdaElement,
-                    lam: Fraction) -> DifAlgebraData:
+                    lam: Rat) -> DifAlgebraData:
     """Inverse of mc_from_algebra on degree-0 spaces."""
     if set(space.dims) - {0}:
         raise ValueError("only degree-0 spaces translate to plain algebras")
@@ -501,16 +501,21 @@ def concat_product(alg: DifAlgebraData, a: MultiMap, b: MultiMap,
     """(a . b)(x_1..x_{n+k}) = +-L a(x_1..x_n) b(x_{n+1}..), multiplied in
     the algebra, for plain degree-0 cochains."""
     space = algebra_space(alg)
+    signed = -lam if sign_exp % 2 else lam
+    # e_ia e_ib = sum_t pc e_t, with each pc multiplied by +-L once
+    products = [[[(t, signed * pc) for t, pc in enumerate(vec) if pc]
+                 for vec in row] for row in alg.mult]
     table: dict[tuple, dict[int, Coefficient]] = {}
     for ka, outa in a.table.items():
         for kb, outb in b.table.items():
             row: dict[int, Coefficient] = {}
             for ia, ca in outa.items():
                 for ib, cb in outb.items():
-                    for t, pc in enumerate(alg.mult[ia][ib]):
-                        if pc:
-                            c = ca * cb * Coefficient.rational(pc) * lam
-                            add_into(row, t, -c if sign_exp % 2 else c)
+                    terms = products[ia][ib]
+                    if terms:
+                        cab = ca * cb
+                        for t, c in terms:
+                            add_into(row, t, cab * c)
             add_into(table, ka + kb, row)
     return MultiMap(space, space, a.arity + b.arity, 0, table, check=False)
 

@@ -341,6 +341,8 @@ def malformed(case):
         bim["dim"] = 5
     elif case == "dim-1 bimodule over a dim-2 algebra":
         bim = {"dim": 1, "left": [[["1"]]], "right": [[["1"]]], "d": [["0"]]}
+    elif case == "float lambda":
+        alg["lambda"] = 0.5
     return alg, bim
 
 
@@ -352,6 +354,7 @@ def malformed(case):
     ("algebra dim 3 over 2 x 2 tables", "mc check"),
     ("bimodule dim 5", "cohomology compute"),
     ("dim-1 bimodule over a dim-2 algebra", "cohomology compute"),
+    ("float lambda", "cohomology compute"),
 ])
 def test_malformed_algebra_or_bimodule_file_exits_two(case, command, tmp_path,
                                                       capsys):
@@ -377,3 +380,30 @@ def test_well_formed_two_dim_files_pass(tmp_path):
     assert main(["mc", "check", "--algebra", str(alg_path)]) == 0
     assert main(["cohomology", "compute", "--algebra", str(alg_path),
                  "--bimodule", str(bim_path), "--max-level", "1"]) == 0
+
+
+def test_integral_rational_strings_load_and_report_as_integers(tmp_path):
+    # the same algebra with its entries 1 and -2 written as "2/2" and
+    # "-4/2": equal tables of ints, and the same report byte for byte
+    from operad_forge.algebras import load_algebra
+
+    ints = {"dim": 2, "mult": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+            "d": [[-2, 0], [0, -2]], "lambda": "1/2"}
+    strings = json.loads(json.dumps(ints).replace("1]", '"2/2"]').replace(
+        "-2", '"-4/2"'))
+    assert strings["mult"][1][1] == [0, "2/2"]
+    assert strings["d"][0] == ["-4/2", 0]
+    path, out = tmp_path / "alg.json", tmp_path / "report.json"
+    reports, tables = [], []
+    for obj in (ints, strings):
+        alg = load_algebra(json.dumps(obj))
+        tables.append((alg.mult, alg.d, alg.lam))
+        assert {type(c) for vec in alg.d for c in vec} == {int}
+        assert {type(c) for row in alg.mult for vec in row
+                for c in vec} == {int}
+        path.write_text(json.dumps(obj))
+        assert main(["cohomology", "compute", "--algebra", str(path),
+                     "--max-level", "3", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    assert reports[0] == reports[1]

@@ -192,9 +192,15 @@ def test_invalid_data_rejected():
 
 
 def rank_sparse(matrix) -> int:
-    """Rank over Q by `echelon` on the nonzero entries of each row."""
-    return len(echelon({c: x for c, x in enumerate(row) if x}
-                       for row in matrix))
+    """Rank over Q by `echelon` on the nonzero entries of each row; each
+    pivot row must read exactly 1 at its column (`hda._kernel` relies on
+    it) and hold no float."""
+    pivots = echelon({c: x for c, x in enumerate(row) if x}
+                     for row in matrix)
+    for pc, prow in pivots:
+        assert prow[pc] == 1
+        assert all(type(x) in (int, Fraction) for x in prow.values())
+    return len(pivots)
 
 
 def test_rank_routines_agree_on_random_matrices():
@@ -224,18 +230,71 @@ def test_rank_routines_agree_on_random_matrices():
                           for j in range(ncols)])
             rng.shuffle(m)
             matrices.append(m)
+    # integer matrices, with pivots 1, -1 and others
+    matrices += [[[1, -2, 3]], [[-1, 2, -3]], [[-1, 4], [3, -1]],
+                 [[2, 4, -6]], [[3, 1], [6, 5]], [[0, -1, 2], [5, 0, 1]]]
+    rng = random.Random(9)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        m = [[rng.choice([0, 0, 1, -1, 2, -3, 7]) for _ in range(ncols)]
+             for _ in range(nrows)]
+        for _ in range(rng.randint(0, 3)):   # integer combinations
+            a, b = rng.choice(m), rng.choice(m)
+            k = rng.choice([-2, -1, 1, 3])
+            m.append([x + k * y for x, y in zip(a, b)])
+        rng.shuffle(m)
+        matrices.append(m)
     deficient = 0
     for m in matrices:
         transpose = [list(col) for col in zip(*m)]
         rank = rank_dense_oracle(m)
         assert rank_sparse(m) == rank_sparse(transpose) == rank
         deficient += rank < min(len(m), len(m[0]))
-    assert deficient >= 20
+    assert deficient >= 20 + 14   # rational cases + integer ones
+    # a pivot of -1 keeps an integer row integral; a pivot of 2 divides
+    # it through a Fraction
+    (_, unit), = echelon([{0: -1, 1: 2, 2: -3}])
+    assert unit == {0: 1, 1: -2, 2: 3}
+    assert all(type(x) is int for x in unit.values())
+    (_, halved), = echelon([{1: 2, 2: 3}])
+    assert halved == {1: 1, 2: Fraction(3, 2)}
+    assert all(type(x) is Fraction for x in halved.values())
 
 
 def test_algebra_json_roundtrip():
     text = dump_algebra(TWO_DIM)
     assert load_algebra(text) == TWO_DIM
+
+
+@pytest.mark.parametrize("bad", ["0.5", "1.0", "null", "true", '"1/0"',
+                                 '"x"'])
+@pytest.mark.parametrize("field", ["mult", "d", "lambda"])
+def test_algebra_files_with_inexact_scalars_are_refused(field, bad):
+    # a float would load as its binary value, 0.1 as 3602879701896397/2^55
+    obj = json.loads(dump_algebra(TWO_DIM))
+    if field == "mult":
+        obj["mult"][1][0] = ["0", "@"]
+    elif field == "d":
+        obj["d"][0] = ["@", "0"]
+    else:
+        obj["lambda"] = "@"
+    with pytest.raises(ValueError):
+        load_algebra(json.dumps(obj).replace('"@"', bad))
+
+
+@pytest.mark.parametrize("bad", ["0.5", "1.0", "null", "true"])
+@pytest.mark.parametrize("field", ["left", "right", "d"])
+def test_bimodule_files_with_inexact_scalars_are_refused(field, bad):
+    alg = json.loads(dump_algebra(TWO_DIM))
+    bim = {"dim": 2, "basis": alg["basis"], "left": alg["mult"],
+           "right": alg["mult"], "d": alg["d"]}
+    assert load_bimodule(json.dumps(bim)) == regular_bimodule(TWO_DIM)
+    if field == "d":
+        bim["d"] = [["@", "0"], alg["d"][1]]
+    else:
+        bim[field] = [alg["mult"][0], [["0", "@"], alg["mult"][1][1]]]
+    with pytest.raises(ValueError):
+        load_bimodule(json.dumps(bim).replace('"@"', bad))
 
 
 def test_bimodule_axiom_checker_flags_bad_data():

@@ -12,6 +12,7 @@ from operad_forge.coeffs import (
     format_coefficient,
     format_weight,
     koszul_sign,
+    normalize,
     parse_coefficient,
     parse_weight,
     shuffles,
@@ -89,6 +90,20 @@ def test_weight_spec_roundtrip():
                 LAMBDA + Coefficient.one()):
         with pytest.raises(ValueError):
             format_weight(lam)
+
+
+def test_normalize_keeps_integers_and_refuses_inexact_scalars():
+    for v, want in ((3, 3), (Fraction(6, 3), 2), ("-4/2", -2), (" 2 ", 2),
+                    (Fraction(1, 2), Fraction(1, 2)), ("3/6", Fraction(1, 2))):
+        got = normalize(v)
+        assert got == want and type(got) is type(want)
+    for v in (0.5, 1.0, True, False, None, "1/0", "x", [1], 1j):
+        with pytest.raises(ValueError):
+            normalize(v)
+        with pytest.raises(ValueError):
+            parse_weight(v)
+        with pytest.raises(ValueError):
+            Coefficient({0: v})
 
 
 def test_rational_normal_form():

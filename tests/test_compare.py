@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from operad_forge import compare, hda
 from operad_forge.algebras import DifAlgebraData
+from operad_forge.cochain import CochainComplexes, DaCochain, echelon
+from operad_forge.coeffs import Coefficient
 from operad_forge.compare import (
     da_twist_mismatches,
     do_bracket_mismatches,
@@ -12,9 +15,19 @@ from operad_forge.compare import (
     random_plain_map,
     table_to_multimap,
 )
-from operad_forge.hom_complex import iso2_down, iso2_up
-from operad_forge.linf import CdoDgla, transported_do_bracket
-from test_cochain import DUAL_NUMBERS, GAUGE_DUAL_NUMBERS
+from operad_forge.hom_complex import GradedSpace, MultiMap, iso2_down, iso2_up
+from operad_forge.linf import (
+    CdaElement,
+    CdoDgla,
+    algebra_maps,
+    transported_do_bracket,
+)
+from test_cochain import (
+    DUAL_NUMBERS,
+    GAUGE_DUAL_NUMBERS,
+    ORACLE_CASES,
+    TABLE_ALGEBRAS,
+)
 
 IDEMPOTENT = DifAlgebraData.build([[[1]]], [[-1]], 1)
 TWO_DIM = DifAlgebraData.build(
@@ -105,3 +118,105 @@ def test_transported_bracket_on_every_pair_of_basis_maps(alg):
                 != multimap_to_table(alg, transported_do_bracket(alg, f, g))):
             bad.append((f.table, g.table))
     assert bad == []
+
+
+# -- the float guard ---------------------------------------------------------
+
+def scalars(obj):
+    """The scalars stored in ``obj``, through dicts, lists, tuples and the
+    cochain and Q[L] types."""
+    if isinstance(obj, Coefficient):
+        obj = obj.coeffs
+    elif isinstance(obj, MultiMap):
+        obj = obj.table
+    elif isinstance(obj, CdaElement):
+        obj = obj.parts
+    elif isinstance(obj, DaCochain):
+        obj = (obj.f, obj.g or {})
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        yield obj
+        return
+    for x in obj:
+        yield from scalars(x)
+
+
+def assert_exact(obj):
+    """Every scalar is an int (not a bool) or a Fraction: a float slipped
+    into exact arithmetic can still give the right ranks and equalities,
+    so no other test need see it."""
+    for x in scalars(obj):
+        assert type(x) in (int, Fraction), repr(x)
+
+
+def assert_normal_tables(*tables):
+    """Tables and weights hold an int wherever the value is integral."""
+    for x in scalars(tables):
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), \
+            repr(x)
+
+
+def checking(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that every value it returns is checked."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        assert_exact(out)
+        return out
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def descent_structure(alg):
+    """A in degrees 0 and 1, with m_1 = d_A from the degree-1 copy to the
+    degree-0 one and d_1 = d_A on both copies."""
+    n = alg.dim
+    space = GradedSpace({0: n, 1: n})
+
+    def rows(src, dst):
+        return {(i + src,): {k + dst: Coefficient.rational(c)
+                             for k, c in enumerate(alg.d[i]) if c}
+                for i in range(n) if any(alg.d[i])}
+
+    return hda.HdaStructure(
+        space, Coefficient.rational(alg.lam), 2,
+        {1: MultiMap(space, space, 1, -1, rows(n, 0))},
+        {1: MultiMap(space, space, 1, 0, {**rows(0, 0), **rows(n, n)})})
+
+
+GUARDED = {name: (alg, None) for name, alg in TABLE_ALGEBRAS.items()}
+GUARDED.update(ORACLE_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_no_float_enters_the_cochain_routes(name, monkeypatch):
+    alg, bim = GUARDED[name]
+    assert_normal_tables(alg.mult, alg.d, alg.lam)
+    try:
+        cx = CochainComplexes(alg, bim)
+    except ValueError:
+        assert name == "noncommutative invalid"
+        return
+    for b in (cx.bim, cx.vdash_bim):
+        assert_normal_tables(b.left, b.right, b.d)
+    checking(monkeypatch, CochainComplexes, "da_diff")
+    checking(monkeypatch, CochainComplexes, "do_diff")
+    columns = [cx.da_matrix(n) for n in range(4)]
+    assert_exact(columns)
+    for cols in columns:
+        assert_exact(echelon(sorted(cols, key=len)))
+    for m in algebra_maps(alg):
+        assert_exact(multimap_to_table(alg, m))
+    checking(monkeypatch, hda, "echelon")
+    checking(monkeypatch, hda, "_kernel")
+    assert hda.homology_descent(descent_structure(alg))["cycles_preserved"]
+    if bim is not None:
+        return
+    for fn in ("da_cochain_to_cda", "twisted_l1", "iso2_down",
+               "multimap_to_table", "transported_do_bracket"):
+        checking(monkeypatch, compare, fn)
+    assert da_twist_mismatches(alg, 2) == []
+    assert do_twist_mismatches(alg, 2) == []
+    assert do_bracket_mismatches(alg, 2, corrected=True, samples=2) == []
