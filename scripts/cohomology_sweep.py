@@ -2,14 +2,14 @@
 """Size/timing sweep of the total-complex cohomology.
 
 For each algebra and each level n up to ``--max-level``, builds the level-n
-total differential once (``da_matrix(n)``), keeps it with the lower levels'
-and prints the dims of H^0..H^n from ``cohomology_dims`` over the kept
-columns.  Each line gives the CPU seconds (``time.process_time``) of the
-build of level n and of the ranks of levels 0..n, which ``cohomology_dims``
-recomputes from the kept columns, the wall time of both, and the peak
-resident set size of this process so far.  The algebras run one after the
-other in one process; run one ``--algebras`` name per process to get each
-algebra's own peak.
+total differential once (``da_matrix(n)``), ranks it once (``level_rank``),
+keeps the rank with the lower levels' and prints the dims of H^0..H^n from
+the kept ranks (``dims_from_ranks``); the columns are dropped once ranked.
+Each line gives the CPU seconds (``time.process_time``) of the build of
+level n and of its rank (the ``echelon`` column times level n alone), the
+wall time of both, and the peak resident set size of this process so far.
+The algebras run one after the other in one process; run one
+``--algebras`` name per process to get each algebra's own peak.
 """
 
 import argparse
@@ -46,13 +46,14 @@ def main():
 
     for name in args.algebras:
         cx = CochainComplexes(DifAlgebraData.build(*ALGEBRAS[name]))
-        columns = []
+        ranks = []
         for n in range(args.max_level + 1):
             wall, cpu = time.monotonic(), time.process_time()
-            columns.append(cx.da_matrix(n))
+            columns = cx.da_matrix(n)
             built = time.process_time()
-            dims = cx.cohomology_dims(columns)
+            ranks.append(cx.level_rank(n, columns))
             ranked = time.process_time()
+            dims = cx.dims_from_ranks(ranks)
             print(f"{name:18s} level {n}: build {built - cpu:7.2f}s  "
                   f"echelon {ranked - built:7.2f}s CPU  "
                   f"wall {time.monotonic() - wall:7.2f}s  "

@@ -223,17 +223,25 @@ class CochainComplexes:
 
     def cohomology_dims(self, columns, rank_fn=None) -> list[int]:
         """Dimensions of H^0..H^top from ``columns[n] = da_matrix(n)``,
-        which are only read.  A level's rank is the number of `echelon`
-        pivots of its columns fed shortest first (a matrix and its transpose
-        have the same rank); a `rank_fn` is given the dense matrix instead,
-        one row per coordinate of level n + 1."""
-        ranks = []
-        for n, cols in enumerate(columns):
-            ranks.append(len(echelon(sorted(cols, key=len))) if rank_fn is None
-                         else rank_fn([[col.get(i, 0) for col in cols]
-                                       for i in range(self.da_dim(n + 1))]))
+        which are only read, one `level_rank` per level."""
+        return self.dims_from_ranks([self.level_rank(n, cols, rank_fn)
+                                     for n, cols in enumerate(columns)])
+
+    def level_rank(self, n: int, cols, rank_fn=None) -> int:
+        """The rank of the level-n total differential from its columns
+        ``cols = da_matrix(n)``, which are only read: the number of
+        `echelon` pivots of the columns fed shortest first (a matrix and
+        its transpose have the same rank); a `rank_fn` is given the dense
+        matrix instead, one row per coordinate of level n + 1."""
+        if rank_fn is None:
+            return len(echelon(sorted(cols, key=len)))
+        return rank_fn([[col.get(i, 0) for col in cols]
+                        for i in range(self.da_dim(n + 1))])
+
+    def dims_from_ranks(self, ranks: list[int]) -> list[int]:
+        """Dimensions of H^0..H^top from the ranks of levels 0..top."""
         return [self.da_dim(n) - ranks[n] - (ranks[n - 1] if n else 0)
-                for n in range(len(columns))]
+                for n in range(len(ranks))]
 
 
 # ---------------------------------------------------------------------------

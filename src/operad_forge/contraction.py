@@ -50,7 +50,8 @@ from .dif_operads import (
 )
 from .free_operad import (OperadElement, TreeMonomial, derivation_into,
                           raw_terms, region_splicer, replace_region)
-from .trees import DEGREE, GENS, Generator, gen_id
+from .trees import (DEGREE, GENS, Generator, gen_id, leaf_keys_from,
+                    smaller_from)
 
 
 @dataclass(frozen=True)
@@ -182,10 +183,12 @@ class Contraction:
         return (replaced, 0), an.c_s if an.omega % 2 == 0 else -an.c_s
 
     def _split(self, t: TreeMonomial, an: EffectiveAnalysis
-               ) -> tuple[tuple, dict[tuple, Rat]]:
+               ) -> tuple[tuple, dict[tuple, Rat], int]:
         """h_bar(t) and tbar, t with its divisor replaced by
         s_hat - diff(s) / c_s, as raw cells, from one walk of the divisor
-        region (the analysis has looked up the typical entry of s)."""
+        region (the analysis has looked up the typical entry of s), and the
+        position of the divisor root's token, before which every tbar word
+        agrees with t's."""
         splice = region_splicer(t, {an.divisor_root, an.divisor_child})
         tbar: dict[tuple, Rat] = {}
         for mono, cells in self._typical[an.s_generator][2]:
@@ -195,16 +198,20 @@ class Contraction:
                 tbar[key] = tbar.get(key, 0) + (v if sign == 1 else -v)
         h_bar = self._generator_term(
             an, splice(TreeMonomial.corolla(an.s_generator)))
-        return h_bar, tbar
+        return h_bar, tbar, splice.start
 
     def _h_value(self, t: TreeMonomial) -> tuple:
         """H(t) as its memo value, () for zero, by well-founded recursion.
 
-        A frame is (monomial, order key, analysis, h_bar, tbar).  The first
-        visit splits the monomial, checks that every tbar monomial is
-        smaller, drops the non-effective ones (their H is zero) and pushes
-        the effective uncached ones with their keys and analyses; the
-        revisit, once they are all done, sums and stores a nonzero value.
+        A frame is (monomial, analysis, h_bar, tbar).  The first visit
+        splits the monomial, checks that every tbar monomial stays in its
+        (arity, degree) block and is smaller, drops the non-effective ones
+        (their H is zero) and pushes the effective uncached ones with their
+        analyses; the revisit, once they are all done, sums and stores a
+        nonzero value.  A tbar word shares the monomial's tokens before the
+        divisor root, so the order comparison resumes there
+        (`leaf_keys_from` once per split, `smaller_from` per tbar
+        monomial).
         """
         memo = self._h
         h = memo.get(t.word)
@@ -214,9 +221,9 @@ class Contraction:
         if not an.is_effective:
             return ()
         intern = self._rationals.setdefault
-        stack = [(t, t.order_key(), an, None, None)]
+        stack = [(t, an, None, None)]
         while stack:
-            cur, key, an, h_bar, tbar = stack[-1]
+            cur, an, h_bar, tbar = stack[-1]
             if tbar is not None:
                 stack.pop()
                 acc = dict([h_bar])
@@ -230,22 +237,26 @@ class Contraction:
             if cur.word in memo:
                 stack.pop()
                 continue
-            h_bar, split = self._split(cur, an)
+            h_bar, split, p = self._split(cur, an)
+            keys = leaf_keys_from(cur.word, p)
             tbar = []
-            stack[-1] = (cur, key, an, h_bar, tbar)
+            stack[-1] = (cur, an, h_bar, tbar)
             for (mono, e), v in split.items():
                 if not v:
                     continue
-                mono_key = mono.order_key()
-                if mono_key >= key:
+                if mono.degree != cur.degree or mono.arity != cur.arity:
+                    raise InternalInvariantError(
+                        f"recursion left its (arity, degree) block: "
+                        f"{mono!r} vs {cur!r}")
+                w = mono.word
+                if not smaller_from(w, p, keys):
                     raise InternalInvariantError(
                         f"recursion failed to decrease: {mono!r} vs {cur!r}")
-                w = mono.word
                 if w not in memo:
                     mono_an = self.analyze_effective(mono)
                     if not mono_an.is_effective:
                         continue
-                    stack.append((mono, mono_key, mono_an, None, None))
+                    stack.append((mono, mono_an, None, None))
                 tbar.append((w, e, v))
         return memo.get(t.word, ())
 

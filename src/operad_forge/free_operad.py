@@ -92,7 +92,10 @@ class TreeMonomial:
 
     def order_key(self):
         """The path-lexicographic sort key; computed afresh on each call,
-        so a monomial kept as a dict key does not hold it."""
+        so a monomial kept as a dict key does not hold it.  It sorts
+        `enumerate_monomials` and picks `OperadElement.leading`; the
+        contraction's decrease check compares words without it, from the
+        splice point on (`trees.smaller_from`)."""
         return word_order_key(self.word, self.arity, self.degree)
 
     def __eq__(self, other):
@@ -154,7 +157,8 @@ def region_splicer(t: TreeMonomial, region: frozenset[int] | set[int]):
     order; m's arity must match the region's arity.  ``splice`` returns
     (sign, monomial) where the sign reorders the decoration tensor read as
     (prefix, m's vertices, remaining old vertices) into the planar order of
-    the result.
+    the result.  ``splice.start`` is the position of the region's root
+    token: every spliced word shares ``t.word[:splice.start]``.
     """
     word = t.word
     root = min(region)
@@ -206,10 +210,13 @@ def region_splicer(t: TreeMonomial, region: frozenset[int] | set[int]):
             out += branch
         out += pieces[-1]
         out += tail
-        odd = sum(after[b] for b in odd_branches) & 1
+        odd = 0
+        for b in odd_branches:
+            odd ^= after[b]
         return (-1 if odd else 1), _monomial(
             tuple(out), t.arity, degree + m.degree, weight + m.weight)
 
+    splice.start = p
     return splice
 
 

@@ -52,8 +52,8 @@ class Generator:
 
 # Process-wide and append-only: an id means the same generator for the life
 # of the process.  Ids never enter an output or an order; index 0 is the
-# leaf.  `RANKS` fills lazily in `word_order_key`, so a generator outside
-# the m_n/d_n alphabet can still decorate monomials.
+# leaf.  `RANKS` fills lazily (`_rank`) as the order walks words, so a
+# generator outside the m_n/d_n alphabet can still decorate monomials.
 _IDS: dict[Generator, int] = {}
 GENS: list[Optional[Generator]] = [None]
 ARITY: list[int] = [0]
@@ -129,28 +129,83 @@ def generator_rank(gen: Generator) -> int:
     raise ForeignGeneratorError(f"generator {sym!r} is not ordered")
 
 
-def word_order_key(word: Word, arity: int, degree: int):
-    """The graded path-lexicographic sort key: arity, total degree, then the
-    root path of each leaf left to right, by length then generator ranks.
-    One pass over the word: the stack holds the root path of the next token,
-    and a vertex leaves it once its last slot is filled."""
-    ranks = RANKS
+def _rank(x: int) -> int:
+    """Fill ``RANKS[x]`` on the first use of token ``x`` by an order walk;
+    a generator outside the m_n/d_n alphabet raises here."""
+    r = RANKS[x] = generator_rank(GENS[x])
+    return r
+
+
+def _leaf_keys(tokens):
+    """Walk ``tokens`` and yield each leaf's key: the length of its root
+    path, then the generator ranks on it.  ``path`` holds the ranks of the
+    root path of the next token and ``left`` the open slots of each of its
+    vertices; a vertex leaves both once its last slot is filled."""
     path: list[int] = []
     left: list[int] = []
-    words = []
-    for x in word:
+    ranks = RANKS
+    for x in tokens:
         if x:
             r = ranks[x]
-            if r is None:
-                r = ranks[x] = generator_rank(GENS[x])
-            path.append(r)
+            path.append(_rank(x) if r is None else r)
             left.append(ARITY[x])
             continue
-        words.append((len(path), tuple(path)))
+        yield (len(path), tuple(path))
         while left:
             left[-1] -= 1
             if left[-1]:
                 break
             left.pop()
             path.pop()
-    return (arity, degree, tuple(words))
+
+
+def word_order_key(word: Word, arity: int, degree: int):
+    """The graded path-lexicographic sort key: arity, total degree, then the
+    root path of each leaf left to right, by length then generator ranks,
+    in one pass over the word."""
+    return (arity, degree, tuple(_leaf_keys(word)))
+
+
+def leaf_keys_from(word: Word, start: int) -> list:
+    """The leaf keys of ``word[start:]`` walked from an empty root path:
+    each leaf's root path as `word_order_key` reads it, minus the vertices
+    before ``start`` (the reference side of `smaller_from`)."""
+    return list(_leaf_keys(word[start:]))
+
+
+def smaller_from(word: Word, start: int, keys: list) -> bool:
+    """Whether ``word`` is smaller than the word ``w`` with ``keys =
+    leaf_keys_from(w, start)``, for two words of the same arity and degree
+    that share their first ``start`` tokens: ``word_order_key`` of the
+    first is below that of the second.
+
+    The leaf keys before ``start`` agree, so the walk starts there, from
+    an empty root path, and stops at the first leaf key that differs.
+    Given the tokens up to one leaf, the next leaf's root path fixes the
+    tokens up to that leaf, read in full or without the vertices before
+    ``start``.  So both readings first differ at the same leaf, where the
+    two full root paths have the same vertices from before ``start`` at
+    the bottom; dropping a common bottom changes neither the comparison
+    of the lengths nor that of the ranks.  The walk of `_leaf_keys` is
+    inlined, because it runs once per tbar monomial of the contraction."""
+    path: list[int] = []
+    left: list[int] = []
+    ranks = RANKS
+    i = 0
+    for x in word[start:]:
+        if x:
+            r = ranks[x]
+            path.append(_rank(x) if r is None else r)
+            left.append(ARITY[x])
+            continue
+        mine = (len(path), tuple(path))
+        if mine != keys[i]:
+            return mine < keys[i]
+        i += 1
+        while left:
+            left[-1] -= 1
+            if left[-1]:
+                break
+            left.pop()
+            path.pop()
+    return False

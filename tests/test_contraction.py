@@ -317,13 +317,28 @@ def test_cached_values_are_never_changed_in_place():
 
 
 def test_decrease_check_fires(monkeypatch):
-    # with every order key equal, the first tbar monomial fails the strict
-    # decrease, so the check runs on each frame's first visit; the typical
-    # shape is looked up before the patch, which would break `leading`
+    # with the resumed comparison reporting "not smaller" for every word,
+    # the first tbar monomial fails the strict decrease, so the check runs
+    # on each frame's first visit
+    c = Contraction(Difinfty())
+    monkeypatch.setattr(contraction_module, "smaller_from",
+                        lambda word, start, keys: False)
+    with pytest.raises(InternalInvariantError, match="failed to decrease"):
+        c.h_monomial(mono("(m2 (m2 (m2 _ _) _) _)"))
+
+
+def test_block_closure_fires():
+    # a replacement term of the right arity and another degree sends tbar
+    # out of the parent's (arity, degree) block, which the order comparison
+    # alone would not catch
     c = Contraction(Difinfty())
     c.typical_info(m_gen(3))
-    monkeypatch.setattr(TreeMonomial, "order_key", lambda self: 0)
-    with pytest.raises(InternalInvariantError, match="failed to decrease"):
+    s_hat, c_s, raw = c._typical[m_gen(3)]
+    stray = mono("(m2 _ (d2 _ _))")
+    assert stray.arity == raw[0][0].arity
+    assert stray.degree != raw[0][0].degree
+    c._typical[m_gen(3)] = (s_hat, c_s, ((stray, raw[0][1]),) + raw[1:])
+    with pytest.raises(InternalInvariantError, match="left its"):
         c.h_monomial(mono("(m2 (m2 (m2 _ _) _) _)"))
 
 

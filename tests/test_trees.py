@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from operad_forge.dif_operads import d_gen, enumerate_monomials, m_gen
+from operad_forge.contraction import Contraction
+from operad_forge.dif_operads import (Difinfty, d_gen, enumerate_monomials,
+                                      m_gen)
 from operad_forge.formats import parse_tree
 from operad_forge.free_operad import TreeMonomial
 from operad_forge.trees import (
@@ -10,7 +12,10 @@ from operad_forge.trees import (
     Generator,
     decode,
     encode,
+    leaf_keys_from,
+    smaller_from,
     subtree_end,
+    word_order_key,
 )
 from oracles import (
     Divisor,
@@ -213,6 +218,51 @@ def test_word_node_round_trip(monomials_5_4):
 def test_word_order_key_matches_definition(monomials_5_4):
     for t in monomials_5_4:
         assert t.order_key() == monomial_order_key(t.node)
+
+
+def _smaller(a, b):
+    return (word_order_key(a.word, a.arity, a.degree)
+            < word_order_key(b.word, b.arity, b.degree))
+
+
+def test_resumed_order_agrees_on_every_split(monomials_5_4, monkeypatch):
+    # every (tbar, parent) pair that H's decrease check meets, compared from
+    # the splice point both ways, the non-decreasing way included
+    pairs = []
+    split = Contraction._split
+
+    def recording(self, t, an):
+        out = split(self, t, an)
+        p = out[2]
+        assert t.word[p] and p - t.word[:p].count(0) == an.divisor_root
+        pairs.extend((t, m, p) for (m, _), v in out[1].items() if v)
+        return out
+
+    monkeypatch.setattr(Contraction, "_split", recording)
+    c = Contraction(Difinfty())
+    for t in monomials_5_4:
+        c.h_monomial(t)
+    assert len(pairs) > 10000
+    for parent, m, p in pairs:
+        assert m.word[:p] == parent.word[:p]
+        assert smaller_from(m.word, p, leaf_keys_from(parent.word, p)) \
+            == _smaller(m, parent), (m, parent)
+        assert smaller_from(parent.word, p, leaf_keys_from(m.word, p)) \
+            == _smaller(parent, m), (m, parent)
+
+
+def test_resumed_order_agrees_from_every_shared_prefix():
+    blocks = {}
+    for t in enumerate_monomials(4, 3):
+        blocks.setdefault((t.arity, t.degree), []).append(t)
+    for block in blocks.values():
+        for a, b in itertools.product(block, repeat=2):
+            shared = next((i for i, (x, y) in enumerate(zip(a.word, b.word))
+                           if x != y), len(a.word))
+            for start in range(shared + 1):
+                assert smaller_from(a.word, start,
+                                    leaf_keys_from(b.word, start)) \
+                    == _smaller(a, b), (a, b, start)
 
 
 def test_subtree_end_is_a_subtree_slice():
