@@ -364,8 +364,19 @@ def run_hda_check(args, rep: Report) -> None:
 # the command table
 # ---------------------------------------------------------------------------
 
-def _int(default: int) -> dict:
-    return {"type": int, "default": default}
+def _int(default: int, minimum: Optional[int] = 1) -> dict:
+    """An int flag; argparse refuses a value below ``minimum`` (exit 2)."""
+    if minimum is None:
+        return {"type": int, "default": default}
+
+    def at_least(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{n} is below the minimum {minimum}")
+        return n
+    at_least.__name__ = "int"    # argparse names it in "invalid int value"
+    return {"type": at_least, "default": default}
 
 
 # the flags the subcommands share, in --help order; every subcommand takes
@@ -377,7 +388,7 @@ SHARED_FLAGS = {
               "help": "write the structured report to this file"},
     "--selftest": {"action": "store_true",
                    "help": "run this subcommand's built-in smoke examples"},
-    "--seed": _int(0),
+    "--seed": _int(0, None),
     "--jobs": _int(1),
 }
 ALWAYS = ("--out", "--selftest")
@@ -431,9 +442,9 @@ COMMANDS = [
             [("--algebra", {}), ("--max-arity", _int(4))]),
     Command("cohomology", "compute", run_cohomology_compute, [
         ("--algebra", {}), ("--bimodule", {}),
-        ("--max-level", _int(4))]),
+        ("--max-level", _int(4, 0))]),
     Command("cohomology", "compare-twist", run_cohomology_compare_twist,
-            [("--algebra", {}), ("--max-level", _int(4))], ("--seed",)),
+            [("--algebra", {}), ("--max-level", _int(4, 0))], ("--seed",)),
     Command("hda", "check", run_hda_check,
             [("--structure", {}), ("--max-arity", _int(4))]),
 ]

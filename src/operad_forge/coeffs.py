@@ -233,6 +233,27 @@ def add_into(acc: dict, key, value) -> None:
         del acc[key]
 
 
+class Combination:
+    """Addition, subtraction, negation and scaling of a sparse type, all
+    from its one sum: ``_sum(pairs)`` is the sum of c * x over (c, x)
+    pairs, c a Coefficient or a rational, and refuses operands it cannot
+    add."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return self._sum(((1, self), (1, other)))
+
+    def __sub__(self, other):
+        return self._sum(((1, self), (-1, other)))
+
+    def __neg__(self):
+        return self._sum(((-1, self),))
+
+    def scale(self, c):
+        return self if unit_sign(c) == 1 else self._sum(((c, self),))
+
+
 # ---------------------------------------------------------------------------
 # textual grammar:
 #   coeff    := term (('+'|'-') term)*

@@ -21,87 +21,53 @@ degree-0 generator, g |-> (-1)^|g| s o g at the degree-1 one.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .coeffs import Coefficient, chi_sign
-from .hom_complex import (GradedSpace, MultiMap, compose_at, sum_maps,
-                          suspend_target)
+from .hom_complex import (GradedSpace, MapFamily, MultiMap, compose_at,
+                          desuspend_target, sum_maps, suspend_target)
 from .koszul_dual import CoopGenerator, TypeI, TypeII, delta
 from .linf import ALG, DO, CdaElement
 
 
-class ConvElement:
-    """Per arity: values at the degree-0 (mt) and degree-1 (dt) generators,
-    both in Hom((sV)^n, sV)."""
+class ConvElement(MapFamily):
+    """Values in Hom((sV)^n, sV) keyed by cooperad generator: at the
+    degree-0 (mt) and degree-1 (dt) generators of each arity."""
 
-    __slots__ = ("space", "at_mt", "at_dt")
-
-    def __init__(self, space: GradedSpace,
-                 at_mt: Optional[dict[int, MultiMap]] = None,
-                 at_dt: Optional[dict[int, MultiMap]] = None):
-        self.space = space
-        self.at_mt = {n: mm for n, mm in (at_mt or {}).items()
-                      if not mm.is_zero()}
-        self.at_dt = {n: mm for n, mm in (at_dt or {}).items()
-                      if not mm.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.at_mt and not self.at_dt
+    __slots__ = ()
 
     def degree(self) -> int:
-        degs = {mm.degree for mm in self.at_mt.values()}
-        degs |= {mm.degree - 1 for mm in self.at_dt.values()}
+        degs = {mm.degree - c.degree for c, mm in self.parts.items()}
         if len(degs) != 1:
             raise ValueError(f"not homogeneous: {degs}")
         return next(iter(degs))
 
-    def value(self, c: CoopGenerator) -> Optional[MultiMap]:
-        store = self.at_mt if c.kind == "mt" else self.at_dt
-        return store.get(c.arity)
-
-    @staticmethod
-    def sum(space: GradedSpace, pairs: Sequence[tuple]) -> "ConvElement":
-        """sum of c * x over (c, x) pairs."""
-        return ConvElement(space,
-                           sum_maps((c, x.at_mt) for c, x in pairs),
-                           sum_maps((c, x.at_dt) for c, x in pairs))
-
-    def __add__(self, other: "ConvElement") -> "ConvElement":
-        return ConvElement.sum(self.space, [(1, self), (1, other)])
-
-    def scale(self, c) -> "ConvElement":
-        return ConvElement(self.space,
-                           {n: mm.scale(c) for n, mm in self.at_mt.items()},
-                           {n: mm.scale(c) for n, mm in self.at_dt.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, ConvElement) and self.at_mt == other.at_mt
-                and self.at_dt == other.at_dt)
-
 
 def from_cda(x: CdaElement) -> ConvElement:
     """The dictionary f -> hat f, g -> (-1)^|g| s g."""
-    at_mt: dict[int, MultiMap] = {}
-    at_dt: dict[int, MultiMap] = {}
+    parts: dict[CoopGenerator, MultiMap] = {}
     for (n, flag), mm in x.parts.items():
         if flag == ALG:
-            at_mt[n] = mm
+            parts[CoopGenerator("mt", n)] = mm
         else:
             sg = suspend_target(mm)
-            at_dt[n] = sg if mm.degree % 2 == 0 else -sg
-    return ConvElement(x.space, at_mt, at_dt)
+            parts[CoopGenerator("dt", n)] = sg if mm.degree % 2 == 0 else -sg
+    return ConvElement(x.space, parts)
 
 
 def to_cda(x: ConvElement) -> CdaElement:
-    from .hom_complex import desuspend_target
-
     parts = {}
-    for n, mm in x.at_mt.items():
-        parts[(n, ALG)] = mm
-    for n, mm in x.at_dt.items():
-        g = desuspend_target(mm)
-        parts[(n, DO)] = g if g.degree % 2 == 0 else -g
+    for c, mm in x.parts.items():
+        if c.kind == "mt":
+            parts[(c.arity, ALG)] = mm
+        else:
+            g = desuspend_target(mm)
+            parts[(c.arity, DO)] = g if g.degree % 2 == 0 else -g
     return CdaElement(x.space, parts)
+
+
+def _arities(f: ConvElement, kind: str) -> list[int]:
+    return sorted(c.arity for c in f.parts if c.kind == kind)
 
 
 def _compose_along_shape(shape, values: Sequence[MultiMap]) -> MultiMap:
@@ -126,9 +92,9 @@ def _shapes_with_targets(fs: Sequence[ConvElement]):
     """
     r = len(fs)
     if r == 2:
-        arities0 = set(fs[0].at_mt) | set(fs[0].at_dt)
-        arities1 = set(fs[1].at_mt) | set(fs[1].at_dt)
-        for a0, a1 in itertools.product(sorted(arities0), sorted(arities1)):
+        arities0 = sorted({c.arity for c in fs[0].parts})
+        arities1 = sorted({c.arity for c in fs[1].parts})
+        for a0, a1 in itertools.product(arities0, arities1):
             n = a0 + a1 - 1
             for i in range(1, a0 + 1):
                 shape = TypeI(n, a1, i)
@@ -137,10 +103,10 @@ def _shapes_with_targets(fs: Sequence[ConvElement]):
         return
     # weight >= 3: only (mt_p; dt_l1, ..., dt_lq) decorations occur
     q = r - 1
-    for p in fs[0].at_mt:
+    for p in _arities(fs[0], "mt"):
         if q > p:
             continue
-        ls_options = [sorted(f.at_dt) for f in fs[1:]]
+        ls_options = [_arities(f, "dt") for f in fs[1:]]
         for ls in itertools.product(*ls_options):
             n = sum(ls) + p - q
             for ks in itertools.combinations(range(1, p + 1), q):
@@ -157,7 +123,7 @@ def conv_m(space: GradedSpace, lam: Coefficient,
     fdegs = [f.degree() for f in fs]
     global_exp = (r * (r - 1)) // 2 + 1 + r * sum(fdegs)
     seen = set()
-    terms: dict[str, list] = {"mt": [], "dt": []}
+    terms = []
     for target, shape in _shapes_with_targets(fs):
         key = (target, shape)
         if key in seen:
@@ -167,7 +133,7 @@ def conv_m(space: GradedSpace, lam: Coefficient,
             values = []
             dead = False
             for f, c in zip(fs, decs):
-                v = f.value(c)
+                v = f.parts.get(c)
                 if v is None:
                     dead = True
                     break
@@ -179,10 +145,9 @@ def conv_m(space: GradedSpace, lam: Coefficient,
             for i in range(r):
                 if decs[i].degree % 2:
                     exp += sum(fdegs[i + 1:])
-            terms[target.kind].append(
-                (coeff if exp % 2 == 0 else -coeff,
-                 {target.arity: _compose_along_shape(shape, values)}))
-    return ConvElement(space, sum_maps(terms["mt"]), sum_maps(terms["dt"]))
+            terms.append((coeff if exp % 2 == 0 else -coeff,
+                          {target: _compose_along_shape(shape, values)}))
+    return ConvElement(space, sum_maps(terms))
 
 
 def conv_ell(space: GradedSpace, lam: Coefficient,

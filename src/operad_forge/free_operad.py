@@ -29,7 +29,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .coeffs import Coefficient, Rat, add_into, as_coefficient, unit_sign
+from .coeffs import (Coefficient, Combination, Rat, add_into, as_coefficient,
+                     unit_sign)
 from .trees import (
     ARITY,
     DEGREE,
@@ -235,7 +236,7 @@ class HomogeneityError(ValueError):
     pass
 
 
-class OperadElement:
+class OperadElement(Combination):
     """Finite linear combination of tree monomials, homogeneous in
     (arity, degree)."""
 
@@ -318,40 +319,7 @@ class OperadElement:
             out.arity = out.degree = None
         return out
 
-    def __add__(self, other: "OperadElement") -> "OperadElement":
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        return OperadElement.sum(((1, self), (1, other)))
-
-    def __neg__(self) -> "OperadElement":
-        out = OperadElement()
-        out.arity, out.degree = self.arity, self.degree
-        out.terms = {t: -c for t, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "OperadElement") -> "OperadElement":
-        return OperadElement.sum(((1, self), (-1, other)))
-
-    def scale(self, c) -> "OperadElement":
-        unit = unit_sign(c)
-        if unit == 1:
-            return self
-        if unit == -1:
-            return -self
-        c = as_coefficient(c)
-        if c.is_zero() or self.is_zero():
-            return OperadElement()
-        out = OperadElement()
-        out.arity, out.degree = self.arity, self.degree
-        out.terms = {t: w * c for t, w in self.terms.items()}
-        return out
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
+    _sum = sum
 
     def __eq__(self, other):
         if not isinstance(other, OperadElement):

@@ -209,7 +209,7 @@ def mc_equivalence_report(s: HdaStructure) -> list[dict]:
     Maurer-Cartan components do?"""
     alpha = mc_element(s)
     residual = mc_residual(s.space, s.lam, alpha) if not alpha.is_zero() \
-        else CdaElement.zero(s.space)
+        else CdaElement(s.space)
     report = []
     for n in range(1, s.bound + 1):
         st = stasheff_residual(s, n).is_zero()

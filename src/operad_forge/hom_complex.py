@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .coeffs import Coefficient, add_into, as_coefficient, unit_sign
+from .coeffs import (Coefficient, Combination, add_into, as_coefficient,
+                     unit_sign)
 
 _new = object.__new__
 
@@ -86,7 +87,8 @@ class GradedSpace:
         return self._offsets[d] + k
 
     def __eq__(self, other):
-        return isinstance(other, GradedSpace) and self.dims == other.dims
+        return self is other or (isinstance(other, GradedSpace)
+                                 and self.dims == other.dims)
 
     def __hash__(self):
         return hash(tuple(self.dims.items()))
@@ -95,7 +97,7 @@ class GradedSpace:
         return f"GradedSpace({self.dims})"
 
 
-class MultiMap:
+class MultiMap(Combination):
     """Multilinear map source^(tensor arity) -> target of fixed degree,
     stored as a sparse table on basis tuples (flat indices).
 
@@ -159,31 +161,21 @@ class MultiMap:
         if self.table and other.table and self.degree != other.degree:
             raise ValueError("mixed degrees")
 
-    def __add__(self, other: "MultiMap") -> "MultiMap":
-        self._compatible(other)
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        tab: dict[tuple, dict[int, Coefficient]] = {}
-        for table in (self.table, other.table):
-            for key, row in table.items():
-                add_into(tab, key, row)
-        return self._with(tab)
-
-    def __neg__(self) -> "MultiMap":
-        return self._with({k: {b: -c for b, c in out.items()}
-                           for k, out in self.table.items()})
-
-    def __sub__(self, other: "MultiMap") -> "MultiMap":
-        return self + (-other)
+    def _sum(self, pairs: Iterable[tuple]) -> "MultiMap":
+        pairs = list(pairs)
+        for _, mm in pairs:
+            if mm is not self:
+                self._compatible(mm)
+        return sum_maps((c, {0: mm}) for c, mm in pairs).get(0) \
+            or self._with({})
 
     def scale(self, c) -> "MultiMap":
         unit = unit_sign(c)
         if unit == 1:
             return self
         if unit == -1:
-            return -self
+            return self._with({k: {b: -w for b, w in out.items()}
+                               for k, out in self.table.items()})
         c = as_coefficient(c)
         if c.is_zero():
             return self._with({})
@@ -219,9 +211,9 @@ def sum_maps(pairs: Iterable[tuple]) -> dict:
     tables: dict = {}
     for c, family in pairs:
         for key, mm in family.items():
+            mm = mm.scale(c)
             if not mm.table:
                 continue
-            mm = mm.scale(c)
             first = out.get(key)
             if first is None:
                 out[key] = mm
@@ -237,6 +229,45 @@ def sum_maps(pairs: Iterable[tuple]) -> dict:
         else:
             del out[key]
     return out
+
+
+class MapFamily(Combination):
+    """Nonzero MultiMaps over one graded space, under any keys: an element
+    of a convolution algebra, one map per generator of its cooperad."""
+
+    __slots__ = ("space", "parts")
+
+    def __init__(self, space: GradedSpace,
+                 parts: Optional[Mapping[object, MultiMap]] = None):
+        self.space = space
+        self.parts = {k: mm for k, mm in parts.items() if mm.table} \
+            if parts else {}
+
+    @classmethod
+    def sum(cls, space: GradedSpace, pairs: Iterable[tuple]):
+        """sum of c * x over (c, x) pairs of families on ``space``, each
+        part accumulated row by row into one fresh table."""
+        def families():
+            for c, x in pairs:
+                if x.space != space:
+                    raise ValueError("mixed spaces")
+                yield c, x.parts
+
+        out = _new(cls)
+        out.space, out.parts = space, sum_maps(families())
+        return out
+
+    def _sum(self, pairs: Iterable[tuple]):
+        return self.sum(self.space, pairs)
+
+    def is_zero(self) -> bool:
+        return not self.parts
+
+    def __eq__(self, other):
+        if not isinstance(other, MapFamily):
+            return NotImplemented
+        return (type(self) is type(other) and self.space == other.space
+                and self.parts == other.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,13 @@ import itertools
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .algebras import DifAlgebraData
-from .coeffs import (Coefficient, LAMBDA, Rat, add_into, as_coefficient,
-                     chi_sign, shuffles, unit_sign)
+from .coeffs import Coefficient, Rat, add_into, chi_sign, shuffles
 from .hom_complex import (
     GradedSpace,
+    MapFamily,
     MultiMap,
     brace_orderings,
     desuspend_target,
@@ -61,34 +61,21 @@ ALG = "alg"
 DO = "do"
 
 
-class CdaElement:
-    """Finitely supported element: parts keyed by (arity, ALG|DO)."""
+class CdaElement(MapFamily):
+    """Finitely supported element: parts keyed by (arity, ALG|DO), on the
+    plain space V."""
 
-    __slots__ = ("space", "parts")
+    __slots__ = ()
 
     def __init__(self, space: GradedSpace,
                  parts: Optional[Mapping[tuple[int, str], MultiMap]] = None):
-        self.space = space              # the plain space V
-        self.parts: dict[tuple[int, str], MultiMap] = {}
-        if parts:
-            s_space = space.shift(1)
-            for (n, flag), mm in parts.items():
-                if mm.is_zero():
-                    continue
-                if mm.arity != n or mm.source != s_space:
-                    raise ValueError("component shape mismatch")
-                want = s_space if flag == ALG else space
-                if mm.target != want:
-                    raise ValueError(f"{flag} component must land in "
-                                     f"{'sV' if flag == ALG else 'V'}")
-                self.parts[(n, flag)] = mm
-
-    @staticmethod
-    def zero(space: GradedSpace) -> "CdaElement":
-        return CdaElement(space)
-
-    def is_zero(self) -> bool:
-        return not self.parts
+        super().__init__(space, parts)
+        for (n, flag), mm in self.parts.items():
+            if mm.arity != n or mm.source != space.shift(1):
+                raise ValueError("component shape mismatch")
+            if mm.target != (mm.source if flag == ALG else space):
+                raise ValueError(f"{flag} component must land in "
+                                 f"{'sV' if flag == ALG else 'V'}")
 
     def degrees(self) -> set[int]:
         return {mm.degree for mm in self.parts.values()}
@@ -102,62 +89,12 @@ class CdaElement:
     def max_arity(self) -> int:
         return max((n for n, _ in self.parts), default=0)
 
-    @staticmethod
-    def sum(space: GradedSpace, pairs: Iterable[tuple]) -> "CdaElement":
-        """sum of c * x over (c, x) pairs of elements on ``space``, each
-        part accumulated row by row into one fresh table."""
-        def families():
-            for c, x in pairs:
-                if x.space != space:
-                    raise ValueError("mixed spaces")
-                yield c, x.parts
-
-        out = CdaElement(space)
-        out.parts = sum_maps(families())
-        return out
-
-    def __add__(self, other: "CdaElement") -> "CdaElement":
-        return CdaElement.sum(self.space, [(1, self), (1, other)])
-
-    def __neg__(self) -> "CdaElement":
-        out = CdaElement(self.space)
-        out.parts = {k: -mm for k, mm in self.parts.items()}
-        return out
-
-    def __sub__(self, other: "CdaElement") -> "CdaElement":
-        return CdaElement.sum(self.space, [(1, self), (-1, other)])
-
-    def scale(self, c) -> "CdaElement":
-        unit = unit_sign(c)
-        if unit == 1:
-            return self
-        if unit == -1:
-            return -self
-        c = as_coefficient(c)
-        out = CdaElement(self.space)
-        if not c.is_zero():
-            out.parts = {k: mm.scale(c) for k, mm in self.parts.items()}
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, CdaElement):
-            return NotImplemented
-        return self.space == other.space and self.parts == other.parts
-
     def __repr__(self):
         if not self.parts:
             return "CdaElement(0)"
         bits = [f"{flag}_{n}[deg {mm.degree}]"
                 for (n, flag), mm in sorted(self.parts.items())]
         return "CdaElement(" + ", ".join(bits) + ")"
-
-    @staticmethod
-    def alg_part(space: GradedSpace, mm: MultiMap) -> "CdaElement":
-        return CdaElement(space, {(mm.arity, ALG): mm})
-
-    @staticmethod
-    def do_part(space: GradedSpace, mm: MultiMap) -> "CdaElement":
-        return CdaElement(space, {(mm.arity, DO): mm})
 
 
 def _component_bracket(space: GradedSpace, lam: Coefficient,
@@ -183,8 +120,7 @@ def _component_bracket(space: GradedSpace, lam: Coefficient,
         g = gs[0]
         bracket = hom_gerstenhaber(sf, suspend_target(g))
         out = desuspend_target(bracket)
-        exp = exp_iv + sf.degree
-        return (DO, out if exp % 2 == 0 else -out)
+        return (DO, out.scale(-1) if (exp_iv + sf.degree) % 2 else out)
     # item (iii), with item (iv)'s sign and L^(m-1) folded into the scalar
     # and step[S][t] the sign exponent of placing g_t after the set S
     # (see the module docstring)
@@ -215,15 +151,27 @@ def cda_bracket(space: GradedSpace, lam: Coefficient,
     """l_n extended multilinearly over the components of each argument."""
     n = len(args)
     if n < 2 or any(a.is_zero() for a in args):
-        return CdaElement.zero(space)
+        return CdaElement(space)
+    # item (v): a component with one alg part, or two at width 2, is the
+    # only one that can be nonzero, so each product fixes its alg slots
+    algs, dos = [], []
+    for a in args:
+        alg, do = [], []
+        for (_, flag), mm in a.parts.items():
+            (alg if flag == ALG else do).append((flag, mm))
+        algs.append(alg)
+        dos.append(do)
+    combos = [itertools.product(*dos[:k], alg, *dos[k + 1:])
+              for k, alg in enumerate(algs) if alg]
+    if n == 2:
+        combos.append(itertools.product(*algs))
     terms = []
-    for combo in itertools.product(*[list(a.parts.items()) for a in args]):
-        res = _component_bracket(space, lam,
-                                 [(flag, mm) for (_, flag), mm in combo])
+    for combo in itertools.chain.from_iterable(combos):
+        res = _component_bracket(space, lam, combo)
         if res is not None:
             flag, mm = res
-            terms.append((1, CdaElement(space, {(mm.arity, flag): mm})))
-    return CdaElement.sum(space, terms)
+            terms.append((1, {(mm.arity, flag): mm}))
+    return CdaElement(space, sum_maps(terms))
 
 
 def jacobi_residual(space: GradedSpace, lam: Coefficient,
@@ -340,7 +288,7 @@ def mc_residual(space: GradedSpace, lam: Coefficient,
     """sum_n 1/n! (-1)^(n(n-1)/2) l_n(alpha^n), with the structurally exact
     cutoff n <= max arity + 1 (components with two alg arguments vanish)."""
     if alpha.is_zero():
-        return CdaElement.zero(space)
+        return CdaElement(space)
     if alpha.degree() != -1:
         raise ValueError("Maurer-Cartan candidates must have degree -1")
     cap = max(2, alpha.max_arity() + 1)
@@ -466,7 +414,7 @@ class CdoDgla:
                                {(2, ALG): iso1_up(algebra_maps(alg)[0])})
 
     def _wrap(self, g: MultiMap) -> CdaElement:
-        return CdaElement.do_part(self.space, g)
+        return CdaElement(self.space, {(g.arity, DO): g})
 
     def l1(self, g: MultiMap) -> MultiMap:
         out = cda_bracket(self.space, self.lam,

@@ -132,6 +132,29 @@ def test_usage_error_exit_code():
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("linfty jacobi", "--dim", "0"),
+    ("linfty jacobi", "--dim", "-3"),
+    ("linfty jacobi", "--maxn", "0"),
+    ("linfty jacobi", "--arity", "0"),
+    ("linfty jacobi", "--trials", "0"),
+    ("linfty jacobi", "--jobs", "0"),
+    ("contract verify", "--jobs", "0"),
+    ("contract verify", "--max-arity", "0"),
+    ("contract verify", "--max-degree", "0"),
+    ("contract verify", "--max-weight", "0"),
+    ("difinfty d2check", "--max-arity", "0"),
+    ("koszul crosscheck", "--max-arity", "-1"),
+    ("mc twist-compare", "--max-arity", "0"),
+    ("hda check", "--max-arity", "0"),
+    ("cohomology compute", "--max-level", "-1"),
+    ("cohomology compare-twist", "--max-level", "-1"),
+])
+def test_size_flag_below_its_minimum_exits_two(command, flag, value, capsys):
+    assert main(command.split() + [flag, value]) == 2
+    assert "below the minimum" in capsys.readouterr().err
+
+
 def test_reports_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["linfty", "jacobi", "--dim", "1", "--maxn", "2", "--trials", "4",

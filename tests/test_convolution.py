@@ -38,7 +38,7 @@ def test_weight_two_operation_is_brace_composition():
     ell = conv_ell(space, LAMBDA, [from_cda(f), from_cda(g)])
     want = from_cda(cda_bracket(space, LAMBDA, [f, g]))
     assert ell == want
-    assert not ell.at_dt
+    assert not [c.arity for c in ell.parts if c.kind == "dt"]
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)

@@ -45,8 +45,9 @@ from operad_forge.hom_complex import (
     hom_brace,
     hom_gerstenhaber,
 )
-from operad_forge.linf import ALG, DO, CdaElement, cda_bracket, random_multimap
+from operad_forge.linf import cda_bracket, random_multimap
 from test_cli import SELFTESTS
+from test_linf import alg_part, do_part
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -156,16 +157,16 @@ def bracket_cases() -> dict:
                          ("two degrees", GradedSpace({0: 1, 1: 1}))):
         s_space = space.shift(1)
         rng = random.Random(f"brackets/{label}")
-        sf = CdaElement.alg_part(space, random_multimap(
+        sf = alg_part(space, random_multimap(
             rng, s_space, s_space, 2, -1))
-        sf2 = CdaElement.alg_part(space, random_multimap(
+        sf2 = alg_part(space, random_multimap(
             rng, s_space, s_space, 1, 0))
-        sf3 = CdaElement.alg_part(space, random_multimap(
+        sf3 = alg_part(space, random_multimap(
             rng, s_space, s_space, 3, -2))
-        g1 = CdaElement.do_part(space, _mixed(rng, s_space, space, 1, -1))
-        g2 = CdaElement.do_part(space, random_multimap(
+        g1 = do_part(space, _mixed(rng, s_space, space, 1, -1))
+        g2 = do_part(space, random_multimap(
             rng, s_space, space, 2, -2))
-        g3 = CdaElement.do_part(space, random_multimap(
+        g3 = do_part(space, random_multimap(
             rng, s_space, space, 1, -1))
         l2 = cda_bracket(space, LAMBDA, [sf, g1])
         l3 = cda_bracket(space, LAMBDA, [sf, g1, g2])

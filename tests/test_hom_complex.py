@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from operad_forge.coeffs import Coefficient
+from operad_forge.coeffs import LAMBDA, Coefficient
 from operad_forge.hom_complex import (
     GradedSpace,
     MultiMap,
@@ -193,3 +193,69 @@ def test_sum_maps_keeps_lone_maps_and_drops_cancelled_keys():
         {"f": f}
     assert sum_maps([(1, {"f": f}), (1, {"f": f})])["f"] == f.scale(2)
     assert f.table == {(0,): {1: ONE}, (1,): {0: ONE}}
+
+
+def _operad_elements():
+    from operad_forge.dif_operads import d_gen, m_gen
+    from operad_forge.free_operad import OperadElement, partial_compose
+
+    m2 = OperadElement.generator(m_gen(2))
+    d1 = OperadElement.generator(d_gen(1))
+    md1, md2 = partial_compose(m2, 1, d1), partial_compose(m2, 2, d1)
+    return (m2 + md1.scale(LAMBDA), md1.scale(2) - md2 - m2), None
+
+
+def _multimaps():
+    v, rng = GradedSpace({0: 2}), random.Random(11)
+    x, y = (random_multimap(rng, v, v, 2, 0) for _ in range(2))
+    return (x, y), random_multimap(rng, GradedSpace({0: 1}), v, 2, 0)
+
+
+def _cda_elements():
+    from operad_forge.linf import ALG, DO, CdaElement
+
+    rng = random.Random(12)
+
+    def element(space):
+        sv = space.shift(1)
+        return CdaElement(space, {
+            (2, ALG): random_multimap(rng, sv, sv, 2, -1),
+            (1, DO): random_multimap(rng, sv, space, 1, -1)})
+
+    v, v1 = GradedSpace({0: 2}), GradedSpace({0: 1})
+    # keys apart from x's, so that no two maps meet in the sum
+    other = CdaElement(v1, {(1, ALG): random_multimap(
+        rng, v1.shift(1), v1.shift(1), 1, 0, density=1.0)})
+    return (element(v), element(v)), other
+
+
+def _conv_elements():
+    from operad_forge.convolution import from_cda
+
+    (x, y), other = _cda_elements()
+    return (from_cda(x), from_cda(y)), from_cda(other)
+
+
+@pytest.mark.parametrize("make", [_operad_elements, _multimaps,
+                                  _cda_elements, _conv_elements])
+def test_sparse_types_share_one_sum_protocol(make):
+    """+, -, negation and scale of each sparse type agree with its one
+    sum, a zero scalar gives zero, and the families refuse mixed spaces."""
+    (x, y), other = make()
+    assert not x.is_zero() and not y.is_zero()
+    assert x + y == x._sum([(1, x), (1, y)])
+    assert x - y == x._sum([(1, x), (-1, y)])
+    assert -x == x._sum([(-1, x)])
+    assert x + y != x
+    assert x.scale(1) is x and x.scale(ONE) is x
+    assert x.scale(-1) == -x and -(-x) == x
+    assert x.scale(0).is_zero() and (x - x).is_zero()
+    assert x._sum([(0, x)]).is_zero()
+    assert x.scale(LAMBDA) == x._sum([(LAMBDA, x)])
+    assert (x + y).scale(LAMBDA) == x._sum([(LAMBDA, x), (LAMBDA, y)])
+    assert (x.scale(2) - y).scale(3) == x.scale(6) - y - y - y
+    if other is not None:
+        with pytest.raises(ValueError):
+            x + other
+        with pytest.raises(ValueError):
+            x._sum([(1, x), (1, other)])

@@ -45,13 +45,20 @@ V2 = GradedSpace({0: 2})
 VG = GradedSpace({0: 1, 1: 1})
 
 
+def alg_part(space, mm):
+    return CdaElement(space, {(mm.arity, ALG): mm})
+
+
+def do_part(space, mm):
+    return CdaElement(space, {(mm.arity, DO): mm})
+
+
 def test_l2_of_two_alg_parts_is_gerstenhaber():
     rng = random.Random(1)
     sv = V2.shift(1)
     f = random_multimap(rng, sv, sv, 2, -1)
     g = random_multimap(rng, sv, sv, 3, -2)
-    out = cda_bracket(V2, LAMBDA, [CdaElement.alg_part(V2, f),
-                                   CdaElement.alg_part(V2, g)])
+    out = cda_bracket(V2, LAMBDA, [alg_part(V2, f), alg_part(V2, g)])
     assert out.parts == {(4, ALG): hom_gerstenhaber(f, g)}
 
 
@@ -63,8 +70,7 @@ def test_l2_alg_do_reproduces_shifted_bracket():
     rng = random.Random(2)
     sv = space.shift(1)
     g = random_multimap(rng, sv, space, 1, -1, density=1.0)
-    out = cda_bracket(space, LAMBDA, [CdaElement.alg_part(space, m),
-                                      CdaElement.do_part(space, g)])
+    out = cda_bracket(space, LAMBDA, [alg_part(space, m), do_part(space, g)])
     want = desuspend_target(hom_gerstenhaber(m, suspend_target(g))).scale(-1)
     assert out == CdaElement(space, {(2, DO): want})
     assert not want.is_zero()
@@ -76,9 +82,8 @@ def test_l3_with_two_taus_matches_display():
     space, alpha = mc_from_algebra(alg)
     m, tau = alpha.parts[(2, ALG)], alpha.parts[(1, DO)]
     lam = Coefficient.rational(1)
-    out = cda_bracket(space, lam, [
-        CdaElement.alg_part(space, m), CdaElement.do_part(space, tau),
-        CdaElement.do_part(space, tau)])
+    out = cda_bracket(space, lam, [alg_part(space, m), do_part(space, tau),
+                                   do_part(space, tau)])
     stau = suspend_target(tau)
     want = desuspend_target(compose_full(m, [stau, stau])).scale(-2)
     assert out.parts == {(2, DO): want}
@@ -87,10 +92,10 @@ def test_l3_with_two_taus_matches_display():
 def test_l4_with_two_alg_parts_vanishes():
     rng = random.Random(3)
     sv = V2.shift(1)
-    a = CdaElement.alg_part(V2, random_multimap(rng, sv, sv, 2, -1))
-    b = CdaElement.alg_part(V2, random_multimap(rng, sv, sv, 3, -2))
-    g = CdaElement.do_part(V2, random_multimap(rng, sv, V2, 1, -1))
-    h = CdaElement.do_part(V2, random_multimap(rng, sv, V2, 2, -2))
+    a = alg_part(V2, random_multimap(rng, sv, sv, 2, -1))
+    b = alg_part(V2, random_multimap(rng, sv, sv, 3, -2))
+    g = do_part(V2, random_multimap(rng, sv, V2, 1, -1))
+    h = do_part(V2, random_multimap(rng, sv, V2, 2, -2))
     assert cda_bracket(V2, LAMBDA, [a, b, g, h]).is_zero()
 
 
@@ -125,7 +130,7 @@ def test_jacobi_residual_explicit_dgla_case():
     # width 2 on alg parts only: graded Jacobi for the shifted bracket
     rng = random.Random(6)
     sv = V2.shift(1)
-    args = [CdaElement.alg_part(V2, random_multimap(rng, sv, sv, n, 1 - n))
+    args = [alg_part(V2, random_multimap(rng, sv, sv, n, 1 - n))
             for n in (2, 2, 3)]
     assert jacobi_residual(V2, LAMBDA, args).is_zero()
 
@@ -178,7 +183,7 @@ def test_mc_round_trip():
 def test_mc_requires_degree_minus_one():
     rng = random.Random(9)
     sv = V1.shift(1)
-    bad = CdaElement.alg_part(V1, MultiMap(sv, sv, 1, 0,
+    bad = alg_part(V1, MultiMap(sv, sv, 1, 0,
                                            {(0,): {0: Coefficient.one()}}))
     with pytest.raises(ValueError):
         mc_residual(V1, LAMBDA, bad)
@@ -188,7 +193,7 @@ def test_mc_requires_degree_minus_one():
 
 def test_twist_by_zero_is_plain_bracket():
     rng = random.Random(10)
-    zero = CdaElement.zero(V2)
+    zero = CdaElement(V2)
     while True:
         args = [random_component(rng, V2, ALG), random_component(rng, V2, DO)]
         if all(a is not None for a in args):
@@ -217,7 +222,7 @@ def test_twist_restricted_to_do_vanishes_at_width_three():
     dgla = CdoDgla(alg)
     rng = random.Random(12)
     sv = dgla.space.shift(1)
-    gs = [CdaElement.do_part(dgla.space,
+    gs = [do_part(dgla.space,
                              random_multimap(rng, sv, dgla.space, n, -n))
           for n in (1, 1, 2)]
     out = twisted_bracket(dgla.space, dgla.lam, dgla.beta, gs)
