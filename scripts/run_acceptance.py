@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the acceptance suite and print one PASS/FAIL line per criterion."""
+"""Run the acceptance suite and print one PASS/FAIL line per criterion,
+then every test's duration, slowest first."""
 
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 def main() -> int:
     return subprocess.call([
         sys.executable, "-m", "pytest", "tests/test_acceptance.py",
-        "-v", "-s", "--no-header",
+        "-v", "-s", "--no-header", "--durations=0",
     ])
 
 

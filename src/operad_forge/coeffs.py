@@ -74,6 +74,10 @@ class Coefficient:
     def coeffs(self) -> dict[int, Rat]:
         return dict(self._c)
 
+    def items(self):
+        """The (power of L, rational) pairs, as a read-only view."""
+        return self._c.items()
+
     def is_zero(self) -> bool:
         return not self._c
 

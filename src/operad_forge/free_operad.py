@@ -21,7 +21,8 @@ derived from it.
 costs one concatenation per replacement monomial.  `derivation_into`
 splices every term of a generator's image through one splicer per vertex
 and adds the products as raw rationals keyed by (monomial, power of L) to
-the caller's dict; `extend_derivation` builds the Coefficients at the end.
+the caller's dict; `OperadElement.from_cells` builds the Coefficients at
+the end.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .coeffs import (Coefficient, Combination, Rat, add_into, as_coefficient,
+from .coeffs import (Coefficient, Combination, add_into, as_coefficient,
                      unit_sign)
 from .trees import (
     ARITY,
@@ -471,12 +472,3 @@ def derivation_into(acc: dict, image: Callable[[Generator], Sequence],
 def raw_terms(x: OperadElement) -> tuple:
     """The (monomial, (power, rational) pairs) pairs of ``x``."""
     return tuple((t, tuple(c.coeffs.items())) for t, c in x.terms.items())
-
-
-def extend_derivation(images: Mapping[Generator, OperadElement],
-                      x: OperadElement) -> OperadElement:
-    """`derivation_into` on elements."""
-    acc: dict[tuple, Rat] = {}
-    raw = {g: raw_terms(img) for g, img in images.items()}
-    derivation_into(acc, raw.__getitem__, raw_terms(x))
-    return OperadElement.from_cells(acc.items())

@@ -11,21 +11,22 @@ two translations
 then carry the sign (-1)**(sum_j (n-j) p_j) on inputs of V-degrees
 p_1..p_n, and similarly for their inverses.
 
-Composition and braces run on one kernel over raw Q[L] values, `_walk`.
-It sums terms c * f with slot maps placed into f's inputs, c in Q[L] (a
-sign, a power of L or any other polynomial).  Each slot map is indexed by
-output basis element once per call, with each entry's block degree.  The
+Composition and braces run on one kernel over plain rationals, `Walk`.  It
+sums terms c * f with maps placed into f's inputs, c in Q[L] (a sign, a
+power of L or any other polynomial).  Each placed map is indexed by output
+basis element once per walk, one option per power of L in a cell.  The
 walk passes over f's inputs once, left to right, on states (input key so
-far, node of a small automaton, rest of f's key) that hold rows of raw
-Q[L] cells and merge wherever two paths meet; the Koszul sign is
-paid per placement, and each output entry becomes a Coefficient once, at
-the end.  The callers differ only in the automaton: `compose_sum` follows
-one fixed path per slot list, `brace_sum` counts the maps placed in
-order, so all insertion positions fold into one pass, and
-`brace_orderings` tracks the set of maps placed, with a sign exponent per
+far, node of a small automaton, rest of f's key, power of L) that hold
+rows {output basis element: rational} and merge wherever two paths meet;
+the Koszul sign is paid per placement.  Finished rows add up as raw cells,
+which become one Coefficient per nonzero output entry at the end; at a
+rational weight every state has power 0.  The automaton places
+the maps in order for `compose_sum` (one map, the identity for None, per
+input) and `brace_sum` (all insertion positions fold into one pass), or in
+any order, its node the set of maps placed, with a sign exponent per
 placement from a table the caller builds (bracket item (iii) of `linf`),
 so it visits at most 2^m sets of placed maps where the orderings are m!
-brace terms.
+brace terms.  Callers may walk several sums into the same raw cells.
 """
 
 from __future__ import annotations
@@ -271,130 +272,203 @@ class MapFamily(Combination):
 
 
 # ---------------------------------------------------------------------------
-# Composition and braces: one kernel on raw Q[L] values
+# Composition and braces: one kernel on plain rationals
 # ---------------------------------------------------------------------------
 
-def _slot(index: dict, source: GradedSpace, h: MultiMap) -> tuple:
-    """h by output basis element, b -> [(input block, its degree, raw
-    coefficient)], and the parity of h's degree; built once per map and
-    call (``index`` is keyed by id(h))."""
-    out = index.get(id(h))
-    if out is None:
-        if h.target != source or h.source != source:
-            raise ValueError("slot maps must go from and to the input space")
-        degs, by_out = source.degrees, {}
-        for key, row in h.table.items():
-            d = sum(degs[i] for i in key)
-            for b, c in row.items():
-                by_out.setdefault(b, []).append(
-                    (key, d, tuple(c.coeffs.items())))
-        out = index[id(h)] = (by_out, h.degree & 1)
-    return out
+def _shape(f: MultiMap, gs: Sequence[Optional[MultiMap]]) -> tuple[int, int]:
+    """Arity and degree of f with the maps gs placed, None the identity."""
+    arity, degree = f.arity, f.degree
+    for g in gs:
+        if g is not None:
+            arity += g.arity - 1
+            degree += g.degree
+    return arity, degree
 
 
-def _put(states: dict, skey, pd: int, row: dict) -> None:
-    """Add ``row``, which no other state holds, into the state ``skey``."""
-    dst = states.get(skey)
-    if dst is None:
-        states[skey] = (pd, row)
-        return
-    drow = dst[1]
-    for ob, cell in row.items():
-        dcell = drow.get(ob)
-        if dcell is None:
-            drow[ob] = cell
-            continue
-        for e, v in cell.items():
-            dcell[e] = dcell.get(e, 0) + v
+class Walk:
+    """The walk of a sum of c * f with maps placed into f's inputs, every
+    term with the output shape of ``out`` (see the module docstring).
 
-
-def _walk(out: MultiMap, starts: Iterable[tuple], nodes: Sequence[tuple]
-          ) -> MultiMap:
-    """``out`` with the table of the sum over (c, f, q) starts of c * f
-    with slot maps placed into f's inputs, as the automaton ``nodes`` allows
-    from node q.
-
-    A node is (need, ident, places).  An input of f either passes through
-    to node ``ident``, if that is not None and at least ``need`` inputs are
-    left after it, or gets a slot map from ``places``, a list of (indexed
-    map, next node, sign exponent).  A state is (input key so far, node,
-    rest of f's key) and holds a row of raw Q[L] cells; paths that reach
-    the same state merge.  A placement pays its sign exponent plus the
-    map's degree times the degree of the key so far (the Koszul sign).
+    A node is (need, places): an input of f either passes through, if at
+    least ``need`` inputs are left after it, or gets a map from ``places``,
+    a list of (indexed map, next node, sign exponent).  A placement pays
+    its sign exponent plus the map's degree times the degree of the key so
+    far (the Koszul sign).
     """
-    degs = out.source.degrees
-    states: dict[tuple, tuple] = {}
-    for c, f, q in starts:
+
+    __slots__ = ("out", "_index", "_chains", "_nodes", "_states", "_done")
+
+    def __init__(self, out: MultiMap):
+        self.out, self._states, self._done = out, {}, {}
+        self._index, self._chains, self._nodes = {}, {}, []
+
+    @classmethod
+    def of(cls, f: MultiMap, gs: Sequence[Optional[MultiMap]]) -> "Walk":
+        """An empty walk with the output shape of f with gs placed."""
+        return cls(MultiMap.zero(f.source, f.target, *_shape(f, gs)))
+
+    def _slot(self, h: Optional[MultiMap]) -> tuple:
+        """h by output basis element, b -> [(input block, its degree, power
+        of L, value, minus the value)], and the parity of h's degree; None
+        is the identity.  Built once per map and walk, keyed by id(h); the
+        entry keeps h alive."""
+        entry = self._index.get(id(h))
+        if entry is not None:
+            return entry[1]
+        source = self.out.source
+        degs = source.degrees
+        if h is None:
+            by_out = {b: [((b,), d, 0, 1, -1)] for b, d in enumerate(degs)}
+        elif h.target != source or h.source != source:
+            raise ValueError("slot maps must go from and to the input space")
+        else:
+            by_out = {}
+            for key, row in h.table.items():
+                d = sum(map(degs.__getitem__, key))
+                for b, c in row.items():
+                    opts = by_out.get(b)
+                    if opts is None:
+                        opts = by_out[b] = []
+                    for e, v in c.items():
+                        opts.append((key, d, e, v, -v))
+        slot = (by_out, 0 if h is None else h.degree & 1)
+        self._index[id(h)] = (h, slot)
+        return slot
+
+    def _chain(self, gs: Sequence[Optional[MultiMap]], step) -> int:
+        """The first node of the automaton that places gs into f's inputs:
+        in order when ``step`` is None, the node counting the maps placed
+        (shared by the terms that repeat gs), else in any order, the node
+        being the bitmask S of the maps placed and placing g_t after S
+        adding step[S][t] to the sign exponent."""
+        ids = tuple(map(id, gs))
+        if step is None and ids in self._chains:
+            return self._chains[ids]
+        nodes, m = self._nodes, len(gs)
+        q, slots = len(nodes), [self._slot(g) for g in gs]
+        if step is None:
+            self._chains[ids] = q
+            nodes.extend((m - k, ((slots[k], q + k + 1, 0),) if k < m else ())
+                         for k in range(m + 1))
+        else:
+            nodes.extend((m - mask.bit_count(),
+                          [(slots[t], q + (mask | 1 << t), step[mask][t])
+                           for t in range(m) if not mask >> t & 1])
+                         for mask in range(1 << m))
+        return q
+
+    def add(self, c, f: MultiMap, gs: Sequence[Optional[MultiMap]],
+            step=None) -> None:
+        """Add c * f with the maps gs placed into its inputs as `_chain`
+        places them, c a Coefficient or a rational; a term with more maps
+        than f has inputs gives nothing."""
+        out = self.out
         if f.source != out.source or f.target != out.target:
             raise ValueError("f must go from the source to the target")
-        for key, frow in f.scale(c).table.items():
-            _put(states, ((), q, key), 0,
-                 {b: v.coeffs for b, v in frow.items()})
-    done: dict[tuple, tuple] = {}
-    while states:
-        nxt: dict[tuple, tuple] = {}
-        for (key, q, rest), (pd, row) in states.items():
-            if not rest:
-                _put(done, key, 0, row)
-                continue
-            b, rest = rest[0], rest[1:]
-            need, ident, places = nodes[q]
-            if ident is not None and len(rest) >= need:
-                # the row moves on uncopied: it belongs to this state alone
-                _put(nxt, (key + (b,), ident, rest), pd + degs[b], row)
-            for (by_out, odd), nq, sign in places:
-                opts = by_out.get(b)
-                if opts is None:
+        if _shape(f, gs) != (out.arity, out.degree):
+            raise ValueError("terms of mixed arity or degree")
+        if len(gs) > f.arity:
+            return
+        q, states = self._chain(gs, step), self._states
+        cs = tuple(c.items()) if isinstance(c, Coefficient) else ((0, c),)
+        for key, frow in f.table.items():
+            for b, v in frow.items():
+                for ef, vf in v.items():
+                    for ec, vc in cs:
+                        skey = ((), q, key, ef + ec)
+                        st = states.get(skey)
+                        if st is None:
+                            states[skey] = (0, {b: vf * vc})
+                        else:
+                            st[1][b] = st[1].get(b, 0) + vf * vc
+
+    def walk(self) -> None:
+        """Walk the terms added since the last walk into the raw cells
+        {key: {b: {power of L: rational}}}, and let go of their maps."""
+        degs, nodes, done = self.out.source.degrees, self._nodes, self._done
+        states, self._states = self._states, {}
+        self._index, self._chains, self._nodes = {}, {}, []
+        while states:
+            nxt: dict[tuple, tuple] = {}
+            for (key, q, rest, e), (pd, row) in states.items():
+                if not rest:
+                    drow = done.get(key)
+                    if drow is None:
+                        done[key] = {ob: {e: v} for ob, v in row.items()}
+                        continue
+                    for ob, v in row.items():
+                        cell = drow.get(ob)
+                        if cell is None:
+                            drow[ob] = {e: v}
+                        else:
+                            cell[e] = cell.get(e, 0) + v
                     continue
-                neg = (sign + pd * odd) & 1
-                for block, d, hc in opts:
-                    skey = (key + block, nq, rest)
+                b, rest = rest[0], rest[1:]
+                need, places = nodes[q]
+                if len(rest) >= need:
+                    # the row moves on uncopied: it belongs to this state alone
+                    skey = (key + (b,), q, rest, e)
                     dst = nxt.get(skey)
                     if dst is None:
-                        drow = {}
-                        nxt[skey] = (pd + d, drow)
+                        nxt[skey] = (pd + degs[b], row)
                     else:
                         drow = dst[1]
-                    if neg:
-                        hc = [(eh, -vh) for eh, vh in hc]
-                    for ob, cell in row.items():
-                        dcell = drow.get(ob)
-                        if dcell is None:
-                            dcell = drow[ob] = {}
-                        for eh, vh in hc:
-                            for e, v in cell.items():
-                                dcell[e + eh] = dcell.get(e + eh, 0) + v * vh
-        states = nxt
-    table: dict[tuple, dict[int, Coefficient]] = {}
-    for key, (_, row) in done.items():
-        add_into(table, key, {b: Coefficient(cell) for b, cell in row.items()})
-    return out._with(table)
+                        for ob, v in row.items():
+                            drow[ob] = drow.get(ob, 0) + v
+                for (by_out, odd), nq, sign in places:
+                    opts = by_out.get(b)
+                    if opts is None:
+                        continue
+                    neg = (sign + pd * odd) & 1
+                    for block, d, eh, vh, nvh in opts:
+                        if neg:
+                            vh = nvh
+                        skey = (key + block, nq, rest, e + eh)
+                        dst = nxt.get(skey)
+                        if dst is None:
+                            nxt[skey] = (pd + d,
+                                         {ob: v * vh for ob, v in row.items()})
+                            continue
+                        drow = dst[1]
+                        for ob, v in row.items():
+                            drow[ob] = drow.get(ob, 0) + v * vh
+            states = nxt
+
+    def result(self) -> MultiMap:
+        """``out`` with the table of the terms added so far: one Coefficient
+        per nonzero raw cell."""
+        self.walk()
+        table: dict[tuple, dict[int, Coefficient]] = {}
+        for key, row in self._done.items():
+            out = {b: c for b, c in zip(row, map(Coefficient, row.values()))
+                   if c}
+            if out:
+                table[key] = out
+        return self.out._with(table)
+
+
+def add_term(walks: dict, tag, c, f: MultiMap,
+             gs: Sequence[Optional[MultiMap]], step=None) -> None:
+    """`Walk.add` into the walk of the term's part (arity, tag) in
+    ``walks``, made on first use: one walk per part of a map family."""
+    part = (_shape(f, gs)[0], tag)
+    if part not in walks:
+        walks[part] = Walk.of(f, gs)
+    walks[part].add(c, f, gs, step)
 
 
 def compose_sum(source: GradedSpace, target: GradedSpace, arity: int,
                 degree: int, terms: Iterable[tuple]) -> MultiMap:
     """sum of c * f o (slots) over (c, f, slots) terms, c a Coefficient or
     a rational; every f goes from ``source`` to ``target`` and every term
-    has the given arity and degree.  Each slot list is one fixed path of
-    the walk, shared by the terms that repeat it."""
-    index, paths, nodes, starts = {}, {}, [], []
-    # a list keeps every map alive for the whole call: index and paths are
-    # keyed by id()
-    for c, f, slots in list(terms):
-        if (len(slots) != f.arity
-                or sum(1 if h is None else h.arity for h in slots) != arity
-                or f.degree + sum(h.degree for h in slots if h is not None)
-                != degree):
+    has the given arity and degree.  A composition places one slot map, the
+    identity for None, into each input of f, in order."""
+    walk = Walk(MultiMap.zero(source, target, arity, degree))
+    for c, f, slots in terms:
+        if len(slots) != f.arity:
             raise ValueError("terms of mixed arity or degree")
-        ids = tuple(map(id, slots))
-        q = paths.get(ids)
-        if q is None:
-            q = paths[ids] = len(nodes)
-            nodes.extend((0, i, ()) if h is None else
-                         (0, None, ((_slot(index, source, h), i, 0),))
-                         for i, h in enumerate(slots, q + 1))
-        starts.append((c, f, q))
-    return _walk(MultiMap.zero(source, target, arity, degree), starts, nodes)
+        walk.add(c, f, slots)
+    return walk.result()
 
 
 def compose_full(f: MultiMap, slots: Sequence[Optional[MultiMap]]
@@ -404,9 +478,8 @@ def compose_full(f: MultiMap, slots: Sequence[Optional[MultiMap]]
     Koszul signs: each h_s passes the argument blocks of the slots to its
     left, contributing (-1)**(deg(h_s) * deg(those arguments)).
     """
-    arity = sum(1 if h is None else h.arity for h in slots)
-    degree = f.degree + sum(0 if h is None else h.degree for h in slots)
-    return compose_sum(f.source, f.target, arity, degree, [(1, f, slots)])
+    return compose_sum(f.source, f.target, *_shape(f, slots),
+                       [(1, f, slots)])
 
 
 def compose_at(f: MultiMap, i: int, g: MultiMap) -> MultiMap:
@@ -420,26 +493,12 @@ def compose_at(f: MultiMap, i: int, g: MultiMap) -> MultiMap:
 
 def brace_sum(terms: Sequence[tuple]) -> MultiMap:
     """sum of c * f{g_1,...,g_k} over nonempty (c, f, gs) terms of one
-    arity and degree.  A term's walk places its maps in order, its node
-    counting the maps placed, so every insertion position of every term
-    folds into one pass; a term with more maps than inputs gives nothing."""
-    _, f0, gs0 = terms[0]
-    out = MultiMap.zero(f0.source, f0.target,
-                        f0.arity + sum(g.arity - 1 for g in gs0),
-                        f0.degree + sum(g.degree for g in gs0))
-    index, nodes, starts = {}, [], []
+    arity and degree, every insertion position of every term folded into
+    one walk; a term with more maps than inputs gives nothing."""
+    walk = Walk.of(*terms[0][1:])
     for c, f, gs in terms:
-        if (f.arity + sum(g.arity - 1 for g in gs) != out.arity
-                or f.degree + sum(g.degree for g in gs) != out.degree):
-            raise ValueError("terms of mixed arity or degree")
-        m, q = len(gs), len(nodes)
-        for k, g in enumerate(gs):
-            slot = _slot(index, out.source, g)
-            nodes.append((m - k, q + k, ((slot, q + k + 1, 0),)))
-        nodes.append((0, q + m, ()))
-        if m <= f.arity:
-            starts.append((c, f, q))
-    return _walk(out, starts, nodes)
+        walk.add(c, f, gs)
+    return walk.result()
 
 
 def hom_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
@@ -448,36 +507,14 @@ def hom_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     return brace_sum([(1, f, gs)]) if gs else f
 
 
+def gerstenhaber_terms(c, f: MultiMap, g: MultiMap) -> list[tuple]:
+    """The brace terms of c [f,g] = c f{g} - (-1)**(|f||g|) c g{f}."""
+    return [(c, f, [g]), (c if f.degree * g.degree % 2 else -c, g, [f])]
+
+
 def hom_gerstenhaber(f: MultiMap, g: MultiMap) -> MultiMap:
     """[f,g] = f{g} - (-1)**(|f||g|) g{f} on maps with target = source."""
-    return brace_sum([(1, f, [g]),
-                      (1 if f.degree * g.degree % 2 else -1, g, [f])])
-
-
-def brace_orderings(c, f: MultiMap, gs: Sequence[MultiMap],
-                    step: Sequence[Sequence[int]]) -> MultiMap:
-    """sum over sigma in S_m of (-1)**e(sigma) * c * f{g_sigma(1), ...,
-    g_sigma(m)}, where e(sigma) adds up step[S][t] over the placements of
-    sigma: t placed after the maps of the bitmask S.
-
-    The walk's node is the bitmask of the maps placed so far: an input of
-    f either passes through, if enough inputs are left for the maps still
-    to place, or gets any unplaced g_t.  Orderings fold together wherever
-    their input keys agree: at most 2**m masks per key instead of m!
-    separate brace terms.
-    """
-    m, index = len(gs), {}
-    slots = [_slot(index, f.source, g) for g in gs]
-    out = MultiMap.zero(f.source, f.target,
-                        f.arity + sum(g.arity - 1 for g in gs),
-                        f.degree + sum(g.degree for g in gs))
-    if m > f.arity:
-        return out
-    return _walk(out, [(c, f, 0)], [
-        (m - mask.bit_count(), mask,
-         [(slots[t], mask | 1 << t, step[mask][t])
-          for t in range(m) if not mask >> t & 1])
-        for mask in range(1 << m)])
+    return brace_sum(gerstenhaber_terms(1, f, g))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from typing import Iterator, Literal, Sequence, Union
 
 from .coeffs import Coefficient, LAMBDA, add_into, compositions, sign_coeff
 from .dif_operads import Difinfty, d_gen, m_gen
-from .free_operad import OperadElement, TreeMonomial
+from .free_operad import (OperadElement, TreeMonomial, derivation_into,
+                          raw_terms)
 from .trees import Generator, gen_id
 
 Kind = Literal["mt", "dt", "sm", "sd"]
@@ -271,24 +272,23 @@ def cross_check_cobar(max_arity: int, lam: Coefficient = LAMBDA
 def sdif_cobar_d_square(max_arity: int, lam: Coefficient = LAMBDA
                         ) -> list[tuple[str, OperadElement]]:
     """diff o diff on the cobar generators of the degree-(0,1) table; a
-    nonempty result would refute the homotopy-cooperad property."""
-    from .free_operad import extend_derivation
-
-    images: dict[Generator, OperadElement] = {}
+    nonempty result would refute the homotopy-cooperad property.  The
+    images become raw terms once, for every generator's derivation."""
+    images: dict[Generator, tuple] = {}
     for n in range(1, max_arity + 1):
         if n >= 2:
-            images[mu_gen(n)] = cobar_differential(CoopGenerator("mt", n), lam)
-        images[nu_gen(n)] = cobar_differential(CoopGenerator("dt", n), lam)
-
-    def diff_elem(x: OperadElement) -> OperadElement:
-        return extend_derivation(images, x)
+            images[mu_gen(n)] = raw_terms(
+                cobar_differential(CoopGenerator("mt", n), lam))
+        images[nu_gen(n)] = raw_terms(
+            cobar_differential(CoopGenerator("dt", n), lam))
 
     bad = []
-    for gen, img in list(images.items()):
-        needed = {g for t in img.terms for g in t.gens}
-        if not needed.issubset(images):
+    for gen, img in images.items():
+        if not {g for t, _ in img for g in t.gens}.issubset(images):
             raise ValueError("increase max_arity")
-        residual = diff_elem(img)
+        acc: dict = {}
+        derivation_into(acc, images.__getitem__, img)
+        residual = OperadElement.from_cells(acc.items())
         if not residual.is_zero():
             bad.append((gen.symbol, residual))
     return bad

@@ -18,14 +18,17 @@ sg = s o g their target suspension):
   (v)   everything else vanishes (including l_1 and any component with two
         alg arguments in arity >= 3).
 
-Item (iii) is not summed ordering by ordering: `hom_complex.brace_orderings`
-places the g's in one left-to-right pass of the composition walk over sf's
-inputs, whose nodes are the subsets of placed maps (2^m of them instead of
-m! orderings).  Placing g_t after the
-set S of maps already placed adds #{s in S: s > t} (the permutation's
-inversions), #{s in S: s > t, |g_s| and |g_t| odd} (chi's Koszul part) and
-(m-1-|S|)|g_t| to the sign exponent, so the total over a whole ordering is
-chi(sigma; g*) times the exponent displayed in (iii).
+Item (iii) is not summed ordering by ordering: a `hom_complex.Walk` places
+the g's in one left-to-right pass over sf's inputs, whose nodes are the
+subsets of placed maps (2^m of them instead of m! orderings).  Placing g_t
+after the set S of maps already placed adds #{s in S: s > t} (the
+permutation's inversions), #{s in S: s > t, |g_s| and |g_t| odd} (chi's
+Koszul part) and (m-1-|S|)|g_t| to the sign exponent, so the total over a
+whole ordering is chi(sigma; g*) times the exponent displayed in (iii).
+Every component of a bracket, and every bracket of a sum (the Jacobi sum,
+l_n^alpha, the Maurer-Cartan equation), adds its terms with their signs,
+powers of L and scalars to one walk per output part, walked at once into
+that part's raw cells; the sum becomes Coefficients only at the end.
 
 Maurer-Cartan elements of degree -1 over a degree-0 space V are exactly
 weighted differential algebra structures; twisting by them recovers the
@@ -38,22 +41,22 @@ import itertools
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebras import DifAlgebraData
-from .coeffs import Coefficient, Rat, add_into, chi_sign, shuffles
+from .coeffs import (Coefficient, Rat, add_into, chi_sign, normalize,
+                     shuffles)
 from .hom_complex import (
     GradedSpace,
     MapFamily,
     MultiMap,
-    brace_orderings,
+    add_term,
     desuspend_target,
-    hom_gerstenhaber,
+    gerstenhaber_terms,
     iso1_down,
     iso1_up,
     iso2_down,
     iso2_up,
-    sum_maps,
     suspend_target,
 )
 
@@ -97,18 +100,15 @@ class CdaElement(MapFamily):
         return "CdaElement(" + ", ".join(bits) + ")"
 
 
-def _component_bracket(space: GradedSpace, lam: Coefficient,
-                       comps: Sequence[tuple[str, MultiMap]]
-                       ) -> Optional[tuple[str, MultiMap]]:
-    """One multilinear component of l_n; None encodes zero."""
-    n = len(comps)
+def _component_into(walks: dict, lam: Coefficient, c,
+                    comps: Sequence[tuple[str, MultiMap]]) -> None:
+    """Add c times one multilinear component of l_n to ``walks``; a do part
+    is walked on the suspended maps sg."""
     flags = [f for f, _ in comps]
-    n_alg = flags.count(ALG)
-    if n == 2 and n_alg == 2:
-        sf, sg = comps[0][1], comps[1][1]
-        return (ALG, hom_gerstenhaber(sf, sg))
-    if n_alg != 1 or n < 2:
-        return None
+    if flags.count(ALG) == 2:
+        for term in gerstenhaber_terms(c, comps[0][1], comps[1][1]):
+            add_term(walks, ALG, *term)
+        return
     k = flags.index(ALG)
     sf = comps[k][1]
     gs = [mm for f, mm in comps if f == DO]
@@ -116,19 +116,20 @@ def _component_bracket(space: GradedSpace, lam: Coefficient,
     # item (iv): move the alg component to the front
     exp_iv = sf.degree * sum(gdeg[:k]) + k
     m = len(gs)
-    if m == 1:
-        g = gs[0]
-        bracket = hom_gerstenhaber(sf, suspend_target(g))
-        out = desuspend_target(bracket)
-        return (DO, out.scale(-1) if (exp_iv + sf.degree) % 2 else out)
-    # item (iii), with item (iv)'s sign and L^(m-1) folded into the scalar
-    # and step[S][t] the sign exponent of placing g_t after the set S
-    # (see the module docstring)
-    if m > sf.arity:
-        return None
-    lam_pow = lam ** (m - 1)
+    sgs = [suspend_target(g) for g in gs]
+    # items (ii) and (iii) with item (iv)'s sign folded into the scalar
     if (exp_iv + m * sf.degree) % 2:
-        lam_pow = -lam_pow
+        c = -c
+    if m == 1:
+        for term in gerstenhaber_terms(c, sf, sgs[0]):
+            add_term(walks, DO, *term)
+        return
+    if m > sf.arity:
+        return
+    # item (iii), with L^(m-1) folded into the scalar and step[S][t] the
+    # sign exponent of placing g_t after the set S (see the module
+    # docstring)
+    c = c * lam ** (m - 1)
     odd = sum(1 << t for t, d in enumerate(gdeg) if d % 2)
     step = []
     for placed in range(1 << m):
@@ -139,39 +140,56 @@ def _component_bracket(space: GradedSpace, lam: Coefficient,
             row.append(later.bit_count() + left * d
                        + (d % 2) * (later & (odd >> (t + 1))).bit_count())
         step.append(row)
-    total = brace_orderings(lam_pow, sf, [suspend_target(g) for g in gs],
-                            step)
-    if total.is_zero():
-        return None
-    return (DO, desuspend_target(total))
+    add_term(walks, DO, c, sf, sgs, step)
+
+
+def _component_bracket(space: GradedSpace, lam: Coefficient,
+                       comps: Sequence[tuple[str, MultiMap]]
+                       ) -> Optional[tuple[str, MultiMap]]:
+    """One multilinear component of l_n, as `cda_bracket` computes it on
+    single-part arguments; None encodes zero."""
+    x = cda_bracket(space, lam, [CdaElement(space, {(mm.arity, flag): mm})
+                                 for flag, mm in comps])
+    return next(((flag, mm) for (_, flag), mm in x.parts.items()), None)
+
+
+def _bracket_sum(space: GradedSpace, lam: Coefficient,
+                 terms: Iterable[tuple]) -> CdaElement:
+    """sum of c * l_n(args) over (c, args) terms, l_n extended
+    multilinearly over the components of each argument.  Each bracket adds
+    its components to one walk per output part (arity, ALG|DO), walked at
+    once into that part's raw cells, so the sum makes Coefficients only at
+    the end; a do part is desuspended there."""
+    walks: dict = {}
+    for c, args in terms:
+        if len(args) < 2 or any(a.is_zero() for a in args):
+            continue
+        # item (v): only a component with one alg part, or two at width 2,
+        # can be nonzero, so each product fixes its alg slots
+        algs, dos = [], []
+        for a in args:
+            alg, do = [], []
+            for (_, flag), mm in a.parts.items():
+                (alg if flag == ALG else do).append((flag, mm))
+            algs.append(alg)
+            dos.append(do)
+        combos = [itertools.product(*dos[:k], alg, *dos[k + 1:])
+                  for k, alg in enumerate(algs) if alg]
+        if len(args) == 2:
+            combos.append(itertools.product(*algs))
+        for comps in itertools.chain.from_iterable(combos):
+            _component_into(walks, lam, c, comps)
+        for walk in walks.values():
+            walk.walk()
+    return CdaElement(space, {part: walk.result() if part[1] == ALG
+                              else desuspend_target(walk.result())
+                              for part, walk in walks.items()})
 
 
 def cda_bracket(space: GradedSpace, lam: Coefficient,
                 args: Sequence[CdaElement]) -> CdaElement:
     """l_n extended multilinearly over the components of each argument."""
-    n = len(args)
-    if n < 2 or any(a.is_zero() for a in args):
-        return CdaElement(space)
-    # item (v): a component with one alg part, or two at width 2, is the
-    # only one that can be nonzero, so each product fixes its alg slots
-    algs, dos = [], []
-    for a in args:
-        alg, do = [], []
-        for (_, flag), mm in a.parts.items():
-            (alg if flag == ALG else do).append((flag, mm))
-        algs.append(alg)
-        dos.append(do)
-    combos = [itertools.product(*dos[:k], alg, *dos[k + 1:])
-              for k, alg in enumerate(algs) if alg]
-    if n == 2:
-        combos.append(itertools.product(*algs))
-    terms = []
-    for combo in itertools.chain.from_iterable(combos):
-        res = _component_bracket(space, lam, combo)
-        if res is not None:
-            flag, mm = res
-            terms.append((1, {(mm.arity, flag): mm}))
-    return CdaElement(space, sum_maps(terms))
+    return _bracket_sum(space, lam, [(1, args)])
 
 
 def jacobi_residual(space: GradedSpace, lam: Coefficient,
@@ -179,30 +197,20 @@ def jacobi_residual(space: GradedSpace, lam: Coefficient,
     """The generalized Jacobi sum; zero iff the identity holds on args."""
     n = len(args)
     degs = [a.degree() for a in args]
-
-    def terms():
-        for i in range(2, n):   # i = 1 and i = n give l_1 terms; l_1 = 0
-            outer_sign = -1 if (i * (n - i)) % 2 else 1
-            for sigma in shuffles(i, n - i):
-                inner = cda_bracket(space, lam,
-                                    [args[sigma[t]] for t in range(i)])
-                if inner.is_zero():
-                    continue
-                rest = [args[sigma[t]] for t in range(i, n)]
-                yield (chi_sign(degs, sigma) * outer_sign,
-                       cda_bracket(space, lam, [inner] + rest))
-
-    return CdaElement.sum(space, terms())
+    # i = 1 and i = n give l_1 terms, and l_1 = 0
+    return _bracket_sum(space, lam, (
+        (chi_sign(degs, sigma) * (-1) ** (i * (n - i)),
+         [cda_bracket(space, lam, [args[t] for t in sigma[:i]])]
+         + [args[t] for t in sigma[i:]])
+        for i in range(2, n) for sigma in shuffles(i, n - i)))
 
 
 def antisymmetry_residual(space: GradedSpace, lam: Coefficient,
                           args: Sequence[CdaElement],
                           sigma: Sequence[int]) -> CdaElement:
     degs = [a.degree() for a in args]
-    chi = chi_sign(degs, sigma)
-    lhs = cda_bracket(space, lam, [args[s] for s in sigma])
-    rhs = cda_bracket(space, lam, args).scale(chi)
-    return lhs - rhs
+    return _bracket_sum(space, lam, [(1, [args[s] for s in sigma]),
+                                     (-chi_sign(degs, sigma), args)])
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +300,8 @@ def mc_residual(space: GradedSpace, lam: Coefficient,
     if alpha.degree() != -1:
         raise ValueError("Maurer-Cartan candidates must have degree -1")
     cap = max(2, alpha.max_arity() + 1)
-    out = CdaElement.sum(space, (
-        (Fraction((-1) ** ((n * (n - 1) // 2) % 2), factorial(n)),
-         cda_bracket(space, lam, [alpha] * n))
+    out = _bracket_sum(space, lam, (
+        (Fraction((-1) ** (n * (n - 1) // 2), factorial(n)), [alpha] * n)
         for n in range(2, cap + 1)))
     extra = cda_bracket(space, lam, [alpha] * (cap + 1))
     if not extra.is_zero():
@@ -308,9 +315,9 @@ def twisted_bracket(space: GradedSpace, lam: Coefficient, alpha: CdaElement,
     l_{n+i}(alpha^i, args)."""
     n = len(args)
     cap = max(a.max_arity() for a in list(args) + [alpha]) + 2
-    return CdaElement.sum(space, (
-        (Fraction((-1) ** ((i * n + i * (i - 1) // 2) % 2), factorial(i)),
-         cda_bracket(space, lam, [alpha] * i + list(args)))
+    return _bracket_sum(space, lam, (
+        (normalize(Fraction((-1) ** (i * n + i * (i - 1) // 2),
+                            factorial(i))), [alpha] * i + list(args))
         for i in range(max(0, 2 - n), cap + 1)))
 
 
@@ -417,8 +424,8 @@ class CdoDgla:
         return CdaElement(self.space, {(g.arity, DO): g})
 
     def l1(self, g: MultiMap) -> MultiMap:
-        out = cda_bracket(self.space, self.lam,
-                          [self.beta, self._wrap(g)]).scale(-1)
+        out = _bracket_sum(self.space, self.lam,
+                           [(-1, [self.beta, self._wrap(g)])])
         return self._do_of(out, g.arity + 1, g.degree - 1)
 
     def l2(self, g: MultiMap, h: MultiMap) -> MultiMap:

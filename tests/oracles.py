@@ -11,16 +11,18 @@ the tests check the kernel against it.
 * `eta_sign_exponent_long`, the unsimplified eta sign of the weighted
   Leibniz identity, against `hda.eta_sign_exponent`.
 * `is_normal_form`, the definition of a normal form of `DifRewriter`.
+* `extend_derivation`, `free_operad.derivation_into` on elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from operad_forge.coeffs import koszul_sign
 from operad_forge.dif_operads import DifRewriter
-from operad_forge.free_operad import TreeMonomial
+from operad_forge.free_operad import (OperadElement, TreeMonomial,
+                                      derivation_into, raw_terms)
 from operad_forge.trees import Node, generator_rank
 
 
@@ -244,3 +246,13 @@ def eta_sign_exponent_long(n: int, p: int, ls: tuple[int, ...],
 
 def is_normal_form(rewriter: DifRewriter, t: TreeMonomial) -> bool:
     return not rewriter.find_redexes(t)
+
+
+def extend_derivation(images: Mapping, x: OperadElement) -> OperadElement:
+    """The degree -1 derivation with generator images ``images`` applied
+    to ``x``, through `derivation_into`; a generator with no image is a
+    KeyError."""
+    acc: dict = {}
+    raw = {g: raw_terms(img) for g, img in images.items()}
+    derivation_into(acc, raw.__getitem__, raw_terms(x))
+    return OperadElement.from_cells(acc.items())

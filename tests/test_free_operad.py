@@ -20,7 +20,6 @@ from operad_forge.free_operad import (
     brace,
     brace_lenient,
     compose_monomials,
-    extend_derivation,
     gerstenhaber,
     partial_compose,
     pre_jacobi_check,
@@ -31,6 +30,7 @@ from oracles import (
     Divisor,
     contract,
     divisor_subtree,
+    extend_derivation,
     graft,
     node_weight,
     sigma_koszul_sign,

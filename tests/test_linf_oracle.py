@@ -1,7 +1,7 @@
 """Item (iii) of the L-infinity bracket against its m!-ordering form.
 
 `linf._component_bracket` sums the orderings of item (iii) in one pass over
-the placed subsets of maps (`hom_complex.brace_orderings`).  The oracle here
+the placed subsets of maps (`hom_complex.Walk`).  The oracle here
 reads the displayed formula literally: one `brace_sum` term per ordering
 sigma, each with its own chi(sigma; g*) from `coeffs.chi_sign`, the sign of
 item (iv) and L^(m-1).
@@ -132,3 +132,36 @@ def test_cancelled_orderings_leave_no_entry(lam):
     got = _component_bracket(space, lam, comps)
     assert got is not None
     assert_same(got, ordering_bracket(lam, comps))
+
+
+# maps scaled by these have cells that mix powers of L, so the walk's
+# states split by power and merge again; 1/2 - L makes integral products
+# of Fractions, which must come out as ints
+MIXED_SCALES = (Coefficient({0: 1, 1: -1}), Coefficient({0: 1, 2: 1}),
+                Coefficient({0: Fraction(1, 2), 1: -1}))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=str)
+@pytest.mark.parametrize("lam", WEIGHTS, ids=str)
+@pytest.mark.parametrize("m", [2, 3])
+def test_orderings_of_maps_with_mixed_powers_of_l(space, lam, m):
+    rng = random.Random(f"mixed/{space}/{lam}/{m}")
+    nonzero = 0
+    for trial in range(4):
+        gs = [random_part(rng, space, DO, rng.randint(1, 2)).scale(
+            MIXED_SCALES[(trial + j) % 3]) for j in range(m)]
+        sf = random_part(rng, space, ALG, m + trial % 2)
+        comps = [(DO, g) for g in gs]
+        comps.insert(rng.randint(0, m), (ALG, sf))
+        got = _component_bracket(space, lam, comps)
+        assert_same(got, ordering_bracket(lam, comps))
+        if got is None:
+            continue
+        nonzero += 1
+        cells = [c for row in got[1].table.values() for c in row.values()]
+        assert any(len(c.coeffs) > 1 for c in cells)
+        for c in cells:
+            assert not c.is_zero()
+            assert all(type(v) is int or v.denominator != 1
+                       for v in c.coeffs.values())
+    assert nonzero
