@@ -33,7 +33,60 @@ def normalize(v: "Rat | str") -> Rat:
     raise ValueError(f"{v!r} is not an exact rational")
 
 
-class Coefficient:
+# ---------------------------------------------------------------------------
+# Sparse sums
+# ---------------------------------------------------------------------------
+
+def add_into(acc: dict, key, value) -> None:
+    """acc[key] += value, removing the entry when the sum is zero.
+
+    This is the one zero-dropping accumulator of the element types and of
+    `Coefficient`; the raw-cell kernels drop their zeros when they build
+    elements.  A dict value (a row, or a table of rows) is added entry by
+    entry into a dict that ``acc`` owns, so ``acc`` never shares a mutable
+    value with an operand; any other value (a rational, a Coefficient, a
+    MultiMap) is combined with ``+`` and tested for zero by its truth
+    value.  ``acc`` itself must be a fresh dict: values handed out by a
+    cache must never be accumulated into.
+    """
+    prev = acc.get(key)
+    if type(value) is dict:
+        if prev is None:
+            prev = acc[key] = {}
+        for k, v in value.items():
+            add_into(prev, k, v)
+        if not prev:
+            del acc[key]
+        return
+    tot = value if prev is None else prev + value
+    if tot:
+        acc[key] = tot
+    elif prev is not None:
+        del acc[key]
+
+
+class Combination:
+    """Addition, subtraction, negation and scaling of a sparse type, all
+    from its one sum: ``_sum(pairs)`` is the sum of c * x over (c, x)
+    pairs, c a Coefficient or a rational, and refuses operands it cannot
+    add."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return self._sum(((1, self), (1, other)))
+
+    def __sub__(self, other):
+        return self._sum(((1, self), (-1, other)))
+
+    def __neg__(self):
+        return self._sum(((-1, self),))
+
+    def scale(self, c):
+        return self if unit_sign(c) == 1 else self._sum(((c, self),))
+
+
+class Coefficient(Combination):
     """Sparse polynomial in L over Q.
 
     Zero entries are never stored; the zero polynomial is the empty map.
@@ -84,29 +137,18 @@ class Coefficient:
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        if not other._c:
-            return self
-        if not self._c:
-            return other
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = normalize(w)
-            else:
-                c.pop(e, None)
+    def _sum(self, pairs) -> "Coefficient":
+        """sum of c * x over (c, x) pairs, every power added into one dict
+        and normalized once."""
+        acc: dict[int, Rat] = {}
+        for c, x in pairs:
+            if isinstance(c, Coefficient):
+                c, x = 1, c * x
+            for e, v in x._c.items():
+                add_into(acc, e, c * v)
         out = Coefficient.__new__(Coefficient)
-        out._c = c
+        out._c = {e: normalize(v) for e, v in acc.items()}
         return out
-
-    def __neg__(self) -> "Coefficient":
-        out = Coefficient.__new__(Coefficient)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
-
-    def __sub__(self, other: "Coefficient") -> "Coefficient":
-        return self + (-other)
 
     def __mul__(self, other: "Coefficient | Rat") -> "Coefficient":
         if not isinstance(other, Coefficient):
@@ -147,15 +189,6 @@ class Coefficient:
         out = _ONE
         for _ in range(k):
             out = out * self
-        return out
-
-    def scale(self, v: Rat) -> "Coefficient":
-        if not v:
-            return _ZERO
-        if v == 1:
-            return self
-        out = Coefficient.__new__(Coefficient)
-        out._c = {e: normalize(w * v) for e, w in self._c.items()}
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -208,57 +241,6 @@ def unit_sign(c: "Coefficient | Rat") -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sparse sums
-# ---------------------------------------------------------------------------
-
-def add_into(acc: dict, key, value) -> None:
-    """acc[key] += value, removing the entry when the sum is zero.
-
-    This is the one place a sparse sum drops its zeros.  A dict value (a
-    row, or a table of rows) is added entry by entry into a dict that
-    ``acc`` owns, so ``acc`` never shares a mutable value with an operand;
-    any other value (a Coefficient, a MultiMap) is combined with ``+`` and
-    tested for zero by its truth value.  ``acc`` itself must be a fresh
-    dict: values handed out by a cache must never be accumulated into.
-    """
-    prev = acc.get(key)
-    if type(value) is dict:
-        if prev is None:
-            prev = acc[key] = {}
-        for k, v in value.items():
-            add_into(prev, k, v)
-        if not prev:
-            del acc[key]
-        return
-    tot = value if prev is None else prev + value
-    if tot:
-        acc[key] = tot
-    elif prev is not None:
-        del acc[key]
-
-
-class Combination:
-    """Addition, subtraction, negation and scaling of a sparse type, all
-    from its one sum: ``_sum(pairs)`` is the sum of c * x over (c, x)
-    pairs, c a Coefficient or a rational, and refuses operands it cannot
-    add."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return self._sum(((1, self), (1, other)))
-
-    def __sub__(self, other):
-        return self._sum(((1, self), (-1, other)))
-
-    def __neg__(self):
-        return self._sum(((-1, self),))
-
-    def scale(self, c):
-        return self if unit_sign(c) == 1 else self._sum(((c, self),))
-
-
-# ---------------------------------------------------------------------------
 # textual grammar:
 #   coeff    := term (('+'|'-') term)*
 #   term     := rational ('*' 'L' ('^' uint)?)? | 'L' ('^' uint)?
@@ -291,7 +273,10 @@ def format_weight(lam: Coefficient) -> str:
 
 
 def parse_coefficient(s: str) -> Coefficient:
-    """Parse the coefficient grammar; inverse of :func:`format_coefficient`."""
+    """Parse the coefficient grammar; inverse of :func:`format_coefficient`.
+    A non-string or a zero denominator is a ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f"coefficient {s!r} is not a string")
     s = s.strip()
     if not s:
         raise ValueError("empty coefficient string")
@@ -307,14 +292,10 @@ def parse_coefficient(s: str) -> Coefficient:
             raise ValueError(f"missing +/- between terms in {s!r}")
         sgn = -1 if sign == "-" else 1
         if m.group("rat") is not None:
-            val = Fraction(m.group("rat"))
-            if m.group("lam1") is not None:
-                power = int(m.group("p1") or 1)
-            else:
-                power = 0
+            val = normalize(m.group("rat"))
+            power = int(m.group("p1") or 1) if m.group("lam1") else 0
         else:
-            val = Fraction(1)
-            power = int(m.group("p2") or 1)
+            val, power = 1, int(m.group("p2") or 1)
         coeffs[power] = coeffs.get(power, 0) + sgn * val
         pos = m.end()
         first = False

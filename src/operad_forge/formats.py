@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Callable, Optional
 
 from .coeffs import (Coefficient, add_into, format_coefficient,
                      parse_coefficient)
@@ -29,12 +28,9 @@ def format_tree(node: Node) -> str:
     return "(" + " ".join(parts) + ")"
 
 
-def parse_tree(s: str, gen_parser: Optional[Callable[[str], Generator]] = None
-               ) -> Node:
-    if gen_parser is None:
-        from .dif_operads import parse_generator
+def parse_tree(s: str) -> Node:
+    from .dif_operads import parse_generator
 
-        gen_parser = parse_generator
     tokens = _TOKEN_RE.findall(s)
     if re.sub(r"\s+", "", s) != "".join(tokens):
         raise ValueError(f"unrecognized characters in tree {s!r}")
@@ -51,7 +47,7 @@ def parse_tree(s: str, gen_parser: Optional[Callable[[str], Generator]] = None
         expect("(")
         if pos >= len(tokens) or tokens[pos] in "()_":
             raise ValueError(f"expected generator symbol in {s!r}")
-        gen = gen_parser(tokens[pos])
+        gen = parse_generator(tokens[pos])
         pos += 1
         children = []
         while pos < len(tokens) and tokens[pos] != ")":
@@ -85,14 +81,12 @@ def format_element(x: OperadElement) -> str:
     return json.dumps(element_records(x), indent=1)
 
 
-def parse_element(text: str,
-                  gen_parser: Optional[Callable[[str], Generator]] = None
-                  ) -> OperadElement:
+def parse_element(text: str) -> OperadElement:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("element file must be a JSON list")
     terms: dict[TreeMonomial, Coefficient] = {}
     for rec in data:
-        t = TreeMonomial(parse_tree(rec["tree"], gen_parser))
+        t = TreeMonomial(parse_tree(rec["tree"]))
         add_into(terms, t, parse_coefficient(rec["coeff"]))
     return OperadElement(terms)

@@ -263,11 +263,17 @@ def load_structure(obj) -> HdaStructure:
 
     from .coeffs import parse_coefficient
 
+    def integer(v, what: str) -> int:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be a JSON integer, not {v!r}")
+        return v
+
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
-    space = GradedSpace({int(k): v for k, v in obj["dims"].items()})
+    space = GradedSpace({int(k): integer(v, f"dims[{k!r}]")
+                         for k, v in obj["dims"].items()})
     lam = parse_weight(obj.get("lambda", "generic"))
-    bound = int(obj.get("bound", 4))
+    bound = integer(obj.get("bound", 4), "bound")
 
     def load_maps(block, degree_of_n):
         out = {}
@@ -319,10 +325,13 @@ def dump_structure(s: HdaStructure) -> str:
 # ---------------------------------------------------------------------------
 
 def homology_descent(s: HdaStructure) -> dict:
-    """For a structure with differential m_1, check that d_1 preserves
-    cycles and boundaries degreewise, so it descends to homology.  Requires
-    weight-free (constant) tables for m_1 and d_1."""
-    v = s.space
+    """For a structure with differential M = m_1, check that D = d_1
+    preserves cycles and boundaries degreewise, so it descends to homology,
+    by `echelon` ranks alone: D keeps im M iff the columns of DM lie in
+    the column space of M, and keeps ker M iff the rows of MD lie in its
+    row space, the columns of D^T M^T in that of M^T; the homology has
+    dim V - 2 rank M.  Requires weight-free (constant) tables for m_1 and
+    d_1."""
 
     def as_matrix(mm: Optional[MultiMap]) -> dict:
         cols: dict[int, dict[int, Rat]] = {}
@@ -336,47 +345,24 @@ def homology_descent(s: HdaStructure) -> dict:
                 col[b] = c.constant_term()
         return cols
 
-    m1_cols = as_matrix(s.m_at(1))
-    d1_cols = as_matrix(s.d_at(1))
-
-    def apply_cols(cols, vec: dict[int, Rat]) -> dict[int, Rat]:
-        out: dict[int, Rat] = {}
-        for i, c in vec.items():
-            for b, w in cols.get(i, {}).items():
-                add_into(out, b, c * w)
+    def transpose(cols: dict) -> dict:
+        out: dict[int, dict[int, Rat]] = {}
+        for i, col in cols.items():
+            for r, v in col.items():
+                out.setdefault(r, {})[i] = v
         return out
 
-    def rank(vectors) -> int:
-        return len(echelon(vectors))
+    def kept(a: dict, b: dict) -> bool:
+        """Whether the columns of BA lie in the column space of A."""
+        ba: dict[int, dict[int, Rat]] = {}
+        for i, col in a.items():
+            for k, w in col.items():
+                for r, v in b.get(k, {}).items():
+                    add_into(ba.setdefault(i, {}), r, v * w)
+        return len(echelon([*a.values(), *ba.values()])) == rank
 
-    def preserved(span) -> bool:
-        r = rank(span)
-        return all(rank(span + [apply_cols(d1_cols, x)]) == r for x in span)
-
-    m1_rows: dict[int, dict[int, Rat]] = {}
-    for i, col in m1_cols.items():
-        for b, c in col.items():
-            m1_rows.setdefault(b, {})[i] = c
-    cycles = _kernel(echelon(m1_rows.values()), v.dim())
-    boundaries = [apply_cols(m1_cols, {i: 1}) for i in v.basis()]
-    return {"cycles_preserved": preserved(cycles),
-            "boundaries_preserved": preserved(boundaries),
-            "homology_dim": len(cycles) - rank(boundaries)}
-
-
-def _kernel(pivots, ncols: int) -> list[dict]:
-    """A basis of the kernel {x : row . x = 0 for every pivot row} on
-    columns 0..ncols-1, one vector per column without a pivot, by back
-    substitution through the pivots of `cochain.echelon`."""
-    pivot_cols = {pc for pc, _ in pivots}
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = {free: 1}
-        for pc, prow in reversed(pivots):
-            val = -sum(prow.get(c, 0) * x for c, x in vec.items())
-            if val:
-                vec[pc] = val
-        kernel.append(vec)
-    return kernel
+    m, d = as_matrix(s.m_at(1)), as_matrix(s.d_at(1))
+    rank = len(echelon(m.values()))
+    return {"cycles_preserved": kept(transpose(m), transpose(d)),
+            "boundaries_preserved": kept(m, d),
+            "homology_dim": s.space.dim() - 2 * rank}

@@ -44,13 +44,13 @@ from math import factorial
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebras import DifAlgebraData
-from .coeffs import (Coefficient, Rat, add_into, chi_sign, normalize,
-                     shuffles)
+from .coeffs import Coefficient, Rat, chi_sign, normalize, shuffles
 from .hom_complex import (
     GradedSpace,
     MapFamily,
     MultiMap,
     add_term,
+    compose_sum,
     desuspend_target,
     gerstenhaber_terms,
     iso1_down,
@@ -451,30 +451,6 @@ class CdoDgla:
         return self.l1(g) - self.l2(tau, g)
 
 
-def concat_product(alg: DifAlgebraData, a: MultiMap, b: MultiMap,
-                   sign_exp: int, lam: Coefficient) -> MultiMap:
-    """(a . b)(x_1..x_{n+k}) = +-L a(x_1..x_n) b(x_{n+1}..), multiplied in
-    the algebra, for plain degree-0 cochains."""
-    space = algebra_space(alg)
-    signed = -lam if sign_exp % 2 else lam
-    # e_ia e_ib = sum_t pc e_t, with each pc multiplied by +-L once
-    products = [[[(t, signed * pc) for t, pc in enumerate(vec) if pc]
-                 for vec in row] for row in alg.mult]
-    table: dict[tuple, dict[int, Coefficient]] = {}
-    for ka, outa in a.table.items():
-        for kb, outb in b.table.items():
-            row: dict[int, Coefficient] = {}
-            for ia, ca in outa.items():
-                for ib, cb in outb.items():
-                    terms = products[ia][ib]
-                    if terms:
-                        cab = ca * cb
-                        for t, c in terms:
-                            add_into(row, t, cab * c)
-            add_into(table, ka + kb, row)
-    return MultiMap(space, space, a.arity + b.arity, 0, table, check=False)
-
-
 def remark_bracket(alg: DifAlgebraData, f_plain: MultiMap, g_plain: MultiMap
                    ) -> MultiMap:
     """The explicit Lie bracket on operator cochains of an associative
@@ -487,9 +463,10 @@ def remark_bracket(alg: DifAlgebraData, f_plain: MultiMap, g_plain: MultiMap
     agrees with the transported twisted bracket only when n = k mod 2;
     see transported_do_bracket for the form that holds in general."""
     n, k = f_plain.arity, g_plain.arity
-    lam = Coefficient.rational(alg.lam)
-    return concat_product(alg, f_plain, g_plain, n, lam) + \
-        concat_product(alg, g_plain, f_plain, n * k + k + 1, lam)
+    space, m, lam = algebra_space(alg), algebra_maps(alg)[0], alg.lam
+    return compose_sum(space, space, n + k, 0, [
+        ((-1) ** n * lam, m, [f_plain, g_plain]),
+        ((-1) ** (n * k + k + 1) * lam, m, [g_plain, f_plain])])
 
 
 def transported_do_bracket(alg: DifAlgebraData, f_plain: MultiMap,
@@ -504,6 +481,7 @@ def transported_do_bracket(alg: DifAlgebraData, f_plain: MultiMap,
     in general is the Koszul sign of evaluating the suspended tensor maps,
     machine-checked against the twisted bracket for arities <= 3."""
     n, k = f_plain.arity, g_plain.arity
-    lam = Coefficient.rational(alg.lam)
-    return concat_product(alg, f_plain, g_plain, n * k, lam) + \
-        concat_product(alg, g_plain, f_plain, 1, lam)
+    space, m, lam = algebra_space(alg), algebra_maps(alg)[0], alg.lam
+    return compose_sum(space, space, n + k, 0, [
+        ((-1) ** (n * k) * lam, m, [f_plain, g_plain]),
+        (-lam, m, [g_plain, f_plain])])

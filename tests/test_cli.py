@@ -105,6 +105,22 @@ def test_hda_weight_as_a_json_number(tmp_path, capsys):
         assert "bad input" in capsys.readouterr().err
 
 
+def test_hda_structure_with_bad_values_exits_two(tmp_path, capsys):
+    # a coefficient that is no string or divides by zero, and a size that
+    # is no JSON integer, are bad input
+    path = tmp_path / "structure.json"
+    good = {"dims": {"0": 1}, "lambda": "1", "bound": 2, "m": {}, "d": {}}
+    path.write_text(json.dumps(good))
+    assert main(["hda", "check", "--structure", str(path)]) == 0
+    bad_coeffs = [{"d": {"1": [{"args": ["0:0"], "out": [["0:0", c]]}]}}
+                  for c in (1, "1/0")]
+    for bad in (*bad_coeffs, {"dims": {"0": 1.5}}, {"dims": {"0": True}},
+                {"bound": 2.7}, {"bound": True}, {"bound": "2"}):
+        path.write_text(json.dumps({**good, **bad}))
+        assert main(["hda", "check", "--structure", str(path)]) == 2
+        assert "bad input" in capsys.readouterr().err
+
+
 def test_dif_normalize_and_contract_apply(tmp_path):
     element = json.dumps([{"coeff": "1", "tree": "(m2 (m2 _ _) _)"}])
     path = tmp_path / "el.json"
@@ -311,6 +327,13 @@ def test_unparsable_element_file_exits_two(tmp_path, capsys):
         assert main(["contract", "apply", "--in", str(path)]) == 2
         assert "bad input" in capsys.readouterr().err
     assert main(["contract", "apply"]) == 2    # no --in at all
+    # a numeric coefficient and a zero denominator are bad input too
+    for coeff in (1, "1/0"):
+        path = tmp_path / "bad_coeff.json"
+        path.write_text(json.dumps([{"coeff": coeff, "tree": "(m2 _ _)"}]))
+        for command in (["contract", "apply"], ["dif", "normalize"]):
+            assert main([*command, "--in", str(path)]) == 2
+            assert "bad input" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [

@@ -193,8 +193,8 @@ def test_invalid_data_rejected():
 
 def rank_sparse(matrix) -> int:
     """Rank over Q by `echelon` on the nonzero entries of each row; each
-    pivot row must read exactly 1 at its column (`hda._kernel` relies on
-    it) and hold no float."""
+    pivot row must read exactly 1 at its column (as `echelon` promises)
+    and hold no float."""
     pivots = echelon({c: x for c, x in enumerate(row) if x}
                      for row in matrix)
     for pc, prow in pivots:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -236,8 +237,13 @@ def _conv_elements():
     return (from_cda(x), from_cda(y)), from_cda(other)
 
 
-@pytest.mark.parametrize("make", [_operad_elements, _multimaps,
-                                  _cda_elements, _conv_elements])
+def _coefficients():
+    return (Coefficient({0: 1, 2: Fraction(-1, 2)}),
+            Coefficient({1: 3, 2: Fraction(1, 3)})), None
+
+
+@pytest.mark.parametrize("make", [_coefficients, _operad_elements,
+                                  _multimaps, _cda_elements, _conv_elements])
 def test_sparse_types_share_one_sum_protocol(make):
     """+, -, negation and scale of each sparse type agree with its one
     sum, a zero scalar gives zero, and the families refuse mixed spaces."""
@@ -259,3 +265,16 @@ def test_sparse_types_share_one_sum_protocol(make):
             x + other
         with pytest.raises(ValueError):
             x._sum([(1, x), (1, other)])
+
+
+def test_coefficient_sum_normalizes_and_drops_zero_powers():
+    half = Coefficient.rational(Fraction(1, 2))
+    one = half + half
+    assert one == ONE and type(one.constant_term()) is int
+    x = Coefficient({0: 1, 1: Fraction(1, 2)})
+    for lam_part in (x - ONE, x + Coefficient.rational(-1)):
+        assert lam_part.coeffs == {1: Fraction(1, 2)}
+    assert (x + LAMBDA.scale(Fraction(-1, 2))).coeffs == {0: 1}
+    assert (x - x).coeffs == {} and x.scale(0).coeffs == {}
+    assert x * LAMBDA == x.scale(LAMBDA) == LAMBDA * x
+    assert x * 2 == x.scale(2) == 2 * x
