@@ -3,6 +3,10 @@
 ``L`` is a formal weight variable.  Working over Q[L] keeps every identity
 generic in the weight; fixing the weight amounts to specializing ``L`` to a
 rational number, which :func:`Coefficient.specialize` does exactly.
+
+The multilinear map tables of `hom_complex` hold raw cells, plain dicts
+{power of L: rational} (`raw_cell`); a `Coefficient` wraps one, for
+scalars, operad elements and the values that are read or printed.
 """
 
 from __future__ import annotations
@@ -33,6 +37,20 @@ def normalize(v: "Rat | str") -> Rat:
     raise ValueError(f"{v!r} is not an exact rational")
 
 
+def raw_cell(c) -> "dict[int, Rat]":
+    """The raw cell of ``c``, a Coefficient or a mapping {power of L:
+    rational}: a fresh dict with every value in `normalize` form and no
+    zero entry.  A negative power of L is a ValueError."""
+    out: dict[int, Rat] = {}
+    for e, v in c.items():
+        v = normalize(v)
+        if v:
+            if e < 0:
+                raise ValueError("negative power of L")
+            out[int(e)] = v
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Sparse sums
 # ---------------------------------------------------------------------------
@@ -41,13 +59,13 @@ def add_into(acc: dict, key, value) -> None:
     """acc[key] += value, removing the entry when the sum is zero.
 
     This is the one zero-dropping accumulator of the element types and of
-    `Coefficient`; the raw-cell kernels drop their zeros when they build
-    elements.  A dict value (a row, or a table of rows) is added entry by
-    entry into a dict that ``acc`` owns, so ``acc`` never shares a mutable
-    value with an operand; any other value (a rational, a Coefficient, a
-    MultiMap) is combined with ``+`` and tested for zero by its truth
-    value.  ``acc`` itself must be a fresh dict: values handed out by a
-    cache must never be accumulated into.
+    `Coefficient`; `hom_complex.Walk` drops the zeros of its raw cells
+    when it hands out a table.  A dict value (a row, or a table of rows)
+    is added entry by entry into a dict that ``acc`` owns, so ``acc``
+    never shares a mutable value with an operand; any other value (a
+    rational, a Coefficient, a MultiMap) is combined with ``+`` and tested
+    for zero by its truth value.  ``acc`` itself must be a fresh dict:
+    values handed out by a cache must never be accumulated into.
     """
     prev = acc.get(key)
     if type(value) is dict:
@@ -96,15 +114,7 @@ class Coefficient(Combination):
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, Rat] | None = None):
-        c: dict[int, Rat] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = normalize(v)
-                if v:
-                    if e < 0:
-                        raise ValueError("negative power of L")
-                    c[int(e)] = v
-        self._c = c
+        self._c = raw_cell(coeffs) if coeffs else {}
 
     @staticmethod
     def zero() -> "Coefficient":

@@ -272,14 +272,18 @@ def load_structure(obj) -> HdaStructure:
         obj = json.loads(obj)
     space = GradedSpace({int(k): integer(v, f"dims[{k!r}]")
                          for k, v in obj["dims"].items()})
+    if not space.dim():
+        raise ValueError("a structure needs a positive dimension")
     lam = parse_weight(obj.get("lambda", "generic"))
     bound = integer(obj.get("bound", 4), "bound")
+    if bound < 1:
+        raise ValueError(f"bound {bound} is below 1")
 
     def load_maps(block, degree_of_n):
         out = {}
         for n_str, records in (block or {}).items():
             n = int(n_str)
-            table: dict[tuple, dict[int, Coefficient]] = {}
+            table: dict[tuple, dict] = {}
             for rec in records:
                 key = tuple(space.id_of_label(a) for a in rec["args"])
                 row = table.setdefault(key, {})
@@ -305,8 +309,9 @@ def dump_structure(s: HdaStructure) -> str:
             for key in sorted(mm.table):
                 records.append({
                     "args": [s.space.label(i) for i in key],
-                    "out": [[s.space.label(b), format_coefficient(c)]
-                            for b, c in sorted(mm.table[key].items())],
+                    "out": [[s.space.label(b),
+                             format_coefficient(Coefficient(cell))]
+                            for b, cell in sorted(mm.table[key].items())],
                 })
             out[str(n)] = records
         return out
@@ -339,10 +344,10 @@ def homology_descent(s: HdaStructure) -> dict:
             return cols
         for (i,), out in mm.table.items():
             col = cols.setdefault(i, {})
-            for b, c in out.items():
-                if set(c.coeffs) - {0}:
+            for b, cell in out.items():
+                if set(cell) - {0}:
                     raise ValueError("homology descent needs constant tables")
-                col[b] = c.constant_term()
+                col[b] = cell[0]
         return cols
 
     def transpose(cols: dict) -> dict:

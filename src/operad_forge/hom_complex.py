@@ -11,32 +11,46 @@ two translations
 then carry the sign (-1)**(sum_j (n-j) p_j) on inputs of V-degrees
 p_1..p_n, and similarly for their inverses.
 
-Composition and braces run on one kernel over plain rationals, `Walk`.  It
-sums terms c * f with maps placed into f's inputs, c in Q[L] (a sign, a
-power of L or any other polynomial).  Each placed map is indexed by output
-basis element once per walk, one option per power of L in a cell.  The
-walk passes over f's inputs once, left to right, on states (input key so
-far, node of a small automaton, rest of f's key, power of L) that hold
-rows {output basis element: rational} and merge wherever two paths meet;
-the Koszul sign is paid per placement.  Finished rows add up as raw cells,
-which become one Coefficient per nonzero output entry at the end; at a
-rational weight every state has power 0.  The automaton places
-the maps in order for `compose_sum` (one map, the identity for None, per
-input) and `brace_sum` (all insertion positions fold into one pass), or in
-any order, its node the set of maps placed, with a sign exponent per
-placement from a table the caller builds (bracket item (iii) of `linf`),
-so it visits at most 2^m sets of placed maps where the orderings are m!
-brace terms.  Callers may walk several sums into the same raw cells.
+A map's table holds raw cells {power of L: rational} (`coeffs.raw_cell`);
+`MultiMap.evaluate` is the one reader that returns Coefficients.
+Composition, braces and sums of maps run on one kernel over plain
+rationals, `Walk`.  It sums terms c * f with maps placed into f's inputs,
+c in Q[L] (a sign, a power of L or any other polynomial); a sum of maps
+places none.  Each placed map is indexed by output basis element once per
+walk, one option per power of L in a cell.  The walk passes over f's
+inputs once, left to right, on states (input key so far, node of a small
+automaton, rest of f's key, power of L) that hold rows {output basis
+element: rational} and merge wherever two paths meet; the Koszul sign is
+paid per placement.  Finished rows add up as raw cells, which are
+normalized at the end; at a rational weight every state has power 0.
+The automaton places the maps in order for `compose_sum` (one map, the
+identity for None, per input) and `brace_sum` (all insertion positions
+fold into one pass), or in any order, its node the set of maps placed,
+with a sign exponent per placement from a table the caller builds
+(bracket item (iii) of `linf`), so it visits at most 2^m sets of placed
+maps where the orderings are m! brace terms.  Callers may walk several
+sums into the same raw cells.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .coeffs import (Coefficient, Combination, add_into, as_coefficient,
-                     unit_sign)
+from .coeffs import Coefficient, Combination, raw_cell
 
 _new = object.__new__
+
+
+def _raw_table(table: Mapping) -> dict:
+    """``table`` with each cell, a Coefficient or a raw cell, turned into a
+    raw cell, and no empty cell or row left."""
+    out = {}
+    for key, row in table.items():
+        row = {b: cell for b, cell in zip(row, map(raw_cell, row.values()))
+               if cell}
+        if row:
+            out[tuple(key)] = row
+    return out
 
 
 class GradedSpace:
@@ -46,6 +60,8 @@ class GradedSpace:
     __slots__ = ("dims", "degrees", "_offsets", "_shifts")
 
     def __init__(self, dims: Mapping[int, int]):
+        if any(n < 0 for n in dims.values()):
+            raise ValueError(f"negative dimension in {dict(dims)}")
         self.dims = {int(d): int(n) for d, n in sorted(dims.items()) if n > 0}
         degs: list[int] = []
         offsets: dict[int, int] = {}
@@ -100,7 +116,8 @@ class GradedSpace:
 
 class MultiMap(Combination):
     """Multilinear map source^(tensor arity) -> target of fixed degree,
-    stored as a sparse table on basis tuples (flat indices).
+    stored as a sparse table {basis tuple: {output basis element: raw
+    cell}} on flat indices; given cells may also be Coefficients.
 
     A table is never changed after construction, so maps share tables and
     rows freely."""
@@ -109,24 +126,19 @@ class MultiMap(Combination):
 
     def __init__(self, source: GradedSpace, target: GradedSpace, arity: int,
                  degree: int,
-                 table: Optional[Mapping[tuple, Mapping[int, Coefficient]]] = None,
+                 table: Optional[Mapping[tuple, Mapping[int, object]]] = None,
                  check: bool = True):
         self.source = source
         self.target = target
         self.arity = arity
         self.degree = degree
-        tab: dict[tuple, dict[int, Coefficient]] = {}
-        if table:
-            for key, out in table.items():
-                add_into(tab, tuple(key),
-                         out if type(out) is dict else dict(out))
-        self.table = tab
+        self.table = _raw_table(table) if table else {}
         if check:
             self._check()
 
     def _with(self, table: dict, target: Optional[GradedSpace] = None,
               degree: Optional[int] = None) -> "MultiMap":
-        """A map like this one on ``table``, which must hold no zeros and
+        """A map like this one on ``table``, which must hold raw cells and
         no empty rows; the table is taken as is, not copied or checked."""
         out = _new(MultiMap)
         out.source, out.arity, out.table = self.source, self.arity, table
@@ -170,19 +182,6 @@ class MultiMap(Combination):
         return sum_maps((c, {0: mm}) for c, mm in pairs).get(0) \
             or self._with({})
 
-    def scale(self, c) -> "MultiMap":
-        unit = unit_sign(c)
-        if unit == 1:
-            return self
-        if unit == -1:
-            return self._with({k: {b: -w for b, w in out.items()}
-                               for k, out in self.table.items()})
-        c = as_coefficient(c)
-        if c.is_zero():
-            return self._with({})
-        return self._with({k: {b: w * c for b, w in out.items()}
-                           for k, out in self.table.items()})
-
     def __eq__(self, other):
         if not isinstance(other, MultiMap):
             return NotImplemented
@@ -199,37 +198,25 @@ class MultiMap(Combination):
                 f"{n} entries)")
 
     def evaluate(self, key: Sequence[int]) -> dict[int, Coefficient]:
-        return self.table.get(tuple(key), {})
+        """The output row at the input tuple ``key``, one Coefficient per
+        nonzero entry: the one reader that turns raw cells into values."""
+        return {b: Coefficient(cell)
+                for b, cell in self.table.get(tuple(key), {}).items()}
 
 
 def sum_maps(pairs: Iterable[tuple]) -> dict:
     """Keywise sum of c * family over (c, family) pairs, each family a dict
-    of MultiMaps, in one pass over the pairs.  A key with one map keeps
-    that map; from a key's second map on, its rows are added into one fresh
-    table.  Keys whose sum is zero are dropped."""
-    out: dict = {}
-    merged: set = set()
-    tables: dict = {}
+    of MultiMaps: one `Walk` per key with no maps placed, so every map of a
+    key must have its shape.  Zero maps are skipped and keys whose sum is
+    zero are dropped."""
+    walks: dict = {}
     for c, family in pairs:
         for key, mm in family.items():
-            mm = mm.scale(c)
-            if not mm.table:
-                continue
-            first = out.get(key)
-            if first is None:
-                out[key] = mm
-                continue
-            first._compatible(mm)
-            if key not in merged:
-                merged.add(key)
-                add_into(tables, key, first.table)
-            add_into(tables, key, mm.table)
-    for key in merged:
-        if key in tables:
-            out[key] = out[key]._with(tables[key])
-        else:
-            del out[key]
-    return out
+            if mm.table:
+                if key not in walks:
+                    walks[key] = Walk(mm)
+                walks[key].add(c, mm, ())
+    return {key: mm for key, walk in walks.items() if (mm := walk.result())}
 
 
 class MapFamily(Combination):
@@ -272,7 +259,7 @@ class MapFamily(Combination):
 
 
 # ---------------------------------------------------------------------------
-# Composition and braces: one kernel on plain rationals
+# Composition, braces and sums: one kernel on plain rationals
 # ---------------------------------------------------------------------------
 
 def _shape(f: MultiMap, gs: Sequence[Optional[MultiMap]]) -> tuple[int, int]:
@@ -361,7 +348,7 @@ class Walk:
             step=None) -> None:
         """Add c * f with the maps gs placed into its inputs as `_chain`
         places them, c a Coefficient or a rational; a term with more maps
-        than f has inputs gives nothing."""
+        than f has inputs gives nothing, and one with none is c * f."""
         out = self.out
         if f.source != out.source or f.target != out.target:
             raise ValueError("f must go from the source to the target")
@@ -435,16 +422,10 @@ class Walk:
             states = nxt
 
     def result(self) -> MultiMap:
-        """``out`` with the table of the terms added so far: one Coefficient
-        per nonzero raw cell."""
+        """``out`` with the table of the terms added so far, its raw cells
+        normalized; no Coefficient is built."""
         self.walk()
-        table: dict[tuple, dict[int, Coefficient]] = {}
-        for key, row in self._done.items():
-            out = {b: c for b, c in zip(row, map(Coefficient, row.values()))
-                   if c}
-            if out:
-                table[key] = out
-        return self.out._with(table)
+        return self.out._with(_raw_table(self._done))
 
 
 def add_term(walks: dict, tag, c, f: MultiMap,
@@ -547,13 +528,14 @@ def _translate(f: MultiMap, shift_in: int, shift_out: int) -> MultiMap:
     src = f.source.shift(shift_in)
     tgt = f.target.shift(shift_out)
     plain = f.source if shift_in > 0 else src
-    table: dict[tuple, dict[int, Coefficient]] = {}
+    table: dict[tuple, dict[int, dict]] = {}
     for key, out in f.table.items():
         sign = _conjugation_sign(plain, key)
         if sign == 1:
             table[key] = out
         else:
-            table[key] = {b: -c for b, c in out.items()}
+            table[key] = {b: {e: -v for e, v in cell.items()}
+                          for b, cell in out.items()}
     degree = f.degree - shift_in * (f.arity) + shift_out
     return MultiMap.zero(src, tgt, f.arity, degree)._with(table)
 

@@ -28,7 +28,9 @@ whole ordering is chi(sigma; g*) times the exponent displayed in (iii).
 Every component of a bracket, and every bracket of a sum (the Jacobi sum,
 l_n^alpha, the Maurer-Cartan equation), adds its terms with their signs,
 powers of L and scalars to one walk per output part, walked at once into
-that part's raw cells; the sum becomes Coefficients only at the end.
+that part's raw cells, which are the table of the result: no Coefficient
+is built for a cell, here or in the dictionary with plain algebra tables
+below.  Coefficients remain as the weight and the scalars of a sum.
 
 Maurer-Cartan elements of degree -1 over a degree-0 space V are exactly
 weighted differential algebra structures; twisting by them recovers the
@@ -158,8 +160,8 @@ def _bracket_sum(space: GradedSpace, lam: Coefficient,
     """sum of c * l_n(args) over (c, args) terms, l_n extended
     multilinearly over the components of each argument.  Each bracket adds
     its components to one walk per output part (arity, ALG|DO), walked at
-    once into that part's raw cells, so the sum makes Coefficients only at
-    the end; a do part is desuspended there."""
+    once into that part's raw cells, which become the part's table as they
+    are; a do part is desuspended there."""
     walks: dict = {}
     for c, args in terms:
         if len(args) < 2 or any(a.is_zero() for a in args):
@@ -226,7 +228,7 @@ def random_multimap(rng, source: GradedSpace, target: GradedSpace, arity: int,
         row = {}
         for b in target.basis():
             if target.degree_of(b) == in_deg + degree and rng.random() < density:
-                row[b] = Coefficient.rational(rng.choice(values))
+                row[b] = {0: rng.choice(values)}
         if row:
             table[key] = row
     return MultiMap(source, target, arity, degree, table, check=False)
@@ -346,16 +348,15 @@ def table_to_multimap(alg: DifAlgebraData, table, arity: int) -> MultiMap:
     tuple: coordinate vector or sparse row {basis index: rational}}."""
     space = algebra_space(alg)
     return MultiMap(space, space, arity, 0, {
-        key: {b: Coefficient.rational(c) for b, c in
-              (row.items() if isinstance(row, dict) else enumerate(row)) if c}
+        key: {b: {0: c} for b, c in
+              (row.items() if isinstance(row, dict) else enumerate(row))}
         for key, row in table.items()})
 
 
-def multimap_to_table(alg: Optional[DifAlgebraData], mm: MultiMap):
-    """The rows of mm's constant terms, as a `cochain.Table` (the rows
-    carry their own basis indices, so ``alg`` is not read)."""
-    rows = {key: {b: c.constant_term() for b, c in row.items()
-                  if c.constant_term()} for key, row in mm.table.items()}
+def multimap_to_table(mm: MultiMap):
+    """The rows of mm's constant terms, as a `cochain.Table`."""
+    rows = {key: {b: cell[0] for b, cell in row.items() if 0 in cell}
+            for key, row in mm.table.items()}
     return {key: row for key, row in rows.items() if row}
 
 
@@ -387,7 +388,7 @@ def algebra_from_mc(space: GradedSpace, alpha: CdaElement,
 
     def rows(key, down):
         mm = alpha.parts.get(key)
-        return {} if mm is None else multimap_to_table(None, down(mm))
+        return {} if mm is None else multimap_to_table(down(mm))
 
     def vec(row):
         return [row.get(k, 0) for k in range(dim)]

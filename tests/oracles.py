@@ -12,14 +12,17 @@ the tests check the kernel against it.
   Leibniz identity, against `hda.eta_sign_exponent`.
 * `is_normal_form`, the definition of a normal form of `DifRewriter`.
 * `extend_derivation`, `free_operad.derivation_into` on elements.
+* `assert_raw_normal_form`, the form every `MultiMap` table keeps, and
+  `values`, a table read cell by cell through `MultiMap.evaluate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from operad_forge.coeffs import koszul_sign
+from operad_forge.coeffs import Coefficient, koszul_sign
 from operad_forge.dif_operads import DifRewriter
 from operad_forge.free_operad import (OperadElement, TreeMonomial,
                                       derivation_into, raw_terms)
@@ -256,3 +259,30 @@ def extend_derivation(images: Mapping, x: OperadElement) -> OperadElement:
     raw = {g: raw_terms(img) for g, img in images.items()}
     derivation_into(acc, raw.__getitem__, raw_terms(x))
     return OperadElement.from_cells(acc.items())
+
+
+# ---------------------------------------------------------------------------
+# Multilinear map tables
+# ---------------------------------------------------------------------------
+
+def assert_raw_normal_form(mm) -> None:
+    """mm's table holds raw cells in normal form: every row and every cell
+    a nonempty dict, powers of L ints >= 0, no zero value, an int wherever
+    a value is integral, so a Coefficient keeps each cell as it is and
+    `evaluate` reads the row as those Coefficients."""
+    for key, row in mm.table.items():
+        assert type(key) is tuple and type(row) is dict and row
+        for cell in row.values():
+            assert type(cell) is dict and cell
+            for e, v in cell.items():
+                assert type(e) is int and e >= 0
+                assert type(v) is int or type(v) is Fraction
+                assert v != 0 and (type(v) is int or v.denominator != 1)
+            assert dict(Coefficient(cell).items()) == cell
+        assert mm.evaluate(key) == {b: Coefficient(cell)
+                                    for b, cell in row.items()}
+
+
+def values(mm) -> dict:
+    """mm's table with every cell read as a Coefficient."""
+    return {key: mm.evaluate(key) for key in mm.table}

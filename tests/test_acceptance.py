@@ -213,8 +213,8 @@ def test_acceptance_07_twisted_complex_comparisons():
                 f = random_plain_map(rng, alg, n)
                 g = random_plain_map(rng, alg, k)
                 lhs = iso2_down(dgla.l2(iso2_up(f), iso2_up(g)))
-                if multimap_to_table(alg, lhs) != \
-                        multimap_to_table(alg, remark_bracket(alg, f, g)):
+                if multimap_to_table(lhs) != \
+                        multimap_to_table(remark_bracket(alg, f, g)):
                     ok = False
         # ... and the Koszul-corrected transported form everywhere
         ok = ok and do_bracket_mismatches(alg, 3, corrected=True) == []

@@ -2,7 +2,8 @@
 
 `linf._bracket_sum` walks every bracket of a sum (the Jacobi sum, the
 twisted bracket l_n^alpha, the Maurer-Cartan equation) into one set of raw
-cells and makes Coefficients once, at the end.  Here each such sum is
+cells, which become the result's tables as they are: no Coefficient is
+built for a cell.  Here each such sum is
 compared with `CdaElement.sum` over its brackets, each computed on its own
 by `cda_bracket`, on sums that are not zero, at generic L and at L = 1/2.
 """
@@ -34,6 +35,7 @@ from operad_forge.linf import (
     random_multimap,
     twisted_bracket,
 )
+from oracles import assert_raw_normal_form
 
 WEIGHTS = (LAMBDA, Coefficient.rational(Fraction(1, 2)))
 SPACES = (GradedSpace({0: 2}), GradedSpace({0: 1, 1: 1}))
@@ -47,12 +49,7 @@ NONASSOCIATIVE = DifAlgebraData.build(
 def assert_normalized(x: CdaElement):
     """No empty row, no zero cell and no integral Fraction in x."""
     for mm in x.parts.values():
-        for row in mm.table.values():
-            assert row
-            for c in row.values():
-                assert not c.is_zero()
-                for v in c.coeffs.values():
-                    assert type(v) is int or v.denominator != 1
+        assert_raw_normal_form(mm)
 
 
 def assert_one_sum_matches_each(space, lam, terms):

@@ -106,8 +106,9 @@ def test_hda_weight_as_a_json_number(tmp_path, capsys):
 
 
 def test_hda_structure_with_bad_values_exits_two(tmp_path, capsys):
-    # a coefficient that is no string or divides by zero, and a size that
-    # is no JSON integer, are bad input
+    # a coefficient that is no string or divides by zero, a size that is
+    # no JSON integer, a negative dimension, a space with no positive
+    # dimension and a bound below 1 are bad input
     path = tmp_path / "structure.json"
     good = {"dims": {"0": 1}, "lambda": "1", "bound": 2, "m": {}, "d": {}}
     path.write_text(json.dumps(good))
@@ -115,7 +116,10 @@ def test_hda_structure_with_bad_values_exits_two(tmp_path, capsys):
     bad_coeffs = [{"d": {"1": [{"args": ["0:0"], "out": [["0:0", c]]}]}}
                   for c in (1, "1/0")]
     for bad in (*bad_coeffs, {"dims": {"0": 1.5}}, {"dims": {"0": True}},
-                {"bound": 2.7}, {"bound": True}, {"bound": "2"}):
+                {"bound": 2.7}, {"bound": True}, {"bound": "2"},
+                {"dims": {"0": -1}}, {"dims": {"0": 1, "1": -1}},
+                {"dims": {"0": 0}}, {"dims": {}}, {"bound": -3},
+                {"bound": 0}):
         path.write_text(json.dumps({**good, **bad}))
         assert main(["hda", "check", "--structure", str(path)]) == 2
         assert "bad input" in capsys.readouterr().err

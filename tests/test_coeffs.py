@@ -209,7 +209,7 @@ def test_add_into_multimaps():
     acc = {}
     add_into(acc, 1, f)
     add_into(acc, 1, f)
-    assert acc[1].table == {(0,): {0: LAMBDA * Coefficient.rational(2)}}
-    assert f.table == {(0,): {0: LAMBDA}}
+    assert acc[1].evaluate((0,)) == {0: LAMBDA * Coefficient.rational(2)}
+    assert f.evaluate((0,)) == {0: LAMBDA}
     add_into(acc, 1, -f.scale(2))
     assert acc == {}

@@ -91,8 +91,8 @@ def test_remark_bracket_on_equal_parity_arities():
                 g = random_plain_map(rng, alg, k)
                 lhs = iso2_down(dgla.l2(iso2_up(f), iso2_up(g)))
                 rhs = remark_bracket(alg, f, g)
-                assert multimap_to_table(alg, lhs) == \
-                    multimap_to_table(alg, rhs)
+                assert multimap_to_table(lhs) == \
+                    multimap_to_table(rhs)
 
 
 def basis_operator_maps(alg, max_arity):
@@ -114,8 +114,8 @@ def test_transported_bracket_on_every_pair_of_basis_maps(alg):
     bad = []
     for f, g in itertools.product(maps, repeat=2):
         lhs = iso2_down(dgla.l2(iso2_up(f), iso2_up(g)))
-        if (multimap_to_table(alg, lhs)
-                != multimap_to_table(alg, transported_do_bracket(alg, f, g))):
+        if (multimap_to_table(lhs)
+                != multimap_to_table(transported_do_bracket(alg, f, g))):
             bad.append((f.table, g.table))
     assert bad == []
 
@@ -156,11 +156,11 @@ def test_operator_bracket_formulas_pointwise(alg):
         for _ in range(2):
             tf, tg = plain_table(n), plain_table(k)
             f, g = table_to_multimap(alg, tf, n), table_to_multimap(alg, tg, k)
-            assert multimap_to_table(alg, remark_bracket(alg, f, g)) == \
+            assert multimap_to_table(remark_bracket(alg, f, g)) == \
                 displayed_bracket(alg, tf, tg, n, k, (-1) ** n,
                                   (-1) ** (n * k + k + 1))
             assert multimap_to_table(
-                alg, transported_do_bracket(alg, f, g)) == \
+                transported_do_bracket(alg, f, g)) == \
                 displayed_bracket(alg, tf, tg, n, k, (-1) ** (n * k), -1)
 
 
@@ -252,7 +252,7 @@ def test_no_float_enters_the_cochain_routes(name, monkeypatch):
     for cols in columns:
         assert_exact(echelon(sorted(cols, key=len)))
     for m in algebra_maps(alg):
-        assert_exact(multimap_to_table(alg, m))
+        assert_exact(multimap_to_table(m))
     checking(monkeypatch, hda, "echelon")
     assert hda.homology_descent(descent_structure(alg))["cycles_preserved"]
     if bim is not None:

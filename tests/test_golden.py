@@ -109,7 +109,7 @@ def cli_reports() -> str:
 
 def _triples(mm):
     return sorted([list(key), b, format_coefficient(c)]
-                  for key, out in mm.table.items() for b, c in out.items())
+                  for key in mm.table for b, c in mm.evaluate(key).items())
 
 
 def _element_cases(name, x):

@@ -25,7 +25,7 @@ from operad_forge.hda import (
 )
 from operad_forge.hom_complex import GradedSpace, MultiMap
 from operad_forge.linf import random_multimap
-from oracles import eta_sign_exponent_long
+from oracles import eta_sign_exponent_long, values
 
 ONE = Coefficient.one()
 
@@ -67,7 +67,7 @@ def test_leibniz_n2_matches_weight_rule_defect():
     # pure differential algebra data: residual = defect of the weight rule
     s = embed_algebra([[[1]]], [[1]], Coefficient.rational(1))
     r = weighted_leibniz_residual(s, 2)
-    assert r.table == {(0, 0): {0: Coefficient.rational(-2)}}
+    assert values(r) == {(0, 0): {0: Coefficient.rational(-2)}}
 
 
 def test_eta_expressions_agree_up_to_six():
@@ -221,8 +221,8 @@ def test_homology_descent_matches_dense_oracle():
 
     def matrix(mm, n):
         out = [[Fraction(0)] * n for _ in range(n)]
-        for (i,), row in (mm.table.items() if mm else ()):
-            for b, c in row.items():
+        for (i,) in (mm.table if mm else ()):
+            for b, c in mm.evaluate((i,)).items():
                 out[b][i] = c.constant_term()
         return out
 

@@ -1,5 +1,5 @@
-"""compose_full, hom_brace, brace_sum and compose_sum against a naive
-evaluation.
+"""compose_full, hom_brace, brace_sum, compose_sum and the sums and
+scalings of maps against a naive evaluation.
 
 The oracle reads the definition in `compose_full`'s docstring literally:
 for every input tuple it splits the tuple into one block per slot,
@@ -9,18 +9,23 @@ pays (-1)**(deg(h_s) * deg(the blocks left of slot s)) for each slot map.
 It walks input tuples rather than f's table and never indexes a slot map
 by output, so it shares no code path with the kernel.  A brace is the sum
 of such compositions over every strictly increasing choice of insertion
-slots.  Every caller of the walk kernel in `hom_complex` (fixed slot
-lists, braces, sums of either) is checked here against this evaluation.
+slots, and a sum of maps adds their values input tuple by input tuple.
+Every caller of the walk kernel in `hom_complex` (fixed slot lists,
+braces, sums of either, sums of maps) is checked here against this
+evaluation.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from operad_forge.coeffs import Coefficient
 from operad_forge.hom_complex import (GradedSpace, MultiMap, brace_sum,
-                                      compose_full, compose_sum, hom_brace)
+                                      compose_full, compose_sum, hom_brace,
+                                      sum_maps)
+from oracles import assert_raw_normal_form, values
 
 ONE = Coefficient.one()
 ZERO = Coefficient.zero()
@@ -97,12 +102,6 @@ def random_map(rng, space, arity, degree, density=0.7):
     return MultiMap(space, space, arity, degree, table)
 
 
-def assert_clean(mm):
-    for row in mm.table.values():
-        assert row
-        assert all(not c.is_zero() for c in row.values())
-
-
 def cancelled(table):
     """Entries of a naive table whose terms summed to exactly zero."""
     return sum(1 for row in table.values() for c in row.values()
@@ -125,7 +124,7 @@ def test_compose_full_matches_naive_evaluation():
                  for _ in range(f.arity)]
         odd_slots += sum(1 for h in slots if h is not None and h.degree % 2)
         got = compose_full(f, slots)
-        assert_clean(got)
+        assert_raw_normal_form(got)
         want = naive_table(f, slots)
         zeros += cancelled(want)
         assert got == as_map(f, slots, want)
@@ -141,7 +140,7 @@ def test_hom_brace_is_sum_over_increasing_positions():
         gs = [random_map(rng, space, rng.randint(1, 2), rng.choice([-1, 0]))
               for _ in range(rng.randint(1, f.arity))]
         got = hom_brace(f, gs)
-        assert_clean(got)
+        assert_raw_normal_form(got)
         arity = f.arity + sum(g.arity - 1 for g in gs)
         degree = f.degree + sum(g.degree for g in gs)
         want = naive_brace(f, gs)
@@ -156,7 +155,7 @@ def test_exact_cancellation_leaves_no_entry():
     h = MultiMap(space, space, 1, 0, {(0,): {0: ONE, 1: L}, (1,): {1: ONE}})
     f = MultiMap(space, space, 1, 0, {(0,): {0: L}, (1,): {0: -ONE}})
     got = compose_full(f, [h])
-    assert got.table == {(1,): {0: -ONE}}
+    assert values(got) == {(1,): {0: -ONE}}
     assert got == as_map(f, [h], naive_table(f, [h]))
 
 
@@ -172,8 +171,8 @@ def test_brace_cancellation_across_positions():
     # with the odd argument first, insertion after it pays the Koszul sign
     f2 = MultiMap(space, space, 2, -1, {(x, x): {x: ONE}})
     g2 = MultiMap(space, space, 1, 1, {(e,): {x: ONE}})
-    assert hom_brace(f2, [g2]).table == {(x, e): {x: -ONE},
-                                         (e, x): {x: ONE}}
+    assert values(hom_brace(f2, [g2])) == {(x, e): {x: -ONE},
+                                           (e, x): {x: ONE}}
 
 
 def scaled(table, c):
@@ -205,7 +204,7 @@ def test_compose_sum_with_q_l_scalars_matches_naive_evaluation():
                                     c if isinstance(c, Coefficient)
                                     else Coefficient.rational(c)))
         got = compose_sum(space, space, 2, f.degree + g.degree, terms)
-        assert_clean(got)
+        assert_raw_normal_form(got)
         assert got == as_map(f, [g, None], want)
         cancelled_sums += got.is_zero() and not f.is_zero()
     assert cancelled_sums >= 1
@@ -269,10 +268,61 @@ def test_brace_sum_of_mixed_terms_matches_naive_evaluation():
         for c, f, gs in terms:
             add_tables(want, scaled(naive_brace(f, gs), as_scalar(c)))
         got = brace_sum(terms)
-        assert_clean(got)
+        assert_raw_normal_form(got)
         assert got == MultiMap(space, space, arity, degree, want)
         zeros += cancelled(want)
     assert zeros > 2 and too_many > 2
+
+
+#: scalars with several powers of L, so that a sum adds power by power
+MULTI = (ONE - L, L * L + Coefficient.rational(2),
+         Coefficient({0: Fraction(1, 2), 3: -1}))
+
+
+def naive_sum(terms):
+    """sum of c * f over (c, f) terms of one shape, input tuple by input
+    tuple, every value read through `evaluate`."""
+    f = terms[0][1]
+    table = {}
+    for key in itertools.product(f.source.basis(), repeat=f.arity):
+        row = table[key] = {}
+        for c, g in terms:
+            for b, v in g.evaluate(key).items():
+                row[b] = row.get(b, ZERO) + as_scalar(c) * v
+    return table
+
+
+def test_map_sums_and_scalings_match_naive_evaluation():
+    # scalings, +, - and keywise family sums with scalars in Q[L] of
+    # several powers; a key whose terms cancel exactly must be dropped,
+    # and h - c f with h = c f + g cancels entry by entry where g is zero
+    rng = random.Random(37)
+    zeros = 0
+    for _ in range(30):
+        space = rng.choice(SPACES)
+        arity, degree = rng.randint(1, 2), rng.choice([-1, 0, 1])
+        f, g = (random_map(rng, space, arity, degree) for _ in range(2))
+        c, d = rng.choice(MULTI), random_scalar(rng)
+        h = f.scale(c) + g
+        for got, terms in ((f.scale(c), [(c, f)]), (f + g, [(1, f), (1, g)]),
+                           (f - g.scale(d), [(1, f), (negated(d), g)]),
+                           (h - f.scale(c), [(1, h), (-c, f)]),
+                           (f._sum([(c, f), (d, g)]), [(c, f), (d, g)])):
+            assert_raw_normal_form(got)
+            want = naive_sum(terms)
+            zeros += cancelled(want)
+            assert got == MultiMap(space, space, arity, degree, want)
+        sums = sum_maps([(c, {"f": f, "g": g}), (d, {"g": g}),
+                         (-c, {"f": f})])
+        assert "f" not in sums
+        want = MultiMap(space, space, arity, degree,
+                        naive_sum([(c, g), (d, g)]))
+        assert sums.get("g", MultiMap.zero(space, space, arity,
+                                           degree)) == want
+        assert ("g" in sums) == (not want.is_zero())
+        assert (f.scale(ONE - L) + f.scale(L * L + Coefficient.rational(2))
+                - f.scale(L * L - L + Coefficient.rational(3))).is_zero()
+    assert zeros > 20
 
 
 def stasheff_shaped_terms(rng, ms, n):
@@ -309,7 +359,7 @@ def test_compose_sum_of_mixed_outer_arities_matches_naive_evaluation():
             add_tables(want, scaled(naive_table(f, slots), c))
         degree = n - 3 + 2 * shift
         got = compose_sum(space, space, n, degree, terms)
-        assert_clean(got)
+        assert_raw_normal_form(got)
         assert got == MultiMap(space, space, n, degree, want)
         zeros += cancelled(want)
     assert zeros > 5

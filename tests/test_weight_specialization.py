@@ -43,8 +43,8 @@ VALUES = (ONE, -ONE, L, ONE - L, L * L + Coefficient.rational(2),
 def spec_map(mm, q):
     return MultiMap(mm.source, mm.target, mm.arity, mm.degree,
                     {key: {b: Coefficient.rational(c.specialize(q))
-                           for b, c in out.items()}
-                     for key, out in mm.table.items()}, check=False)
+                           for b, c in mm.evaluate(key).items()}
+                     for key in mm.table}, check=False)
 
 
 def spec_operad(x, q):
