@@ -18,18 +18,19 @@ divisor root in planar order, and recurses on the strictly smaller
 remainder.  `verify` checks diff o H + H o diff = id monomial by monomial.
 
 The memo of H values is the only cache that grows with the input; each
-generator s also keeps its typical shape and the raw terms of
+generator s also keeps its typical shape and the image terms of
 s_hat - diff(s) / c_s.  The memo keeps only nonzero values, keyed by the
-monomial's word so that lookups hash and compare in C, each one flat tuple
-(m1, e1, v1, m2, e2, v2, ...) of raw Q[L] cells v * L**e * m with its
-rationals from one intern table.  A non-effective monomial has no entry,
-so `analyze_effective` finds it again on each occurrence.  `_h_value`
-runs the recursion on an explicit stack of frames; `h_monomial`, `apply`
-and `h_bar` build elements from the memo on demand.  `check_identity`
-sums diff(H t) + H(diff t) - t as raw cells in one dict, the differentials
-through `free_operad.derivation_into` on the operad's one cache of raw
-generator images (`Difinfty.raw_diff`), and makes Coefficients only for a
-nonzero residual.
+monomial's word, each one flat tuple (w1, e1, v1, w2, e2, v2, ...) of raw
+Q[L] cells v * L**e * w, w a word, with its rationals from one intern
+table.  `_h_value` runs the recursion on an explicit stack of frames; tbar
+is raw cells too, and only a tbar word missing from the memo becomes a
+monomial, for `analyze_effective` (a non-effective one has no entry, so it
+is analysed again on each occurrence).  `h_monomial`, `apply` and `h_bar`
+build elements from the memo on demand.  `check_identity` sums diff(H t)
++ H(diff t) - t as raw cells in one dict, the differentials through
+`free_operad.derivation_into` on the operad's one cache of generator
+images (`Difinfty.raw_diff`), and builds monomials and Coefficients only
+for a nonzero residual.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ from .dif_operads import (
     m_gen,
 )
 from .free_operad import (OperadElement, TreeMonomial, derivation_into,
-                          raw_terms, region_splicer, replace_region)
-from .trees import (DEGREE, GENS, Generator, gen_id, leaf_keys_from,
+                          image_terms, region_splicer, replace_region,
+                          word_monomial)
+from .trees import (DEGREE, GENS, Generator, Word, gen_id, leaf_keys_from,
                     smaller_from)
 
 
@@ -96,8 +98,8 @@ class Contraction:
 
     def typical_info(self, s: Generator) -> tuple[TreeMonomial, int]:
         """Leading monomial of diff(s) and its coefficient, asserted +-1 and
-        of the shape base o_1 m2.  The entry kept for s also holds the raw
-        terms of s_hat - diff(s) / c_s."""
+        of the shape base o_1 m2.  The entry kept for s also holds the
+        image terms of s_hat - diff(s) / c_s (`image_terms`)."""
         cached = self._typical.get(s)
         if cached is not None:
             return cached[:2]
@@ -120,7 +122,7 @@ class Contraction:
                 f"leading monomial of diff({s.symbol}) is not typical: {lead!r}")
         repl = OperadElement.single(lead) - self.op.diff(s).scale(
             Fraction(1, c))
-        self._typical[s] = (lead, c, raw_terms(repl))
+        self._typical[s] = (lead, c, image_terms(repl))
         return lead, c
 
     # -- effective divisors -------------------------------------------------
@@ -167,56 +169,59 @@ class Contraction:
         an = self.analyze_effective(t)
         if not an.is_effective:
             raise ValueError(f"{t!r} is not effective")
-        (m, _), v = self._generator_term(an, replace_region(
-            t, {an.divisor_root, an.divisor_child},
-            TreeMonomial.corolla(an.s_generator)))
-        return OperadElement.single(m, v)
+        sign, m = replace_region(t, {an.divisor_root, an.divisor_child},
+                                 TreeMonomial.corolla(an.s_generator))
+        return OperadElement.single(m, self._generator_coefficient(
+            an, sign < 0))
 
     @staticmethod
-    def _generator_term(an: EffectiveAnalysis, spliced) -> tuple:
-        """(-1)**omega c_s times t with its divisor replaced by s, as one
-        raw cell, from the (sign, monomial) of that replacement."""
-        sign, replaced = spliced
-        if sign != 1:
+    def _generator_coefficient(an: EffectiveAnalysis, odd: bool) -> int:
+        """(-1)**omega c_s, the coefficient of t with its divisor replaced
+        by s; that replacement must not reorder odd factors."""
+        if odd:
             raise InternalInvariantError("divisor-to-generator replacement "
                                          "should never reorder odd factors")
-        return (replaced, 0), an.c_s if an.omega % 2 == 0 else -an.c_s
+        return an.c_s if an.omega % 2 == 0 else -an.c_s
 
     def _split(self, t: TreeMonomial, an: EffectiveAnalysis
                ) -> tuple[tuple, dict[tuple, Rat], int]:
-        """h_bar(t) and tbar, t with its divisor replaced by
-        s_hat - diff(s) / c_s, as raw cells, from one walk of the divisor
-        region (the analysis has looked up the typical entry of s), and the
-        position of the divisor root's token, before which every tbar word
-        agrees with t's."""
-        splice = region_splicer(t, {an.divisor_root, an.divisor_child})
+        """h_bar(t) and tbar, t with its divisor replaced by s_hat -
+        diff(s) / c_s, as raw cells, from one walk of the divisor region, and
+        the position of the divisor root's token, before which every tbar
+        word agrees with t's.  Each term must keep t's degree (and arity)."""
+        splice = region_splicer(t.word, {an.divisor_root, an.divisor_child})
         tbar: dict[tuple, Rat] = {}
         for mono, cells in self._typical[an.s_generator][2]:
-            sign, new_t = splice(mono)
+            odd, w = splice(mono)
+            if mono.degree != splice.degree:
+                raise InternalInvariantError(
+                    f"recursion left its (arity, degree) block: "
+                    f"{word_monomial(w)!r} vs {t!r}")
             for e, v in cells:
-                key = (new_t, e)
-                tbar[key] = tbar.get(key, 0) + (v if sign == 1 else -v)
-        h_bar = self._generator_term(
-            an, splice(TreeMonomial.corolla(an.s_generator)))
+                key = (w, e)
+                tbar[key] = tbar.get(key, 0) + (-v if odd else v)
+        odd, w = splice(TreeMonomial.corolla(an.s_generator))
+        h_bar = (w, 0), self._generator_coefficient(an, odd)
         return h_bar, tbar, splice.start
 
-    def _h_value(self, t: TreeMonomial) -> tuple:
-        """H(t) as its memo value, () for zero, by well-founded recursion.
+    def _h_value(self, word: Word, arity: int, degree: int) -> tuple:
+        """H of the monomial (word, arity, degree) as its memo value, ()
+        for zero, by well-founded recursion.
 
         A frame is (monomial, analysis, h_bar, tbar).  The first visit
-        splits the monomial, checks that every tbar monomial stays in its
-        (arity, degree) block and is smaller, drops the non-effective ones
-        (their H is zero) and pushes the effective uncached ones with their
-        analyses; the revisit, once they are all done, sums and stores a
-        nonzero value.  A tbar word shares the monomial's tokens before the
-        divisor root, so the order comparison resumes there
-        (`leaf_keys_from` once per split, `smaller_from` per tbar
-        monomial).
+        splits the monomial, checks that every tbar word is smaller, drops
+        the non-effective ones (their H is zero) and pushes the effective
+        uncached ones with their analyses; the revisit, once they are all
+        done, sums and stores a nonzero value.  A tbar word shares the
+        monomial's tokens before the divisor root, so the order comparison
+        resumes there (`leaf_keys_from` once per split, `smaller_from` per
+        tbar word).
         """
         memo = self._h
-        h = memo.get(t.word)
+        h = memo.get(word)
         if h is not None:
             return h
+        t = TreeMonomial.from_word(word, arity, degree, len(word) - arity)
         an = self.analyze_effective(t)
         if not an.is_effective:
             return ()
@@ -241,28 +246,26 @@ class Contraction:
             keys = leaf_keys_from(cur.word, p)
             tbar = []
             stack[-1] = (cur, an, h_bar, tbar)
-            for (mono, e), v in split.items():
+            for (w, e), v in split.items():
                 if not v:
                     continue
-                if mono.degree != cur.degree or mono.arity != cur.arity:
-                    raise InternalInvariantError(
-                        f"recursion left its (arity, degree) block: "
-                        f"{mono!r} vs {cur!r}")
-                w = mono.word
                 if not smaller_from(w, p, keys):
                     raise InternalInvariantError(
-                        f"recursion failed to decrease: {mono!r} vs {cur!r}")
+                        f"recursion failed to decrease: "
+                        f"{word_monomial(w)!r} vs {cur!r}")
                 if w not in memo:
+                    mono = TreeMonomial.from_word(w, arity, degree,
+                                                  len(w) - arity)
                     mono_an = self.analyze_effective(mono)
                     if not mono_an.is_effective:
                         continue
                     stack.append((mono, mono_an, None, None))
                 tbar.append((w, e, v))
-        return memo.get(t.word, ())
+        return memo.get(word, ())
 
     def h_monomial(self, t: TreeMonomial) -> OperadElement:
         """H on a single monomial, built from its memo value."""
-        h = self._h_value(t)
+        h = self._h_value(t.word, t.arity, t.degree)
         return OperadElement.from_cells(zip(zip(h[::3], h[1::3]), h[2::3])) \
             if h else _ZERO
 
@@ -275,15 +278,15 @@ class Contraction:
     def check_identity(self, t: TreeMonomial) -> OperadElement:
         """(diff H + H diff)(t) - t, summed as raw cells in one dict; zero
         iff the contraction identity holds."""
-        h = self._h_value(t)
-        acc: dict[tuple, Rat] = {(t, 0): -1}
+        h = self._h_value(t.word, t.arity, t.degree)
+        acc: dict[tuple, Rat] = {(t.word, 0): -1}
         derivation_into(acc, self.op.raw_diff, (
             (h[i], ((h[i + 1], h[i + 2]),)) for i in range(0, len(h), 3)))
         dt: dict[tuple, Rat] = {}
-        derivation_into(dt, self.op.raw_diff, ((t, ((0, 1),)),))
-        for (m, e), v in dt.items():
+        derivation_into(dt, self.op.raw_diff, ((t.word, ((0, 1),)),))
+        for (w, e), v in dt.items():
             if v:
-                _add_scaled(acc, self._h_value(m), e, v)
+                _add_scaled(acc, self._h_value(w, t.arity, t.degree - 1), e, v)
         return OperadElement.from_cells(acc.items())
 
     def verify(self, max_arity: int, max_degree: int, max_weight: int

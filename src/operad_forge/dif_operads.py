@@ -25,18 +25,18 @@ import os
 from functools import cache, lru_cache
 from typing import Optional, Sequence
 
-from .coeffs import (Coefficient, LAMBDA, Rat, add_into, compositions,
-                     sign_coeff)
+from .coeffs import Coefficient, LAMBDA, Rat, add_into, compositions
 from .free_operad import (
     OperadElement,
     TreeMonomial,
-    compose_monomials,
+    d_square_residuals,
     derivation_into,
+    image_terms,
     partial_compose,
     raw_terms,
     replace_region,
 )
-from .trees import Generator, gen_id, subtree_end
+from .trees import Generator, gen_id, subtree_end, two_level_word
 
 DEFAULT_REWRITE_STEPS = 100_000
 
@@ -79,67 +79,60 @@ class Difinfty:
     """The dg operad of homotopy weighted differential algebras.
 
     `lam` is the weight: the generic polynomial variable by default, or any
-    rational constant via Coefficient.rational.  `raw_diff(gen)`, the one
-    raw form of the images, is `raw_terms(diff(gen))` converted once; it
-    is a `functools.cache`, so the lookup `derivation_into` makes per
-    vertex (for `diff_element` and the contraction) makes no Python call.
+    rational constant via Coefficient.rational.  `_diff_m` and `_diff_d`
+    give the images as raw cells {(word, power of L): rational}, from which
+    `diff` makes the element once.  `raw_diff(gen)`, the form of the images
+    that `derivation_into` splices in, is `image_terms(diff(gen))`
+    converted once; it is a `functools.cache`, so each `derivation_into`
+    call looks an image up once per generator.
     """
 
     def __init__(self, lam: Coefficient = LAMBDA):
         self.lam = lam
         self._diff_cache: dict[Generator, OperadElement] = {}
-        self.raw_diff = cache(lambda gen: raw_terms(self.diff(gen)))
+        self.raw_diff = cache(lambda gen: image_terms(self.diff(gen)))
 
     def diff(self, gen: Generator) -> OperadElement:
-        cached = self._diff_cache.get(gen)
-        if cached is not None:
-            return cached
-        kind, n = gen.symbol[0], gen.arity
-        if kind == "m":
-            out = self._diff_m(n)
-        elif kind == "d":
-            out = self._diff_d(n)
-        else:
-            raise ValueError(f"foreign generator {gen.symbol}")
-        self._diff_cache[gen] = out
+        out = self._diff_cache.get(gen)
+        if out is None:
+            cells = {"m": self._diff_m, "d": self._diff_d}.get(gen.symbol[0])
+            if cells is None:
+                raise ValueError(f"foreign generator {gen.symbol}")
+            out = self._diff_cache[gen] = OperadElement.from_cells(
+                cells(gen.arity).items())
         return out
 
-    def _diff_m(self, n: int) -> OperadElement:
-        acc: dict[TreeMonomial, Coefficient] = {}
-        for j in range(2, n):
-            outer = TreeMonomial.corolla(m_gen(n - j + 1))
-            inner = TreeMonomial.corolla(m_gen(j))
-            for i in range(1, n - j + 2):
-                sign, t = compose_monomials(outer, i, inner)
-                add_into(acc, t, sign_coeff(i + j * (n - i) + (sign < 0)))
-        return OperadElement(acc)
+    # Every graft below puts a corolla at a leaf of a corolla, right of the
+    # grafts before it, so no vertex follows the leaf and no sign is paid.
 
-    def _diff_d(self, n: int) -> OperadElement:
-        acc: dict[TreeMonomial, Coefficient] = {}
-        for j in range(2, n + 1):
-            outer = TreeMonomial.corolla(d_gen(n - j + 1))
-            inner = TreeMonomial.corolla(m_gen(j))
+    def _diff_m(self, n: int) -> dict:
+        cells: dict[tuple, Rat] = {}
+        for j in range(2, n):
             for i in range(1, n - j + 2):
-                sign, t = compose_monomials(outer, i, inner)
-                add_into(acc, t, sign_coeff(i + j * (n - i) + 1 + (sign < 0)))
+                word = two_level_word(m_gen(n - j + 1), ((i, m_gen(j)),))
+                cells[(word, 0)] = -1 if (i + j * (n - i)) & 1 else 1
+        return cells
+
+    def _diff_d(self, n: int) -> dict:
+        cells: dict[tuple, Rat] = {}
+        for j in range(2, n + 1):
+            for i in range(1, n - j + 2):
+                word = two_level_word(d_gen(n - j + 1), ((i, m_gen(j)),))
+                cells[(word, 0)] = 1 if (i + j * (n - i)) & 1 else -1
         for p in range(2, n + 1):
-            root = TreeMonomial.corolla(m_gen(p))
+            root = m_gen(p)
             for q in range(1, p + 1):
                 rest = n - p + q
                 if rest < q:
                     continue
-                lam_q = self.lam ** (q - 1)
+                lam_q = tuple((self.lam ** (q - 1)).items())
                 for ks in itertools.combinations(range(1, p + 1), q):
                     for ls in compositions(rest, q):
+                        word = two_level_word(root, zip(ks, map(d_gen, ls)))
                         xi = sum((ls[s] - 1) * (p - ks[s]) for s in range(q))
-                        t, shift = root, 0
-                        for k, a in zip(ks, ls):
-                            sign, t = compose_monomials(
-                                t, k + shift, TreeMonomial.corolla(d_gen(a)))
-                            xi += sign < 0
-                            shift += a - 1
-                        add_into(acc, t, lam_q * sign_coeff(xi + 1))
-        return OperadElement(acc)
+                        for e, v in lam_q:
+                            add_into(cells, (word, e), v if xi & 1 else -v)
+        return cells
 
     def diff_element(self, x: OperadElement) -> OperadElement:
         acc: dict[tuple, Rat] = {}
@@ -151,12 +144,7 @@ class Difinfty:
 
         An empty list means the differential squares to zero there.
         """
-        bad = []
-        for gen in alphabet(max_arity):
-            residual = self.diff_element(self.diff(gen))
-            if not residual.is_zero():
-                bad.append((gen.symbol, residual))
-        return bad
+        return d_square_residuals(self.raw_diff, alphabet(max_arity))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@ that sign is a block parity:
 That is the only sign convention in this module; everything else is
 derived from it.
 
-`region_splicer` walks a region once and returns a ``splice`` that
-costs one concatenation per replacement monomial.  `derivation_into`
-splices every term of a generator's image through one splicer per vertex
-and adds the products as raw rationals keyed by (monomial, power of L) to
-the caller's dict; `OperadElement.from_cells` builds the Coefficients at
-the end.
+`region_splicer` walks a region of a word once and returns a ``splice``
+that costs a few tuple concatenations per replacement monomial and builds
+no monomial.  The derivation kernels sum raw cells keyed by (word, power of
+L), so their dicts hash and compare in C: `derivation_into` splices every
+term of a generator's image through one splicer per vertex, and
+`OperadElement.from_cells` builds monomials and Coefficients at the end.
 """
 
 from __future__ import annotations
@@ -59,6 +59,13 @@ def _monomial(word: Word, arity: int, degree: int, weight: int
     return t
 
 
+def word_monomial(word: Word) -> "TreeMonomial":
+    """The monomial of a well-formed word, its statistics read off it."""
+    weight = len(word) - word.count(0)
+    return _monomial(word, len(word) - weight,
+                     sum(map(DEGREE.__getitem__, word)), weight)
+
+
 class TreeMonomial:
     """A planar tree with every vertex decorated by a generator.
 
@@ -68,20 +75,14 @@ class TreeMonomial:
 
     __slots__ = ("word", "arity", "degree", "weight", "_hash", "_leaves")
 
-    def __init__(self, node: Node):
-        self.word = word = encode(node)
-        self.weight = len(word) - word.count(0)
-        self.arity = len(word) - self.weight
-        self.degree = sum(DEGREE[x] for x in word)
-        self._hash = hash(word)
-        self._leaves = None
+    def __new__(cls, node: Node):
+        return word_monomial(encode(node))
 
     from_word = staticmethod(_monomial)
 
     @staticmethod
     def corolla(gen: Generator) -> "TreeMonomial":
-        return _monomial((gen_id(gen),) + (0,) * gen.arity, gen.arity,
-                         gen.degree, 1)
+        return word_monomial((gen_id(gen),) + (0,) * gen.arity)
 
     @property
     def node(self) -> Node:
@@ -146,23 +147,21 @@ def compose_monomials(f: TreeMonomial, i: int, g: TreeMonomial):
     sign = 1
     if g.degree & 1 and sum(DEGREE[x] for x in word[p + 1:]) & 1:
         sign = -1
-    return sign, _monomial(word[:p] + g.word + word[p + 1:],
-                           f.arity - 1 + g.arity, f.degree + g.degree,
-                           f.weight + g.weight)
+    return sign, word_monomial(word[:p] + g.word + word[p + 1:])
 
 
-def region_splicer(t: TreeMonomial, region: frozenset[int] | set[int]):
-    """Walk a connected region of vertices of ``t`` once; returns
-    ``splice(m)``, which replaces the region by the monomial ``m``.
+def region_splicer(word: Word, region: frozenset[int] | set[int]):
+    """Walk a connected region of vertices of the tree ``word`` once;
+    returns ``splice(m)``, which replaces the region by the monomial ``m``.
 
     The region's external branches are grafted onto m's leaves in planar
     order; m's arity must match the region's arity.  ``splice`` returns
-    (sign, monomial) where the sign reorders the decoration tensor read as
-    (prefix, m's vertices, remaining old vertices) into the planar order of
-    the result.  ``splice.start`` is the position of the region's root
-    token: every spliced word shares ``t.word[:splice.start]``.
+    (odd, word), odd when reordering the decoration tensor read as (prefix,
+    m's vertices, remaining old vertices) into planar order costs a sign.
+    ``splice.start`` is the position of the region's root token, before
+    which every spliced word agrees with ``word``, and ``splice.degree``
+    the region's total degree, which m's replaces.
     """
-    word = t.word
     root = min(region)
     v = -1
     for p, x in enumerate(word):
@@ -200,25 +199,20 @@ def region_splicer(t: TreeMonomial, region: frozenset[int] | set[int]):
     if rsize != len(region):
         raise ValueError("replacement region is not connected")
     head, tail, arity = word[:p], word[q:], len(branches)
-    degree, weight = t.degree - rdeg, t.weight - rsize
 
     def splice(m: TreeMonomial):
         if m.arity != arity:
             raise ValueError("replacement arity mismatch")
         pieces, after = _leaf_pieces(m)
-        out = list(head)
+        out = head
         for piece, branch in zip(pieces, branches):
-            out += piece
-            out += branch
-        out += pieces[-1]
-        out += tail
+            out += piece + branch
         odd = 0
         for b in odd_branches:
             odd ^= after[b]
-        return (-1 if odd else 1), _monomial(
-            tuple(out), t.arity, degree + m.degree, weight + m.weight)
+        return odd, out + pieces[-1] + tail
 
-    splice.start = p
+    splice.start, splice.degree = p, rdeg
     return splice
 
 
@@ -226,7 +220,8 @@ def replace_region(t: TreeMonomial, region: frozenset[int] | set[int],
                    m: TreeMonomial):
     """Replace a connected region of vertices by the monomial ``m``: one
     `region_splicer` walk and one splice.  Returns (sign, monomial)."""
-    return region_splicer(t, region)(m)
+    odd, word = region_splicer(t.word, region)(m)
+    return (-1 if odd else 1), word_monomial(word)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +248,8 @@ class OperadElement(Combination):
             for t in self.terms:
                 self._admit(t)
 
-    def _admit(self, t: TreeMonomial):
+    def _admit(self, t):
+        """Take the (arity, degree) block of t, a monomial or an element."""
         if self.arity is None:
             self.arity, self.degree = t.arity, t.degree
         elif (t.arity, t.degree) != (self.arity, self.degree):
@@ -268,9 +264,7 @@ class OperadElement(Combination):
 
     @staticmethod
     def single(t: TreeMonomial, c: Coefficient | int = 1) -> "OperadElement":
-        if isinstance(c, int):
-            c = Coefficient.rational(c)
-        return OperadElement({t: c})
+        return OperadElement({t: as_coefficient(c)})
 
     @staticmethod
     def generator(gen: Generator, c: Coefficient | int = 1) -> "OperadElement":
@@ -278,14 +272,14 @@ class OperadElement(Combination):
 
     @staticmethod
     def from_cells(cells: Iterable[tuple]) -> "OperadElement":
-        """The sum of v * L**e * t over raw ((t, e), v) cells, each (t, e)
-        once, as a raw dict's items; zero cells are skipped."""
-        out = OperadElement()
-        for (t, e), v in cells:
+        """The sum of v * L**e * word over raw ((word, e), v) cells, each
+        (word, e) once, as a raw dict's items; zero cells build nothing."""
+        rows: dict[Word, dict] = {}
+        for (w, e), v in cells:
             if v:
-                out._admit(t)
-                add_into(out.terms, t, Coefficient.lam(e, v))
-        return out
+                rows.setdefault(w, {})[e] = v
+        return OperadElement({word_monomial(w): Coefficient(row)
+                              for w, row in rows.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -305,12 +299,7 @@ class OperadElement(Combination):
         for c, x in pairs:
             if not x.terms:
                 continue
-            if out.arity is None:
-                out.arity, out.degree = x.arity, x.degree
-            elif (x.arity, x.degree) != (out.arity, out.degree):
-                raise HomogeneityError(
-                    f"mixed (arity, degree): ({out.arity},{out.degree}) vs "
-                    f"({x.arity},{x.degree})")
+            out._admit(x)
             unit = unit_sign(c)
             if not unit:
                 c = as_coefficient(c)
@@ -365,14 +354,9 @@ def partial_compose(f: OperadElement, i: int, g: OperadElement) -> OperadElement
 
 def _brace_positions(m_arity: int, arities: Sequence[int]):
     """Insertion index tuples for the brace sum (strictly left to right)."""
-    k = len(arities)
-    for slots in itertools.combinations(range(1, m_arity + 1), k):
-        shift = 0
-        idx = []
-        for a, l in zip(slots, arities):
-            idx.append(a + shift)
-            shift += l - 1
-        yield tuple(idx)
+    shifts = tuple(itertools.accumulate((l - 1 for l in arities), initial=0))
+    for slots in itertools.combinations(range(1, m_arity + 1), len(arities)):
+        yield tuple(a + s for a, s in zip(slots, shifts))
 
 
 def brace_lenient(f: OperadElement, gs: Sequence[OperadElement]) -> OperadElement:
@@ -446,29 +430,53 @@ def pre_jacobi_check(f: OperadElement, gs: Sequence[OperadElement],
 def derivation_into(acc: dict, image: Callable[[Generator], Sequence],
                     terms: Iterable[tuple]) -> None:
     """Add to ``acc`` the degree -1 derivation determined by the generator
-    images ``image(gen)``, as raw cells (monomial, power of L) -> rational,
-    zeros kept; ``terms`` and the images are as `raw_terms` gives them.
+    images ``image(gen)``, as raw cells (word, power of L) -> rational,
+    zeros kept; ``terms`` are as `raw_terms` gives them, the images as
+    `image_terms` does, and each image is looked up once per call.
     Acts on a monomial as the signed sum over vertices, the sign being
     (-1)**(total degree of vertices preceding the vertex in planar order),
     followed by the Koszul reordering of the substituted decoration tensor.
     """
-    for t, cterms in terms:
+    images: dict[int, Sequence] = {}
+    for word, cterms in terms:
         prefix = 0
-        for v, gen in enumerate(t.gens):
-            img = image(gen)
+        for v, x in enumerate(filter(None, word)):
+            img = images.get(x)
+            if img is None:
+                img = images[x] = image(GENS[x])
             if img:
-                splice = region_splicer(t, {v})
+                splice = region_splicer(word, (v,))
                 for m, mterms in img:
-                    sign, new_t = splice(m)
-                    neg = (sign < 0) ^ (prefix & 1)
+                    odd, new = splice(m)
+                    neg = odd ^ (prefix & 1)
                     for ec, vc in cterms:
                         for em, vm in mterms:
                             w = vc * vm
-                            key = (new_t, ec + em)
+                            key = (new, ec + em)
                             acc[key] = acc.get(key, 0) + (-w if neg else w)
-            prefix += gen.degree
+            prefix += DEGREE[x]
+
+
+def d_square_residuals(image: Callable[[Generator], Sequence],
+                       gens: Iterable[Generator]) -> list:
+    """(symbol, d(d(gen))) for each of ``gens`` where it is nonzero, d the
+    derivation with the generator images ``image``."""
+    bad = []
+    for gen in gens:
+        acc: dict = {}
+        derivation_into(acc, image, ((t.word, c) for t, c in image(gen)))
+        residual = OperadElement.from_cells(acc.items())
+        if not residual.is_zero():
+            bad.append((gen.symbol, residual))
+    return bad
 
 
 def raw_terms(x: OperadElement) -> tuple:
-    """The (monomial, (power, rational) pairs) pairs of ``x``."""
-    return tuple((t, tuple(c.coeffs.items())) for t, c in x.terms.items())
+    """The (word, ((power, rational), ...)) terms of ``x``."""
+    return tuple((t.word, tuple(c.items())) for t, c in x.terms.items())
+
+
+def image_terms(x: OperadElement) -> tuple:
+    """The (monomial, ((power, rational), ...)) terms of ``x``: the form of
+    a generator image, whose monomials keep the leaf pieces splices read."""
+    return tuple((t, tuple(c.items())) for t, c in x.terms.items())

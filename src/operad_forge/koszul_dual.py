@@ -14,7 +14,7 @@ decompositions are supported on two families of trees:
 The cobar differential of "difk" reproduces the Difinfty differential under
 sm_n -> m_n, sd_n -> d_n; that of "sdif" squares to zero on generators.
 Both facts are machine-checked, which is how the homotopy-cooperad axioms
-are verified here.
+are verified here, on raw cells summed from `delta_table` (`cobar_cells`).
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Literal, Sequence, Union
+from typing import Literal, Union
 
-from .coeffs import Coefficient, LAMBDA, add_into, compositions, sign_coeff
-from .dif_operads import Difinfty, d_gen, m_gen
-from .free_operad import (OperadElement, TreeMonomial, derivation_into,
-                          raw_terms)
-from .trees import Generator, gen_id
+from .coeffs import Coefficient, LAMBDA, Rat, compositions, sign_coeff
+from .dif_operads import Difinfty, alphabet, d_gen, m_gen
+from .free_operad import OperadElement, d_square_residuals, image_terms
+from .trees import Generator, two_level_word
 
 Kind = Literal["mt", "dt", "sm", "sd"]
 
@@ -103,18 +102,19 @@ class TypeII:
 TreeShape = Union[TypeI, TypeII]
 
 
-def shapes_for_arity(n: int) -> Iterator[TreeShape]:
-    for j in range(1, n + 1):
-        for i in range(1, n - j + 2):
-            yield TypeI(n, j, i)
+@lru_cache(maxsize=None)
+def shapes_for_arity(n: int) -> tuple[TreeShape, ...]:
+    """The shapes of arity n, built and validated once and shared."""
+    out: list[TreeShape] = [TypeI(n, j, i) for j in range(1, n + 1)
+                            for i in range(1, n - j + 2)]
     for p in range(2, n + 1):
         for q in range(2, p + 1):
             rest = n - p + q
             if rest < q:
                 continue
             for ks in itertools.combinations(range(1, p + 1), q):
-                for ls in compositions(rest, q):
-                    yield TypeII(p, ks, ls)
+                out.extend(TypeII(p, ks, ls) for ls in compositions(rest, q))
+    return tuple(out)
 
 
 def delta(c: CoopGenerator, shape: TreeShape,
@@ -219,15 +219,25 @@ def _is_counit(c: CoopGenerator) -> bool:
     return c.arity == 1 and c.kind in ("mt", "sm")
 
 
-def _shape_monomial(shape: TreeShape, gens: Sequence[Generator]) -> TreeMonomial:
-    """The shape's tree decorated by gens: the root's word with the upper
-    corolla words spliced into its leaves (the cobar sign is paid apart)."""
-    ks = (shape.i,) if isinstance(shape, TypeI) else shape.ks
-    word = [gen_id(gens[0])] + [0] * gens[0].arity
-    for k, g in reversed(list(zip(ks, gens[1:]))):
-        word[k:k + 1] = [gen_id(g)] + [0] * g.arity
-    return TreeMonomial.from_word(tuple(word), word.count(0),
-                                  sum(g.degree for g in gens), len(gens))
+def cobar_cells(c: CoopGenerator, lam: Coefficient = LAMBDA
+                ) -> dict[tuple, Rat]:
+    """`cobar_differential` as raw cells {(word, power of L): rational},
+    each tree's word the root's with the upper corollas grafted in."""
+    if _is_counit(c):
+        raise ValueError("the counit is not a cobar generator")
+    acc: dict[tuple, Rat] = {}
+    for shape, coeff, decs in delta_table(c, lam):
+        if any(_is_counit(x) for x in decs):
+            continue
+        r = len(decs)
+        exp = sum((r - pos) * decs[pos - 1].degree for pos in range(1, r))
+        ks = (shape.i,) if isinstance(shape, TypeI) else shape.ks
+        gens = [_desuspended(x) for x in decs]
+        word = two_level_word(gens[0], zip(ks, gens[1:]))
+        for e, v in coeff.items():
+            key = (word, e)
+            acc[key] = acc.get(key, 0) + (v if exp & 1 else -v)
+    return acc
 
 
 def cobar_differential(c: CoopGenerator, lam: Coefficient = LAMBDA) -> OperadElement:
@@ -237,58 +247,39 @@ def cobar_differential(c: CoopGenerator, lam: Coefficient = LAMBDA) -> OperadEle
     Delta_T(c), restricted to the counit-free part; the desuspension factors
     contribute the Koszul sign (-1)**(sum_{i<r} (r-i) deg c_i).
     """
-    if _is_counit(c):
-        raise ValueError("the counit is not a cobar generator")
-    acc: dict[TreeMonomial, Coefficient] = {}
-    for shape, coeff, decs in delta_table(c, lam):
-        if any(_is_counit(x) for x in decs):
-            continue
-        r = len(decs)
-        exp = sum((r - pos) * decs[pos - 1].degree for pos in range(1, r))
-        mono = _shape_monomial(shape, [_desuspended(x) for x in decs])
-        add_into(acc, mono, coeff * sign_coeff(exp + 1))
-    return OperadElement(acc)
+    return OperadElement.from_cells(cobar_cells(c, lam).items())
 
 
 def cross_check_cobar(max_arity: int, lam: Coefficient = LAMBDA
                       ) -> list[tuple[str, OperadElement]]:
     """Difference between the cobar differential of the Koszul dual and the
-    explicit Difinfty differential, per generator; empty means agreement."""
+    explicit Difinfty differential, per generator; empty means agreement.
+    The cells of `Difinfty.raw_diff` are subtracted from the cobar cells
+    one by one."""
     op = Difinfty(lam)
     mismatches = []
-    for n in range(1, max_arity + 1):
-        if n >= 2:
-            lhs = cobar_differential(CoopGenerator("sm", n), lam)
-            diff = lhs - op.diff(m_gen(n))
-            if not diff.is_zero():
-                mismatches.append((f"m{n}", diff))
-        lhs = cobar_differential(CoopGenerator("sd", n), lam)
-        diff = lhs - op.diff(d_gen(n))
+    for gen in alphabet(max_arity):
+        acc = cobar_cells(CoopGenerator("s" + gen.symbol[0], gen.arity), lam)
+        for t, cells in op.raw_diff(gen):
+            for e, v in cells:
+                key = (t.word, e)
+                acc[key] = acc.get(key, 0) - v
+        diff = OperadElement.from_cells(acc.items())
         if not diff.is_zero():
-            mismatches.append((f"d{n}", diff))
+            mismatches.append((gen.symbol, diff))
     return mismatches
 
 
 def sdif_cobar_d_square(max_arity: int, lam: Coefficient = LAMBDA
                         ) -> list[tuple[str, OperadElement]]:
     """diff o diff on the cobar generators of the degree-(0,1) table; a
-    nonempty result would refute the homotopy-cooperad property.  The
-    images become raw terms once, for every generator's derivation."""
+    nonempty result would refute the homotopy-cooperad property.  Each
+    image is made once, for every generator's derivation."""
     images: dict[Generator, tuple] = {}
-    for n in range(1, max_arity + 1):
-        if n >= 2:
-            images[mu_gen(n)] = raw_terms(
-                cobar_differential(CoopGenerator("mt", n), lam))
-        images[nu_gen(n)] = raw_terms(
-            cobar_differential(CoopGenerator("dt", n), lam))
-
-    bad = []
-    for gen, img in images.items():
-        if not {g for t, _ in img for g in t.gens}.issubset(images):
-            raise ValueError("increase max_arity")
-        acc: dict = {}
-        derivation_into(acc, images.__getitem__, img)
-        residual = OperadElement.from_cells(acc.items())
-        if not residual.is_zero():
-            bad.append((gen.symbol, residual))
-    return bad
+    for gen in alphabet(max_arity):     # mt_n, dt_n for m_n, d_n
+        c = CoopGenerator(gen.symbol[0] + "t", gen.arity)
+        images[_desuspended(c)] = image_terms(cobar_differential(c, lam))
+    if not {g for img in images.values() for t, _ in img
+            for g in t.gens}.issubset(images):
+        raise ValueError("increase max_arity")
+    return d_square_residuals(images.__getitem__, images)

@@ -111,6 +111,16 @@ def subtree_end(word: Word, p: int) -> int:
     return p
 
 
+def two_level_word(root: Generator, uppers) -> Word:
+    """The word of the corolla of ``root`` with the corolla of ``g`` grafted
+    at its leaf ``k`` for each (k, g) of ``uppers``, k increasing."""
+    word, last = [gen_id(root)], 0
+    for k, g in uppers:
+        word += [0] * (k - last - 1) + [gen_id(g)] + [0] * g.arity
+        last = k
+    return tuple(word + [0] * (root.arity - last))
+
+
 # ---------------------------------------------------------------------------
 # The graded path-lexicographic order
 # ---------------------------------------------------------------------------

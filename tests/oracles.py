@@ -25,7 +25,8 @@ from typing import Mapping, Optional, Sequence
 from operad_forge.coeffs import Coefficient, koszul_sign
 from operad_forge.dif_operads import DifRewriter
 from operad_forge.free_operad import (OperadElement, TreeMonomial,
-                                      derivation_into, raw_terms)
+                                      derivation_into, image_terms,
+                                      raw_terms)
 from operad_forge.trees import Node, generator_rank
 
 
@@ -256,7 +257,7 @@ def extend_derivation(images: Mapping, x: OperadElement) -> OperadElement:
     to ``x``, through `derivation_into`; a generator with no image is a
     KeyError."""
     acc: dict = {}
-    raw = {g: raw_terms(img) for g, img in images.items()}
+    raw = {g: image_terms(img) for g, img in images.items()}
     derivation_into(acc, raw.__getitem__, raw_terms(x))
     return OperadElement.from_cells(acc.items())
 

@@ -396,7 +396,8 @@ def test_corrupted_memo_entry_gives_the_element_route_residual():
         for w in {t.word} | {m.word for m in diffs[t].terms}:
             reach.setdefault(w, set()).add(t)
     w = next(w for w, h in c._h.items() if len(reach.get(w, ())) > 2
-             and not op.diff_element(OperadElement.single(h[0])).is_zero())
+             and not op.diff_element(OperadElement.from_cells(
+                 [((h[0], 0), 1)])).is_zero())
     h = c._h[w]
     c._h[w] = (h[0], h[1], -h[2]) + h[3:]
     for t in monomials:

@@ -463,10 +463,14 @@ def test_extend_derivation_equals_per_term_oracle(lam):
 def test_splicer_matches_replace_region_and_its_errors():
     t = TreeMonomial(parse_tree("(m3 (d2 _ (m2 _ _)) _ (d1 _))"))
     region = {1, 2}                     # d2 and its second input m2
-    splice = region_splicer(t, region)
+    splice = region_splicer(t.word, region)
     for m in enumerate_monomials(3, 2):
         if m.arity == 3:
-            assert splice(m) == replace_region(t, region, m)
+            odd, word = splice(m)
+            sign, r = replace_region(t, region, m)
+            assert (-1 if odd else 1, word) == (sign, r.word)
+            assert r == TreeMonomial(r.node)
+            assert r.degree == t.degree - splice.degree + m.degree
     cases = [({0, 2}, TreeMonomial.corolla(m_gen(2)),
               "replacement region is not connected"),
              ({4}, TreeMonomial.corolla(d_gen(1)), "vertex 4 out of range"),
@@ -476,4 +480,4 @@ def test_splicer_matches_replace_region_and_its_errors():
         with pytest.raises(ValueError, match=message):
             replace_region(t, bad_region, m)
         with pytest.raises(ValueError, match=message):
-            region_splicer(t, bad_region)(m)
+            region_splicer(t.word, bad_region)(m)

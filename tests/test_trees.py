@@ -6,7 +6,7 @@ from operad_forge.contraction import Contraction
 from operad_forge.dif_operads import (Difinfty, d_gen, enumerate_monomials,
                                       m_gen)
 from operad_forge.formats import parse_tree
-from operad_forge.free_operad import TreeMonomial
+from operad_forge.free_operad import TreeMonomial, word_monomial
 from operad_forge.trees import (
     ForeignGeneratorError,
     Generator,
@@ -235,7 +235,8 @@ def test_resumed_order_agrees_on_every_split(monomials_5_4, monkeypatch):
         out = split(self, t, an)
         p = out[2]
         assert t.word[p] and p - t.word[:p].count(0) == an.divisor_root
-        pairs.extend((t, m, p) for (m, _), v in out[1].items() if v)
+        pairs.extend((t, word_monomial(w), p)
+                     for (w, _), v in out[1].items() if v)
         return out
 
     monkeypatch.setattr(Contraction, "_split", recording)
