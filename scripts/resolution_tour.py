@@ -24,8 +24,7 @@ def show(title, element):
     if element.is_zero():
         print("   0")
         return
-    for mono, coeff in sorted(element.terms.items(),
-                              key=lambda kv: format_tree(kv[0].node)):
+    for mono, coeff in sorted(element, key=lambda kv: format_tree(kv[0].node)):
         print(f"   ({coeff}) * {format_tree(mono.node)}")
 
 

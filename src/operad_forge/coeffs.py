@@ -4,9 +4,10 @@
 generic in the weight; fixing the weight amounts to specializing ``L`` to a
 rational number, which :func:`Coefficient.specialize` does exactly.
 
-The multilinear map tables of `hom_complex` hold raw cells, plain dicts
-{power of L: rational} (`raw_cell`); a `Coefficient` wraps one, for
-scalars, operad elements and the values that are read or printed.
+The multilinear map tables of `hom_complex` and the operad elements of
+`free_operad` hold raw cells, plain dicts {power of L: rational}
+(`raw_cell`); a `Coefficient` wraps one, for scalars and the values that
+are read or printed.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ class Combination:
         return self._sum(((-1, self),))
 
     def scale(self, c):
-        return self if unit_sign(c) == 1 else self._sum(((c, self),))
+        """c * self; scaling by the constant 1 returns self."""
+        return self if c == 1 or c == _ONE else self._sum(((c, self),))
 
 
 class Coefficient(Combination):
@@ -236,18 +238,6 @@ LAMBDA = Coefficient({1: 1})
 
 def sign_coeff(exponent: int) -> Coefficient:
     return _ONE if exponent % 2 == 0 else MINUS_ONE
-
-
-def as_coefficient(c: "Coefficient | Rat") -> Coefficient:
-    return c if isinstance(c, Coefficient) else Coefficient.rational(c)
-
-
-def unit_sign(c: "Coefficient | Rat") -> int:
-    """1 or -1 when ``c`` is the constant +-1, else 0; scaling by a unit
-    only returns or negates."""
-    if isinstance(c, Coefficient):
-        c = c._c.get(0) if len(c._c) == 1 else None
-    return 1 if c == 1 else -1 if c == -1 else 0
 
 
 # ---------------------------------------------------------------------------

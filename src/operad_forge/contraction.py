@@ -18,19 +18,16 @@ divisor root in planar order, and recurses on the strictly smaller
 remainder.  `verify` checks diff o H + H o diff = id monomial by monomial.
 
 The memo of H values is the only cache that grows with the input; each
-generator s also keeps its typical shape and the image terms of
-s_hat - diff(s) / c_s.  The memo keeps only nonzero values, keyed by the
-monomial's word, each one flat tuple (w1, e1, v1, w2, e2, v2, ...) of raw
-Q[L] cells v * L**e * w, w a word, with its rationals from one intern
-table.  `_h_value` runs the recursion on an explicit stack of frames; tbar
-is raw cells too, and only a tbar word missing from the memo becomes a
-monomial, for `analyze_effective` (a non-effective one has no entry, so it
-is analysed again on each occurrence).  `h_monomial`, `apply` and `h_bar`
-build elements from the memo on demand.  `check_identity` sums diff(H t)
-+ H(diff t) - t as raw cells in one dict, the differentials through
-`free_operad.derivation_into` on the operad's one cache of generator
-images (`Difinfty.raw_diff`), and builds monomials and Coefficients only
-for a nonzero residual.
+generator s also keeps its typical shape, the image terms of s_hat -
+diff(s) / c_s and the leaf pieces of its corolla.  The memo keeps only
+nonzero values, keyed by the monomial's word, each one flat tuple (w1, e1,
+v1, w2, e2, v2, ...) of raw Q[L] cells v * L**e * w, w a word, with its
+rationals from one intern table.  `_h_value` runs the recursion on an
+explicit stack of frames that hold words, which `analyze_effective` reads
+(a non-effective word has no memo entry, so it is analysed again on each
+occurrence).  `check_identity` sums diff(H t) + H(diff t) - t as raw cells
+in one dict, the differentials through `free_operad.derivation_into` on
+the operad's one cache of generator images (`Difinfty.raw_diff`).
 """
 
 from __future__ import annotations
@@ -49,11 +46,12 @@ from .dif_operads import (
     enumerate_monomials,
     m_gen,
 )
-from .free_operad import (OperadElement, TreeMonomial, derivation_into,
-                          image_terms, region_splicer, replace_region,
-                          word_monomial)
-from .trees import (DEGREE, GENS, Generator, Word, gen_id, leaf_keys_from,
-                    smaller_from)
+from .formats import format_tree
+from .free_operad import (OperadElement, TreeMonomial, add_cells,
+                          derivation_into, image_terms, leaf_pieces,
+                          region_splicer, replace_region)
+from .trees import (DEGREE, GENS, Generator, Word, decode, gen_id,
+                    leaf_keys_from, smaller_from)
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,8 @@ class Contraction:
     def typical_info(self, s: Generator) -> tuple[TreeMonomial, int]:
         """Leading monomial of diff(s) and its coefficient, asserted +-1 and
         of the shape base o_1 m2.  The entry kept for s also holds the
-        image terms of s_hat - diff(s) / c_s (`image_terms`)."""
+        degree and the image terms (`image_terms`) of s_hat - diff(s) /
+        c_s, and the leaf pieces of the corolla of s."""
         cached = self._typical.get(s)
         if cached is not None:
             return cached[:2]
@@ -122,13 +121,14 @@ class Contraction:
                 f"leading monomial of diff({s.symbol}) is not typical: {lead!r}")
         repl = OperadElement.single(lead) - self.op.diff(s).scale(
             Fraction(1, c))
-        self._typical[s] = (lead, c, image_terms(repl))
+        self._typical[s] = (lead, c, repl.degree, image_terms(repl),
+                            leaf_pieces(TreeMonomial.corolla(s).word))
         return lead, c
 
     # -- effective divisors -------------------------------------------------
 
-    def analyze_effective(self, t: TreeMonomial) -> EffectiveAnalysis:
-        """Find the effective divisor in one pass over the word.
+    def analyze_effective(self, word: Word) -> EffectiveAnalysis:
+        """Find the effective divisor in one pass over a monomial's word.
 
         A first-input path is a run of nonzero tokens, and the vertices on
         the root paths of the leaves left of a run's leaf are the nonzero
@@ -139,12 +139,12 @@ class Contraction:
         no longer clean, which makes the effective divisor unique.  The
         scans are tuple searches and slices, so they run in C.
         """
-        word, m2 = t.word, self._m2
+        m2 = self._m2
         if m2 not in word:
             return _NOT_EFFECTIVE
         degree = DEGREE.__getitem__
         s = 0
-        for leaf in range(1, t.arity + 1):
+        for leaf in range(1, word.count(0) + 1):
             z = word.index(0, s)
             run = word[z - 1:s:-1]   # the run past its head, leaf first
             if m2 in run:
@@ -166,7 +166,7 @@ class Contraction:
     # -- the contraction ----------------------------------------------------
 
     def h_bar(self, t: TreeMonomial) -> OperadElement:
-        an = self.analyze_effective(t)
+        an = self.analyze_effective(t.word)
         if not an.is_effective:
             raise ValueError(f"{t!r} is not effective")
         sign, m = replace_region(t, {an.divisor_root, an.divisor_child},
@@ -183,34 +183,33 @@ class Contraction:
                                          "should never reorder odd factors")
         return an.c_s if an.omega % 2 == 0 else -an.c_s
 
-    def _split(self, t: TreeMonomial, an: EffectiveAnalysis
+    def _split(self, word: Word, an: EffectiveAnalysis
                ) -> tuple[tuple, dict[tuple, Rat], int]:
-        """h_bar(t) and tbar, t with its divisor replaced by s_hat -
-        diff(s) / c_s, as raw cells, from one walk of the divisor region, and
-        the position of the divisor root's token, before which every tbar
-        word agrees with t's.  Each term must keep t's degree (and arity)."""
-        splice = region_splicer(t.word, {an.divisor_root, an.divisor_child})
+        """h_bar and tbar of ``word`` (with its divisor replaced by s_hat -
+        diff(s) / c_s, which must have the divisor's degree) as raw cells,
+        from one walk of the divisor region, and the position of the
+        divisor root's token, before which every tbar word agrees."""
+        splice = region_splicer(word, {an.divisor_root, an.divisor_child})
+        _, _, degree, repl, corolla = self._typical[an.s_generator]
+        if degree != splice.degree:
+            raise InternalInvariantError(
+                f"recursion left its (arity, degree) block at "
+                f"{format_tree(decode(word))}")
         tbar: dict[tuple, Rat] = {}
-        for mono, cells in self._typical[an.s_generator][2]:
-            odd, w = splice(mono)
-            if mono.degree != splice.degree:
-                raise InternalInvariantError(
-                    f"recursion left its (arity, degree) block: "
-                    f"{word_monomial(w)!r} vs {t!r}")
-            for e, v in cells:
-                key = (w, e)
-                tbar[key] = tbar.get(key, 0) + (-v if odd else v)
-        odd, w = splice(TreeMonomial.corolla(an.s_generator))
+        for leaves, cell in repl:
+            odd, w = splice(leaves)
+            add_cells(tbar, ((w, cell),), neg=odd)
+        odd, w = splice(corolla)
         h_bar = (w, 0), self._generator_coefficient(an, odd)
         return h_bar, tbar, splice.start
 
-    def _h_value(self, word: Word, arity: int, degree: int) -> tuple:
-        """H of the monomial (word, arity, degree) as its memo value, ()
-        for zero, by well-founded recursion.
+    def _h_value(self, word: Word) -> tuple:
+        """H of the monomial ``word`` as its memo value, () for zero, by
+        well-founded recursion.
 
-        A frame is (monomial, analysis, h_bar, tbar).  The first visit
-        splits the monomial, checks that every tbar word is smaller, drops
-        the non-effective ones (their H is zero) and pushes the effective
+        A frame is (word, analysis, h_bar, tbar).  The first visit splits
+        the monomial, checks that every tbar word is smaller, drops the
+        non-effective ones (their H is zero) and pushes the effective
         uncached ones with their analyses; the revisit, once they are all
         done, sums and stores a nonzero value.  A tbar word shares the
         monomial's tokens before the divisor root, so the order comparison
@@ -221,12 +220,11 @@ class Contraction:
         h = memo.get(word)
         if h is not None:
             return h
-        t = TreeMonomial.from_word(word, arity, degree, len(word) - arity)
-        an = self.analyze_effective(t)
+        an = self.analyze_effective(word)
         if not an.is_effective:
             return ()
         intern = self._rationals.setdefault
-        stack = [(t, an, None, None)]
+        stack = [(word, an, None, None)]
         while stack:
             cur, an, h_bar, tbar = stack[-1]
             if tbar is not None:
@@ -237,13 +235,13 @@ class Contraction:
                 flat = [x for (m, e), v in acc.items() if v
                         for x in (m, e, intern(v, v))]
                 if flat:
-                    memo[cur.word] = tuple(flat)
+                    memo[cur] = tuple(flat)
                 continue
-            if cur.word in memo:
+            if cur in memo:
                 stack.pop()
                 continue
             h_bar, split, p = self._split(cur, an)
-            keys = leaf_keys_from(cur.word, p)
+            keys = leaf_keys_from(cur, p)
             tbar = []
             stack[-1] = (cur, an, h_bar, tbar)
             for (w, e), v in split.items():
@@ -252,41 +250,44 @@ class Contraction:
                 if not smaller_from(w, p, keys):
                     raise InternalInvariantError(
                         f"recursion failed to decrease: "
-                        f"{word_monomial(w)!r} vs {cur!r}")
+                        f"{format_tree(decode(w))} vs "
+                        f"{format_tree(decode(cur))}")
                 if w not in memo:
-                    mono = TreeMonomial.from_word(w, arity, degree,
-                                                  len(w) - arity)
-                    mono_an = self.analyze_effective(mono)
-                    if not mono_an.is_effective:
+                    w_an = self.analyze_effective(w)
+                    if not w_an.is_effective:
                         continue
-                    stack.append((mono, mono_an, None, None))
+                    stack.append((w, w_an, None, None))
                 tbar.append((w, e, v))
         return memo.get(word, ())
 
     def h_monomial(self, t: TreeMonomial) -> OperadElement:
         """H on a single monomial, built from its memo value."""
-        h = self._h_value(t.word, t.arity, t.degree)
+        h = self._h_value(t.word)
         return OperadElement.from_cells(zip(zip(h[::3], h[1::3]), h[2::3])) \
             if h else _ZERO
 
     def apply(self, x: OperadElement) -> OperadElement:
-        return OperadElement.sum((c, self.h_monomial(t))
-                                 for t, c in x.terms.items())
+        """H on an element, summed from the memo values as raw cells."""
+        acc: dict[tuple, Rat] = {}
+        for w, cell in x.terms.items():
+            for e, v in cell.items():
+                _add_scaled(acc, self._h_value(w), e, v)
+        return OperadElement.from_cells(acc.items())
 
     # -- the main verification ---------------------------------------------
 
     def check_identity(self, t: TreeMonomial) -> OperadElement:
         """(diff H + H diff)(t) - t, summed as raw cells in one dict; zero
         iff the contraction identity holds."""
-        h = self._h_value(t.word, t.arity, t.degree)
+        h = self._h_value(t.word)
         acc: dict[tuple, Rat] = {(t.word, 0): -1}
         derivation_into(acc, self.op.raw_diff, (
-            (h[i], ((h[i + 1], h[i + 2]),)) for i in range(0, len(h), 3)))
+            (h[i], {h[i + 1]: h[i + 2]}) for i in range(0, len(h), 3)))
         dt: dict[tuple, Rat] = {}
-        derivation_into(dt, self.op.raw_diff, ((t.word, ((0, 1),)),))
+        derivation_into(dt, self.op.raw_diff, ((t.word, {0: 1}),))
         for (w, e), v in dt.items():
             if v:
-                _add_scaled(acc, self._h_value(w, t.arity, t.degree - 1), e, v)
+                _add_scaled(acc, self._h_value(w), e, v)
         return OperadElement.from_cells(acc.items())
 
     def verify(self, max_arity: int, max_degree: int, max_weight: int

@@ -15,7 +15,7 @@ k_t + l_1 + ... + l_{t-1} - t + 1.
 
 The degree-zero part is the free operad on m_2, d_1; the quotient by the
 associativity and weighted Leibniz relations is computed by a rewriting
-normalizer (`DifRewriter`).
+normalizer (`DifRewriter`), which rewrites raw cells keyed by word.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ from .coeffs import Coefficient, LAMBDA, Rat, add_into, compositions
 from .free_operad import (
     OperadElement,
     TreeMonomial,
+    add_cells,
     d_square_residuals,
     derivation_into,
     image_terms,
     partial_compose,
-    raw_terms,
+    region_splicer,
     replace_region,
 )
-from .trees import Generator, gen_id, subtree_end, two_level_word
+from .trees import Generator, Word, gen_id, subtree_end, two_level_word
 
 DEFAULT_REWRITE_STEPS = 100_000
 
@@ -82,9 +83,9 @@ class Difinfty:
     rational constant via Coefficient.rational.  `_diff_m` and `_diff_d`
     give the images as raw cells {(word, power of L): rational}, from which
     `diff` makes the element once.  `raw_diff(gen)`, the form of the images
-    that `derivation_into` splices in, is `image_terms(diff(gen))`
-    converted once; it is a `functools.cache`, so each `derivation_into`
-    call looks an image up once per generator.
+    that `derivation_into` splices in, is `image_terms(diff(gen))`, its
+    leaf pieces read once; it is a `functools.cache`, so each
+    `derivation_into` call looks an image up once per generator.
     """
 
     def __init__(self, lam: Coefficient = LAMBDA):
@@ -125,18 +126,17 @@ class Difinfty:
                 rest = n - p + q
                 if rest < q:
                     continue
-                lam_q = tuple((self.lam ** (q - 1)).items())
+                lam_q = self.lam ** (q - 1)
                 for ks in itertools.combinations(range(1, p + 1), q):
                     for ls in compositions(rest, q):
                         word = two_level_word(root, zip(ks, map(d_gen, ls)))
                         xi = sum((ls[s] - 1) * (p - ks[s]) for s in range(q))
-                        for e, v in lam_q:
-                            add_into(cells, (word, e), v if xi & 1 else -v)
+                        add_cells(cells, ((word, lam_q),), neg=not xi & 1)
         return cells
 
     def diff_element(self, x: OperadElement) -> OperadElement:
         acc: dict[tuple, Rat] = {}
-        derivation_into(acc, self.raw_diff, raw_terms(x))
+        derivation_into(acc, self.raw_diff, x.terms.items())
         return OperadElement.from_cells(acc.items())
 
     def check_d_square(self, max_arity: int) -> list[tuple[str, OperadElement]]:
@@ -144,7 +144,8 @@ class Difinfty:
 
         An empty list means the differential squares to zero there.
         """
-        return d_square_residuals(self.raw_diff, alphabet(max_arity))
+        return d_square_residuals(self.raw_diff, {
+            gen: self.diff(gen) for gen in alphabet(max_arity)})
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +172,7 @@ class DifRewriter:
             max_steps = int(os.environ.get("OPERAD_FORGE_MAX_STEPS",
                                            DEFAULT_REWRITE_STEPS))
         self.max_steps = max_steps
-        self._nf_cache: dict[TreeMonomial, OperadElement] = {}
+        self._nf_cache: dict[Word, OperadElement] = {}
         m2, d1 = m_gen(2), d_gen(1)
         self._m2, self._d1 = gen_id(m2), gen_id(d1)
         assoc_rhs = partial_compose(
@@ -182,13 +183,14 @@ class DifRewriter:
         md2 = partial_compose(OperadElement.generator(m2), 2,
                               OperadElement.generator(d1))
         mdd = partial_compose(md1, 2, OperadElement.generator(d1))
-        self._assoc_rhs = assoc_rhs
-        self._leibniz_rhs = md1 + md2 + mdd.scale(lam)
+        self._rules = {"assoc": assoc_rhs,
+                       "leibniz": md1 + md2 + mdd.scale(lam)}
+        self._rhs = {kind: image_terms(x) for kind, x in self._rules.items()}
 
-    def _redex_positions(self, t: TreeMonomial) -> list[tuple[int, int, str]]:
+    def _redex_positions(self, word: Word) -> list[tuple[int, int, str]]:
         """(token position, vertex index, kind) of each redex root: an m2
         or d1 token whose next token, its first input, is m2."""
-        word, m2, d1 = t.word, self._m2, self._d1
+        m2, d1 = self._m2, self._d1
         out = []
         v = -1
         for p in range(len(word) - 1):
@@ -202,33 +204,46 @@ class DifRewriter:
 
     def find_redexes(self, t: TreeMonomial) -> list[tuple[int, int, str]]:
         """(vertex index, slot-1 child index, kind) for each redex root."""
-        return [(v, v + 1, kind) for _, v, kind in self._redex_positions(t)]
+        return [(v, v + 1, kind)
+                for _, v, kind in self._redex_positions(t.word)]
 
-    def _pick_redex(self, t: TreeMonomial):
+    def _pick_redex(self, word: Word):
         """The leftmost innermost redex as (vertex, child, kind), or None.
 
         A redex is innermost when no other redex roots inside its subtree;
         the subtree is a slice of the word, so it suffices that the next
         redex to the right starts past the slice's end.
         """
-        redexes = self._redex_positions(t)
+        redexes = self._redex_positions(word)
         for (p, v, kind), nxt in zip(redexes, redexes[1:] + [None]):
-            if nxt is None or nxt[0] >= subtree_end(t.word, p):
+            if nxt is None or nxt[0] >= subtree_end(word, p):
                 return v, v + 1, kind
         return None
 
-    def normalize_monomial(self, t: TreeMonomial) -> OperadElement:
-        cached = self._nf_cache.get(t)
+    def rewrite(self, t: TreeMonomial, redex: tuple) -> OperadElement:
+        """The element that one rewrite of t at ``redex``, as
+        `find_redexes` gives it, makes: a step of `normalize_monomial` on
+        monomials."""
+        v, w, kind = redex
+        return OperadElement.sum(
+            (c.scale(sign), OperadElement.single(new))
+            for m, c in self._rules[kind]
+            for sign, new in [replace_region(t, {v, w}, m)])
+
+    def normalize_monomial(self, word: Word) -> OperadElement:
+        """The normal form of the monomial ``word``, rewritten as raw cells
+        {word: {power of L: rational}} with cancelled words dropped."""
+        cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        work: dict[TreeMonomial, Coefficient] = {t: Coefficient.one()}
-        done: dict[TreeMonomial, Coefficient] = {}
+        work: dict[Word, dict] = {word: {0: 1}}
+        done: dict[tuple, Rat] = {}
         steps = 0
         while work:
             cur, ccur = work.popitem()
             redex = self._pick_redex(cur)
             if redex is None:
-                add_into(done, cur, ccur)
+                add_cells(done, ((cur, ccur),))
                 continue
             steps += 1
             if steps > self.max_steps:
@@ -236,15 +251,18 @@ class DifRewriter:
                     f"rewriting exceeded {self.max_steps} steps; "
                     "raise OPERAD_FORGE_MAX_STEPS if the input is this large"
                 )
-            v, w, kind = redex
-            rhs = self._assoc_rhs if kind == "assoc" else self._leibniz_rhs
-            for mono, mc in rhs.terms.items():
-                sign, new_t = replace_region(cur, {v, w}, mono)
-                if sign != 1:
+            root, child, kind = redex
+            splice = region_splicer(cur, (root, child))
+            for leaves, cells in self._rhs[kind]:
+                odd, new = splice(leaves)
+                if odd:
                     raise InternalInvariantError("degree-0 rewrite produced a sign")
-                add_into(work, new_t, ccur * mc)
-        out = OperadElement(done)
-        self._nf_cache[t] = out
+                prod: dict[int, Rat] = {}
+                for ec, vc in ccur.items():
+                    for em, vm in cells.items():
+                        add_into(prod, ec + em, vc * vm)
+                add_into(work, new, prod)
+        out = self._nf_cache[word] = OperadElement.from_cells(done.items())
         return out
 
     def normalize(self, x: OperadElement) -> OperadElement:
@@ -252,8 +270,8 @@ class DifRewriter:
             return x
         if x.degree != 0:
             raise ValueError("rewriting only applies to degree-0 elements")
-        return OperadElement.sum((c, self.normalize_monomial(t))
-                                 for t, c in x.terms.items())
+        return OperadElement.sum((cell, self.normalize_monomial(w))
+                                 for w, cell in x.terms.items())
 
 
 def project_p(x: OperadElement, rewriter: DifRewriter) -> OperadElement:

@@ -4,8 +4,9 @@ Tree s-expressions:  tree := '(' gen child+ ')';  child := '_' | tree;
 gen := ('m'|'d') uint.  Example: (m3 (d1 _) _ (m2 _ _)).
 
 Element files are JSON lists of {"coeff": <coefficient string>,
-"tree": <tree s-expression>} records; printing is canonical (terms sorted
-by descending monomial order) so that parse o print is the identity.
+"tree": <tree s-expression>} records; printing is canonical (records
+sorted by the text of their tree s-expressions) so that parse o print is
+the identity.
 """
 
 from __future__ import annotations
@@ -70,11 +71,9 @@ def parse_tree(s: str) -> Node:
 
 
 def element_records(x: OperadElement) -> list[dict]:
-    records = []
-    for t, c in sorted(x.terms.items(), key=lambda kv: format_tree(kv[0].node)):
-        records.append({"coeff": format_coefficient(c),
-                        "tree": format_tree(t.node)})
-    return records
+    return sorted(({"coeff": format_coefficient(c),
+                    "tree": format_tree(t.node)} for t, c in x),
+                  key=lambda record: record["tree"])
 
 
 def format_element(x: OperadElement) -> str:

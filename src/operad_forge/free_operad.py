@@ -17,12 +17,12 @@ that sign is a block parity:
 That is the only sign convention in this module; everything else is
 derived from it.
 
-`region_splicer` walks a region of a word once and returns a ``splice``
-that costs a few tuple concatenations per replacement monomial and builds
-no monomial.  The derivation kernels sum raw cells keyed by (word, power of
-L), so their dicts hash and compare in C: `derivation_into` splices every
-term of a generator's image through one splicer per vertex, and
-`OperadElement.from_cells` builds monomials and Coefficients at the end.
+An `OperadElement` maps each word to a raw cell {power of L: rational}
+(`coeffs.raw_cell`), so the kernels' dicts hash and compare in C; they sum
+flat raw cells {(word, power of L): rational}, which `from_cells`
+regroups.  `region_splicer` walks a region of a word once and returns a
+``splice`` that costs a few tuple concatenations per replacement, given
+by its `leaf_pieces`, which a generator image (`image_terms`) holds.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .coeffs import (Coefficient, Combination, add_into, as_coefficient,
-                     unit_sign)
+from .coeffs import Coefficient, Combination, Rat, normalize, raw_cell
 from .trees import (
     ARITY,
     DEGREE,
@@ -54,8 +53,6 @@ def _monomial(word: Word, arity: int, degree: int, weight: int
     """The monomial of a well-formed word with the given statistics."""
     t = _new(TreeMonomial)
     t.word, t.arity, t.degree, t.weight = word, arity, degree, weight
-    t._hash = hash(word)
-    t._leaves = None
     return t
 
 
@@ -73,7 +70,7 @@ class TreeMonomial:
     equal iff their words are.  ``node`` decodes it to the nested form.
     """
 
-    __slots__ = ("word", "arity", "degree", "weight", "_hash", "_leaves")
+    __slots__ = ("word", "arity", "degree", "weight")
 
     def __new__(cls, node: Node):
         return word_monomial(encode(node))
@@ -105,7 +102,7 @@ class TreeMonomial:
         return isinstance(other, TreeMonomial) and self.word == other.word
 
     def __hash__(self):
-        return self._hash
+        return hash(self.word)
 
     def __reduce__(self):
         # generator ids are per process; a pickle carries the nested form
@@ -117,42 +114,20 @@ class TreeMonomial:
         return format_tree(self.node)
 
 
-def _leaf_pieces(m: TreeMonomial) -> tuple[tuple, tuple[int, ...]]:
-    """The slices of m's word between its leaves (arity + 1 of them), and
-    per leaf the parity of the total degree of the vertices after it."""
-    leaves = m._leaves
-    if leaves is None:
-        pieces, after = [], []
-        start = before = 0
-        for q, x in enumerate(m.word):
-            if x:
-                before += DEGREE[x]
-            else:
-                pieces.append(m.word[start:q])
-                after.append((m.degree - before) & 1)
-                start = q + 1
-        pieces.append(m.word[start:])
-        leaves = m._leaves = (tuple(pieces), tuple(after))
-    return leaves
-
-
-def compose_monomials(f: TreeMonomial, i: int, g: TreeMonomial):
-    """Graft g into the i-th leaf of f.  Returns (sign, monomial)."""
-    if not 1 <= i <= f.arity:
-        raise ValueError(f"composition position {i} out of range 1..{f.arity}")
-    word = f.word
-    p = -1
-    for _ in range(i):
-        p = word.index(0, p + 1)
-    sign = 1
-    if g.degree & 1 and sum(DEGREE[x] for x in word[p + 1:]) & 1:
-        sign = -1
-    return sign, word_monomial(word[:p] + g.word + word[p + 1:])
+def leaf_pieces(word: Word) -> tuple[tuple, tuple[int, ...]]:
+    """The slices of ``word`` between its leaves (arity + 1 of them), and
+    per leaf the parity of the total degree of the vertices after it: a
+    replacement as a splice reads it."""
+    zeros = [q for q, x in enumerate(word) if not x]
+    return (tuple(word[a + 1:b] for a, b in zip([-1] + zeros,
+                                                 zeros + [len(word)])),
+            tuple(sum(map(DEGREE.__getitem__, word[z:])) & 1 for z in zeros))
 
 
 def region_splicer(word: Word, region: frozenset[int] | set[int]):
     """Walk a connected region of vertices of the tree ``word`` once;
-    returns ``splice(m)``, which replaces the region by the monomial ``m``.
+    returns ``splice(leaves)``, which replaces the region by the monomial
+    m whose `leaf_pieces` are ``leaves``.
 
     The region's external branches are grafted onto m's leaves in planar
     order; m's arity must match the region's arity.  ``splice`` returns
@@ -200,10 +175,10 @@ def region_splicer(word: Word, region: frozenset[int] | set[int]):
         raise ValueError("replacement region is not connected")
     head, tail, arity = word[:p], word[q:], len(branches)
 
-    def splice(m: TreeMonomial):
-        if m.arity != arity:
+    def splice(leaves: tuple):
+        pieces, after = leaves
+        if len(after) != arity:
             raise ValueError("replacement arity mismatch")
-        pieces, after = _leaf_pieces(m)
         out = head
         for piece, branch in zip(pieces, branches):
             out += piece + branch
@@ -220,7 +195,7 @@ def replace_region(t: TreeMonomial, region: frozenset[int] | set[int],
                    m: TreeMonomial):
     """Replace a connected region of vertices by the monomial ``m``: one
     `region_splicer` walk and one splice.  Returns (sign, monomial)."""
-    odd, word = region_splicer(t.word, region)(m)
+    odd, word = region_splicer(t.word, region)(leaf_pieces(m.word))
     return (-1 if odd else 1), word_monomial(word)
 
 
@@ -234,19 +209,23 @@ class HomogeneityError(ValueError):
 
 class OperadElement(Combination):
     """Finite linear combination of tree monomials, homogeneous in
-    (arity, degree)."""
+    (arity, degree), never changed after construction: ``terms`` maps each
+    monomial's word to its raw cell.  The constructor takes {TreeMonomial:
+    Coefficient or rational}, and iterating yields (TreeMonomial,
+    Coefficient) pairs."""
 
     __slots__ = ("terms", "arity", "degree")
 
-    def __init__(self, terms: Mapping[TreeMonomial, Coefficient] | None = None):
-        self.terms: dict[TreeMonomial, Coefficient] = {}
+    def __init__(self, terms: Optional[Mapping] = None):
+        self.terms: dict[Word, dict[int, Rat]] = {}
         self.arity: Optional[int] = None
         self.degree: Optional[int] = None
         if terms:
             for t, c in terms.items():
-                add_into(self.terms, t, c)
-            for t in self.terms:
-                self._admit(t)
+                cell = raw_cell(c if hasattr(c, "items") else {0: c})
+                if cell:
+                    self._admit(t)
+                    self.terms[t.word] = cell
 
     def _admit(self, t):
         """Take the (arity, degree) block of t, a monomial or an element."""
@@ -263,51 +242,52 @@ class OperadElement(Combination):
         return OperadElement()
 
     @staticmethod
-    def single(t: TreeMonomial, c: Coefficient | int = 1) -> "OperadElement":
-        return OperadElement({t: as_coefficient(c)})
+    def single(t: TreeMonomial, c: Coefficient | Rat = 1) -> "OperadElement":
+        return OperadElement({t: c})
 
     @staticmethod
-    def generator(gen: Generator, c: Coefficient | int = 1) -> "OperadElement":
+    def generator(gen: Generator, c: Coefficient | Rat = 1) -> "OperadElement":
         return OperadElement.single(TreeMonomial.corolla(gen), c)
 
     @staticmethod
     def from_cells(cells: Iterable[tuple]) -> "OperadElement":
-        """The sum of v * L**e * word over raw ((word, e), v) cells, each
-        (word, e) once, as a raw dict's items; zero cells build nothing."""
-        rows: dict[Word, dict] = {}
+        """The sum of v * L**e * word over raw ((word, e), v) cells of one
+        (arity, degree) block, each (word, e) once, as a raw dict's items:
+        the nonzero cells regrouped by word, in `normalize` form."""
+        terms: dict[Word, dict[int, Rat]] = {}
         for (w, e), v in cells:
             if v:
-                rows.setdefault(w, {})[e] = v
-        return OperadElement({word_monomial(w): Coefficient(row)
-                              for w, row in rows.items()})
+                terms.setdefault(w, {})[e] = normalize(v)
+        blocks = {(w.count(0), sum(map(DEGREE.__getitem__, w))) for w in terms}
+        if len(blocks) > 1:
+            raise HomogeneityError(f"mixed (arity, degree): {sorted(blocks)}")
+        out = _new(OperadElement)
+        out.terms = terms
+        out.arity, out.degree = blocks.pop() if blocks else (None, None)
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __iter__(self):
-        return iter(self.terms.items())
+        """The (TreeMonomial, Coefficient) pairs, built on each read."""
+        for w, cell in self.terms.items():
+            yield (_monomial(w, self.arity, self.degree, len(w) - self.arity),
+                   Coefficient(cell))
 
     @staticmethod
     def sum(pairs: Iterable[tuple]) -> "OperadElement":
-        """sum of c * x over (c, x) pairs, c a Coefficient or a rational.
-
-        The terms go into one fresh dict, so no operand is copied per term
-        or changed.
-        """
+        """sum of c * x over (c, x) pairs, c a Coefficient, a raw cell or
+        a rational, as raw cells in one fresh dict, so no operand is
+        copied per term or changed."""
         out = OperadElement()
-        acc = out.terms
+        acc: dict[tuple, Rat] = {}
         for c, x in pairs:
-            if not x.terms:
-                continue
-            out._admit(x)
-            unit = unit_sign(c)
-            if not unit:
-                c = as_coefficient(c)
-            for t, w in x.terms.items():
-                add_into(acc, t, w if unit == 1 else -w if unit else w * c)
-        if not acc:
-            out.arity = out.degree = None
-        return out
+            if x.terms:
+                out._admit(x)
+                add_cells(acc, x.terms.items(),
+                          c.items() if hasattr(c, "items") else ((0, c),))
+        return OperadElement.from_cells(acc.items())
 
     _sum = sum
 
@@ -319,22 +299,36 @@ class OperadElement(Combination):
     def __hash__(self):
         raise TypeError("OperadElement is not hashable")
 
+    def __reduce__(self):
+        # generator ids are per process; a pickle carries nested forms
+        return OperadElement, (dict(self),)
+
     def __repr__(self):
         if self.is_zero():
             return "0"
         from .formats import format_tree
 
-        bits = []
-        for t, c in sorted(self.terms.items(), key=lambda kv: format_tree(kv[0].node)):
-            bits.append(f"({c})*{format_tree(t.node)}")
-        return " + ".join(bits)
+        bits = sorted((format_tree(t.node), c) for t, c in self)
+        return " + ".join(f"({c})*{tree}" for tree, c in bits)
 
     def leading(self):
         """(monomial, coefficient) maximal for the path-lexicographic order."""
         if self.is_zero():
             raise ValueError("zero element has no leading monomial")
-        t = max(self.terms, key=TreeMonomial.order_key)
-        return t, self.terms[t]
+        return max(self, key=lambda tc: tc[0].order_key())
+
+
+def add_cells(acc: dict, terms: Iterable[tuple],
+              scalar: Iterable[tuple] = ((0, 1),), neg: int = 0) -> None:
+    """acc += (-1)**neg * scalar * term over raw (word, cell) ``terms``,
+    ``scalar`` the (power of L, rational) pairs of one raw cell, into the
+    flat raw cells {(word, power of L): rational} of ``acc``, zeros kept."""
+    scalar = tuple(scalar)
+    for w, cell in terms:
+        for e, v in cell.items():
+            for es, vs in scalar:
+                key = (w, e + es)
+                acc[key] = acc.get(key, 0) + (-v * vs if neg else v * vs)
 
 
 def partial_compose(f: OperadElement, i: int, g: OperadElement) -> OperadElement:
@@ -343,13 +337,17 @@ def partial_compose(f: OperadElement, i: int, g: OperadElement) -> OperadElement
         return OperadElement.zero()
     if not 1 <= i <= f.arity:
         raise ValueError(f"position {i} out of range for arity {f.arity}")
-    acc: dict[TreeMonomial, Coefficient] = {}
-    for tf, cf in f.terms.items():
-        for tg, cg in g.terms.items():
-            sign, t = compose_monomials(tf, i, tg)
-            c = cf * cg
-            add_into(acc, t, -c if sign < 0 else c)
-    return OperadElement(acc)
+    acc: dict[tuple, Rat] = {}
+    for wf, cf in f.terms.items():
+        p = -1
+        for _ in range(i):
+            p = wf.index(0, p + 1)
+        # g moves past the vertices of f after its i-th leaf
+        neg = g.degree & sum(map(DEGREE.__getitem__, wf[p + 1:]))
+        head, tail = wf[:p], wf[p + 1:]
+        add_cells(acc, ((head + wg + tail, cg) for wg, cg in g.terms.items()),
+                  cf.items(), neg & 1)
+    return OperadElement.from_cells(acc.items())
 
 
 def _brace_positions(m_arity: int, arities: Sequence[int]):
@@ -431,14 +429,16 @@ def derivation_into(acc: dict, image: Callable[[Generator], Sequence],
                     terms: Iterable[tuple]) -> None:
     """Add to ``acc`` the degree -1 derivation determined by the generator
     images ``image(gen)``, as raw cells (word, power of L) -> rational,
-    zeros kept; ``terms`` are as `raw_terms` gives them, the images as
-    `image_terms` does, and each image is looked up once per call.
+    zeros kept; ``terms`` are raw (word, cell) pairs, as an element's
+    ``terms.items()``, the images as `image_terms` gives them, and each
+    image is looked up once per call.
     Acts on a monomial as the signed sum over vertices, the sign being
     (-1)**(total degree of vertices preceding the vertex in planar order),
     followed by the Koszul reordering of the substituted decoration tensor.
     """
     images: dict[int, Sequence] = {}
-    for word, cterms in terms:
+    for word, cell in terms:
+        cell = tuple(cell.items())
         prefix = 0
         for v, x in enumerate(filter(None, word)):
             img = images.get(x)
@@ -446,37 +446,28 @@ def derivation_into(acc: dict, image: Callable[[Generator], Sequence],
                 img = images[x] = image(GENS[x])
             if img:
                 splice = region_splicer(word, (v,))
-                for m, mterms in img:
-                    odd, new = splice(m)
-                    neg = odd ^ (prefix & 1)
-                    for ec, vc in cterms:
-                        for em, vm in mterms:
-                            w = vc * vm
-                            key = (new, ec + em)
-                            acc[key] = acc.get(key, 0) + (-w if neg else w)
+                for leaves, mcell in img:
+                    odd, new = splice(leaves)
+                    add_cells(acc, ((new, mcell),), cell, odd ^ prefix & 1)
             prefix += DEGREE[x]
 
 
 def d_square_residuals(image: Callable[[Generator], Sequence],
-                       gens: Iterable[Generator]) -> list:
-    """(symbol, d(d(gen))) for each of ``gens`` where it is nonzero, d the
-    derivation with the generator images ``image``."""
+                       elements: Mapping[Generator, OperadElement]) -> list:
+    """(symbol, d(d(gen))) for each gen of ``elements`` where it is
+    nonzero, d the derivation with the generator images ``image`` and
+    d(gen) = elements[gen]."""
     bad = []
-    for gen in gens:
+    for gen, x in elements.items():
         acc: dict = {}
-        derivation_into(acc, image, ((t.word, c) for t, c in image(gen)))
+        derivation_into(acc, image, x.terms.items())
         residual = OperadElement.from_cells(acc.items())
         if not residual.is_zero():
             bad.append((gen.symbol, residual))
     return bad
 
 
-def raw_terms(x: OperadElement) -> tuple:
-    """The (word, ((power, rational), ...)) terms of ``x``."""
-    return tuple((t.word, tuple(c.items())) for t, c in x.terms.items())
-
-
 def image_terms(x: OperadElement) -> tuple:
-    """The (monomial, ((power, rational), ...)) terms of ``x``: the form of
-    a generator image, whose monomials keep the leaf pieces splices read."""
-    return tuple((t, tuple(c.items())) for t, c in x.terms.items())
+    """The (leaf pieces, raw cell) terms of ``x``: the form of a generator
+    image, each monomial's `leaf_pieces` read once."""
+    return tuple((leaf_pieces(w), c) for w, c in x.terms.items())

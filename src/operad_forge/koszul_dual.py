@@ -26,8 +26,9 @@ from typing import Literal, Union
 
 from .coeffs import Coefficient, LAMBDA, Rat, compositions, sign_coeff
 from .dif_operads import Difinfty, alphabet, d_gen, m_gen
-from .free_operad import OperadElement, d_square_residuals, image_terms
-from .trees import Generator, two_level_word
+from .free_operad import (OperadElement, add_cells, d_square_residuals,
+                          image_terms)
+from .trees import Generator, gen_id, two_level_word
 
 Kind = Literal["mt", "dt", "sm", "sd"]
 
@@ -234,9 +235,7 @@ def cobar_cells(c: CoopGenerator, lam: Coefficient = LAMBDA
         ks = (shape.i,) if isinstance(shape, TypeI) else shape.ks
         gens = [_desuspended(x) for x in decs]
         word = two_level_word(gens[0], zip(ks, gens[1:]))
-        for e, v in coeff.items():
-            key = (word, e)
-            acc[key] = acc.get(key, 0) + (v if exp & 1 else -v)
+        add_cells(acc, ((word, coeff),), neg=not exp & 1)
     return acc
 
 
@@ -254,16 +253,13 @@ def cross_check_cobar(max_arity: int, lam: Coefficient = LAMBDA
                       ) -> list[tuple[str, OperadElement]]:
     """Difference between the cobar differential of the Koszul dual and the
     explicit Difinfty differential, per generator; empty means agreement.
-    The cells of `Difinfty.raw_diff` are subtracted from the cobar cells
-    one by one."""
+    The cells of `Difinfty.diff` are subtracted from the cobar cells one by
+    one."""
     op = Difinfty(lam)
     mismatches = []
     for gen in alphabet(max_arity):
         acc = cobar_cells(CoopGenerator("s" + gen.symbol[0], gen.arity), lam)
-        for t, cells in op.raw_diff(gen):
-            for e, v in cells:
-                key = (t.word, e)
-                acc[key] = acc.get(key, 0) - v
+        add_cells(acc, op.diff(gen).terms.items(), ((0, -1),))
         diff = OperadElement.from_cells(acc.items())
         if not diff.is_zero():
             mismatches.append((gen.symbol, diff))
@@ -275,11 +271,12 @@ def sdif_cobar_d_square(max_arity: int, lam: Coefficient = LAMBDA
     """diff o diff on the cobar generators of the degree-(0,1) table; a
     nonempty result would refute the homotopy-cooperad property.  Each
     image is made once, for every generator's derivation."""
-    images: dict[Generator, tuple] = {}
+    diffs: dict[Generator, OperadElement] = {}
     for gen in alphabet(max_arity):     # mt_n, dt_n for m_n, d_n
         c = CoopGenerator(gen.symbol[0] + "t", gen.arity)
-        images[_desuspended(c)] = image_terms(cobar_differential(c, lam))
-    if not {g for img in images.values() for t, _ in img
-            for g in t.gens}.issubset(images):
+        diffs[_desuspended(c)] = cobar_differential(c, lam)
+    if not {x for y in diffs.values() for w in y.terms for x in w} <= {
+            0, *map(gen_id, diffs)}:
         raise ValueError("increase max_arity")
-    return d_square_residuals(images.__getitem__, images)
+    images = {g: image_terms(y) for g, y in diffs.items()}
+    return d_square_residuals(images.__getitem__, diffs)

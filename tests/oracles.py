@@ -12,8 +12,9 @@ the tests check the kernel against it.
   Leibniz identity, against `hda.eta_sign_exponent`.
 * `is_normal_form`, the definition of a normal form of `DifRewriter`.
 * `extend_derivation`, `free_operad.derivation_into` on elements.
-* `assert_raw_normal_form`, the form every `MultiMap` table keeps, and
-  `values`, a table read cell by cell through `MultiMap.evaluate`.
+* `assert_raw_normal_form`, the form every `MultiMap` table keeps, its
+  twin `assert_element_normal_form` for `OperadElement`, and `values`, a
+  table read cell by cell through `MultiMap.evaluate`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from typing import Mapping, Optional, Sequence
 from operad_forge.coeffs import Coefficient, koszul_sign
 from operad_forge.dif_operads import DifRewriter
 from operad_forge.free_operad import (OperadElement, TreeMonomial,
-                                      derivation_into, image_terms,
-                                      raw_terms)
+                                      derivation_into, image_terms)
 from operad_forge.trees import Node, generator_rank
 
 
@@ -258,7 +258,7 @@ def extend_derivation(images: Mapping, x: OperadElement) -> OperadElement:
     KeyError."""
     acc: dict = {}
     raw = {g: image_terms(img) for g, img in images.items()}
-    derivation_into(acc, raw.__getitem__, raw_terms(x))
+    derivation_into(acc, raw.__getitem__, x.terms.items())
     return OperadElement.from_cells(acc.items())
 
 
@@ -282,6 +282,23 @@ def assert_raw_normal_form(mm) -> None:
             assert dict(Coefficient(cell).items()) == cell
         assert mm.evaluate(key) == {b: Coefficient(cell)
                                     for b, cell in row.items()}
+
+
+def assert_element_normal_form(x) -> None:
+    """The element twin of `assert_raw_normal_form`: every cell of x is a
+    nonempty raw cell in normal form, every word has x's arity and degree,
+    and the boundary reader gives a Coefficient that keeps the cell."""
+    for word, cell in x.terms.items():
+        assert type(word) is tuple and type(cell) is dict and cell
+        for e, v in cell.items():
+            assert type(e) is int and e >= 0
+            assert type(v) is int or type(v) is Fraction
+            assert v != 0 and (type(v) is int or v.denominator != 1)
+        assert dict(Coefficient(cell).items()) == cell
+    for t, c in x:
+        assert (t.arity, t.degree) == (x.arity, x.degree)
+        assert dict(c.items()) == x.terms[t.word]
+        assert t == TreeMonomial(t.node)
 
 
 def values(mm) -> dict:

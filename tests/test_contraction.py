@@ -15,7 +15,8 @@ from operad_forge.dif_operads import (
     project_p,
 )
 from operad_forge.formats import parse_tree
-from operad_forge.free_operad import OperadElement, TreeMonomial, replace_region
+from operad_forge.free_operad import (OperadElement, TreeMonomial,
+                                      image_terms, replace_region)
 from operad_forge.trees import DEGREE, GENS, decode
 
 
@@ -58,7 +59,7 @@ def test_leading_coefficients_all_pm_one(contraction):
 
 
 def test_analyze_effective_whole_tree(contraction):
-    an = contraction.analyze_effective(mono("(m2 (m2 _ _) _)"))
+    an = contraction.analyze_effective(mono("(m2 (m2 _ _) _)").word)
     assert an.is_effective
     assert (an.divisor_root, an.divisor_child) == (0, 1)
     assert an.s_generator == m_gen(3)
@@ -66,29 +67,29 @@ def test_analyze_effective_whole_tree(contraction):
 
 
 def test_analyze_not_effective(contraction):
-    assert not contraction.analyze_effective(mono("(m2 _ (d1 _))")).is_effective
-    assert not contraction.analyze_effective(mono("(m2 _ (m2 _ _))")).is_effective
+    assert not contraction.analyze_effective(mono("(m2 _ (d1 _))").word).is_effective
+    assert not contraction.analyze_effective(mono("(m2 _ (m2 _ _))").word).is_effective
 
 
 def test_ancestor_positive_degree_allowed_when_leftmost(contraction):
     # a positive-degree vertex on the root path is fine when the effective
     # leaf is the leftmost leaf of the whole tree; it feeds the omega sign
     t = mono("(d2 (m2 (m2 _ _) _) _)")
-    an = contraction.analyze_effective(t)
+    an = contraction.analyze_effective(t.word)
     assert an.is_effective and an.omega == 1 and an.effective_leaf == 1
 
 
 def test_root_positive_degree_blocks_left_leaves(contraction):
     # the divisor sits right of leaf 1, whose root path has degree 1: blocked
     t = mono("(d2 _ (m2 (m2 _ _) _))")
-    assert not contraction.analyze_effective(t).is_effective
+    assert not contraction.analyze_effective(t.word).is_effective
 
 
 def test_positive_degree_between_divisor_and_leaf_blocks(contraction):
     # a positive-degree vertex below the candidate on the leftmost path
     # violates the clean-path condition
     t = mono("(m2 (m2 (d2 _ _) _) _)")
-    assert not contraction.analyze_effective(t).is_effective
+    assert not contraction.analyze_effective(t.word).is_effective
 
 
 def test_h_bar_examples(contraction):
@@ -121,7 +122,7 @@ def test_replacement_round_trip(contraction, op):
     for s in ("(m2 (m2 _ _) _)", "(d1 (m2 _ _))", "(m2 (m2 (m2 _ _) _) _)",
               "(d2 (d1 (m2 _ _)) _)"):
         t = mono(s)
-        an = contraction.analyze_effective(t)
+        an = contraction.analyze_effective(t.word)
         if not an.is_effective:
             continue
         s_hat, _ = contraction.typical_info(an.s_generator)
@@ -141,7 +142,7 @@ def test_effective_uniqueness_holds_on_enumeration(contraction):
     # analyze_effective raises if two candidates pass; sweeping a few
     # thousand monomials exercises the assertion
     for t in enumerate_monomials(4, 4, min_degree=1, max_degree=2):
-        contraction.analyze_effective(t)
+        contraction.analyze_effective(t.word)
 
 
 def test_strict_decrease_of_recursion(contraction):
@@ -229,7 +230,7 @@ def _effective_by_definition(node):
 
 def test_analyze_effective_matches_definition(contraction):
     for t in enumerate_monomials(4, 4, min_degree=0, max_degree=3):
-        an = contraction.analyze_effective(t)
+        an = contraction.analyze_effective(t.word)
         cands = _effective_by_definition(t.node)
         assert len(cands) <= 1
         assert an.is_effective == bool(cands), repr(t)
@@ -271,13 +272,13 @@ def test_analyze_effective_matches_generator_scan(contraction, op):
     # the differential produces from the weight-3 enumeration
     produced = {}
     for t in enumerate_monomials(5, 3, min_degree=1, max_degree=3):
-        produced.update(op.diff_element(OperadElement.single(t)).terms)
+        produced.update(op.diff_element(OperadElement.single(t)))
     monomials = (enumerate_monomials(5, 4, min_degree=0, max_degree=4)
                  + list(produced))
     assert len(monomials) == 9113
     effective = 0
     for t in monomials:
-        an = contraction.analyze_effective(t)
+        an = contraction.analyze_effective(t.word)
         assert an == _analyze_effective_by_generators(contraction, t), repr(t)
         effective += an.is_effective
     assert 0 < effective < len(monomials)
@@ -291,7 +292,8 @@ def test_cached_values_are_never_changed_in_place():
     op = Difinfty()
     c = Contraction(op)
     c.verify(3, 2, 3)
-    diff_snap = {g: dict(x.terms) for g, x in op._diff_cache.items()}
+    diff_snap = {g: {w: dict(cell) for w, cell in x.terms.items()}
+                 for g, x in op._diff_cache.items()}
     h_snap = dict(c._h)
     assert len(h_snap) > 100
     n, bad = c.verify(4, 2, 3)
@@ -333,11 +335,12 @@ def test_block_closure_fires():
     # alone would not catch
     c = Contraction(Difinfty())
     c.typical_info(m_gen(3))
-    s_hat, c_s, raw = c._typical[m_gen(3)]
-    stray = mono("(m2 _ (d2 _ _))")
-    assert stray.arity == raw[0][0].arity
-    assert stray.degree != raw[0][0].degree
-    c._typical[m_gen(3)] = (s_hat, c_s, ((stray, raw[0][1]),) + raw[1:])
+    s_hat, c_s, degree, raw, corolla = c._typical[m_gen(3)]
+    stray = el("(m2 _ (d2 _ _))")
+    assert stray.arity == s_hat.arity
+    assert stray.degree != degree
+    c._typical[m_gen(3)] = (s_hat, c_s, stray.degree,
+                            image_terms(stray) + raw[1:], corolla)
     with pytest.raises(InternalInvariantError, match="left its"):
         c.h_monomial(mono("(m2 (m2 (m2 _ _) _) _)"))
 
@@ -345,7 +348,7 @@ def test_block_closure_fires():
 def _naive_h(c, t):
     """H(t) = h_bar(t) + sum of c * H(m) over the tbar of t, by plain
     recursion with no memo shared between calls."""
-    an = c.analyze_effective(t)
+    an = c.analyze_effective(t.word)
     if not an.is_effective:
         return OperadElement()
     s_hat, c_s = c.typical_info(an.s_generator)
@@ -353,12 +356,12 @@ def _naive_h(c, t):
         Fraction(1, c_s))
     region = {an.divisor_root, an.divisor_child}
     terms = []
-    for m, w in repl.terms.items():
+    for m, w in repl:
         sign, new_t = replace_region(t, region, m)
         terms.append((sign, OperadElement.single(new_t, w)))
     tbar = OperadElement.sum(terms)
     return OperadElement.sum(
-        [(1, c.h_bar(t))] + [(w, _naive_h(c, m)) for m, w in tbar.terms.items()])
+        [(1, c.h_bar(t))] + [(w, _naive_h(c, m)) for m, w in tbar])
 
 
 def test_h_matches_naive_recursion():
@@ -393,7 +396,7 @@ def test_corrupted_memo_entry_gives_the_element_route_residual():
     diffs = {t: op.diff_element(OperadElement.single(t)) for t in monomials}
     reach = {}
     for t in monomials:
-        for w in {t.word} | {m.word for m in diffs[t].terms}:
+        for w in {t.word} | set(diffs[t].terms):
             reach.setdefault(w, set()).add(t)
     w = next(w for w, h in c._h.items() if len(reach.get(w, ())) > 2
              and not op.diff_element(OperadElement.from_cells(

@@ -12,15 +12,15 @@ from operad_forge.dif_operads import (
     enumerate_monomials,
     m_gen,
 )
-from operad_forge.formats import parse_tree
+from operad_forge.formats import element_records, parse_tree
 from operad_forge.free_operad import (
     HomogeneityError,
     OperadElement,
     TreeMonomial,
     brace,
     brace_lenient,
-    compose_monomials,
     gerstenhaber,
+    leaf_pieces,
     partial_compose,
     pre_jacobi_check,
     region_splicer,
@@ -78,6 +78,8 @@ def test_homogeneity_enforced():
         M3 + D2          # mixed arities again (degrees agree)
     with pytest.raises(HomogeneityError):
         partial_compose(M2, 1, M2) + single("(m3 _ _ _)")  # mixed degrees
+    with pytest.raises(HomogeneityError):
+        OperadElement.from_cells([((w, 0), 1) for w in (*M2.terms, *D1.terms)])
 
 def test_equal_arity_equal_degree_sums_allowed():
     x = partial_compose(M2, 1, M2) + partial_compose(M2, 2, M2)
@@ -221,11 +223,12 @@ def test_derivation_relative_sign():
     got = op.diff_element(x)
     by_hand = OperadElement.zero()
     dd2 = op.diff(d_gen(2))
-    for mono, c in dd2.terms.items():
-        sign, t = replace_region(next(iter(x.terms)), {0}, mono)
+    (x_mono, _), = x
+    for mono, c in dd2:
+        sign, t = replace_region(x_mono, {0}, mono)
         by_hand = by_hand + OperadElement.single(t, c if sign > 0 else -c)
-    for mono, c in dd2.terms.items():
-        sign, t = replace_region(next(iter(x.terms)), {1}, mono)
+    for mono, c in dd2:
+        sign, t = replace_region(x_mono, {1}, mono)
         c = -c  # one odd vertex precedes
         by_hand = by_hand + OperadElement.single(t, c if sign > 0 else -c)
     assert got == by_hand
@@ -301,7 +304,7 @@ def test_replace_region_sign_is_the_sigma_koszul_sign():
     checked = 0
     for t in enumerate_monomials(4, 3):
         for v, gen in enumerate(t.gens):
-            for m in op.diff(gen).terms:
+            for m, _ in op.diff(gen):
                 sign, out = replace_region(t, {v}, m)
                 node = out.node
                 verts = _embedded_vertices(node, v, m.node)
@@ -341,12 +344,13 @@ def test_compose_monomials_is_graft():
         for g in gens:
             gt = TreeMonomial.corolla(g)
             for i in range(1, f.arity + 1):
-                sign, out = compose_monomials(f, i, gt)
+                (out, sign), = partial_compose(OperadElement.single(f), i,
+                                               OperadElement.single(gt))
                 assert out.node == graft(f.node, i, gt.node)
                 # g's vertex moves past the vertices of f after leaf i
                 k = _vertices_before_leaf(f.node, i)
                 tail = sum(x.degree for x in f.gens[k:])
-                assert sign == (-1) ** (g.degree * tail)
+                assert sign == Coefficient.rational((-1) ** (g.degree * tail))
 
 
 def _left_fold(pairs):
@@ -371,7 +375,8 @@ def test_sum_equals_left_fold_of_add_and_scale():
         pairs = [(rng.choice(scalars), x) for x in xs]
         if rng.random() < 0.3:
             pairs.append((-1, OperadElement.sum(pairs)))
-        snapshot = [dict(x.terms) for _, x in pairs]
+        snapshot = [{w: dict(cell) for w, cell in x.terms.items()}
+                    for _, x in pairs]
         got = OperadElement.sum(pairs)
         assert got == _left_fold(pairs)
         assert all(c for c in got.terms.values())
@@ -380,6 +385,21 @@ def test_sum_equals_left_fold_of_add_and_scale():
         assert [x.terms for _, x in pairs] == snapshot
         cancels += got.is_zero()
     assert cancels >= 5
+
+
+def test_constructor_values_are_exact_raw_cells():
+    t = TreeMonomial.corolla(m_gen(2))
+    with pytest.raises(ValueError):
+        OperadElement({t: 0.5})
+    with pytest.raises(ValueError):
+        OperadElement({t: Coefficient.one()}).scale(0.5)
+    x = OperadElement({t: 2})
+    assert x == OperadElement.single(t, 2) == OperadElement.single(
+        t, Coefficient.rational(2))
+    assert x.terms == {t.word: {0: 2}}
+    assert OperadElement({t: Fraction(4, 2)}).terms == {t.word: {0: 2}}
+    assert OperadElement({t: 0}).is_zero()
+    assert element_records(x) == [{"coeff": "2", "tree": "(m2 _ _)"}]
 
 
 def test_sum_rejects_mixed_arity():
@@ -405,10 +425,10 @@ def _derivation_oracle(images, x):
     """extend_derivation with one `replace_region` call and one Coefficient
     product and sum per image term, as before the one-walk kernel."""
     acc = {}
-    for t, c in x.terms.items():
+    for t, c in x:
         prefix = 0
         for v, gen in enumerate(t.gens):
-            for m, w in images[gen].terms.items():
+            for m, w in images[gen]:
                 sign, new_t = replace_region(t, {v}, m)
                 if prefix % 2:
                     sign = -sign
@@ -466,7 +486,7 @@ def test_splicer_matches_replace_region_and_its_errors():
     splice = region_splicer(t.word, region)
     for m in enumerate_monomials(3, 2):
         if m.arity == 3:
-            odd, word = splice(m)
+            odd, word = splice(leaf_pieces(m.word))
             sign, r = replace_region(t, region, m)
             assert (-1 if odd else 1, word) == (sign, r.word)
             assert r == TreeMonomial(r.node)
@@ -480,4 +500,4 @@ def test_splicer_matches_replace_region_and_its_errors():
         with pytest.raises(ValueError, match=message):
             replace_region(t, bad_region, m)
         with pytest.raises(ValueError, match=message):
-            region_splicer(t.word, bad_region)(m)
+            region_splicer(t.word, bad_region)(leaf_pieces(m.word))

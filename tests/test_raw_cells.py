@@ -1,26 +1,39 @@
-"""Every table the map kernels hand out stays in raw normal form.
+"""Every table the map kernels hand out, and every operad element, stays
+in raw normal form.
 
-A `MultiMap` cell is a raw cell {power of L: rational}, and nothing but
-the kernels keeps it normal: every row and cell nonempty, no zero value,
-an int wherever a value is integral (`oracles.assert_raw_normal_form`).
+A `MultiMap` cell and an `OperadElement` cell are raw cells {power of L:
+rational}, and nothing but the kernels keeps them normal: every row and
+cell nonempty, no zero value, an int wherever a value is integral
+(`oracles.assert_raw_normal_form` and `assert_element_normal_form`).
 Here maps with Q[L] cells, given as raw cells or as Coefficients, with
 halves that add up to integers, go through every producer of tables: sums
 and scalings (`sum_maps`, `+`, `-`, `scale`), `compose_sum`, `brace_sum`,
-`linf._bracket_sum` and the suspension translations.
+`linf._bracket_sum` and the suspension translations.  Elements with such
+cells go through every producer of elements: sums and scalings,
+`partial_compose`, `brace`, `gerstenhaber`, `diff_element`,
+`Contraction.apply`, `DifRewriter.normalize`, `from_cells` and
+`parse_element`.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from operad_forge.coeffs import LAMBDA, Coefficient
+from operad_forge.contraction import Contraction
+from operad_forge.dif_operads import (Difinfty, DifRewriter, d_gen,
+                                      enumerate_monomials, m_gen)
+from operad_forge.formats import element_records, parse_element
+from operad_forge.free_operad import (OperadElement, brace, gerstenhaber,
+                                      partial_compose)
 from operad_forge.hom_complex import (GradedSpace, MultiMap, brace_sum,
                                       compose_sum, desuspend_target,
                                       iso1_down, iso1_up, iso2_down, iso2_up,
                                       sum_maps, suspend_target)
 from operad_forge.linf import ALG, DO, CdaElement, _bracket_sum
-from oracles import assert_raw_normal_form
+from oracles import assert_element_normal_form, assert_raw_normal_form
 
 SPACES = (GradedSpace({0: 2}), GradedSpace({0: 1, 1: 1}),
           GradedSpace({-1: 1, 0: 1}))
@@ -98,3 +111,44 @@ def test_bracket_sums_and_translations(data):
         for translate in (iso1_down, iso1_up, iso2_down, iso2_up,
                           suspend_target, desuspend_target):
             assert_raw_normal_form(translate(mm))
+
+
+BLOCKS = {}
+for _t in enumerate_monomials(3, 2):
+    BLOCKS.setdefault((_t.arity, _t.degree), []).append(_t)
+DEGREE_ZERO = [t for t in enumerate_monomials(
+    3, 3, min_degree=0, max_degree=0, gens=[m_gen(2), d_gen(1)])
+    if t.arity == 3]
+CONTRACTION = Contraction(Difinfty())
+REWRITER = DifRewriter()
+
+
+def draw_element(data, monomials):
+    chosen = data.draw(st.lists(st.sampled_from(monomials), min_size=1,
+                                max_size=4, unique_by=lambda t: t.word))
+    return OperadElement({t: data.draw(cells) for t in chosen})
+
+
+@PROPERTY
+@given(st.data())
+def test_operad_element_producers(data):
+    block = BLOCKS[data.draw(st.sampled_from(sorted(BLOCKS)))]
+    x, y = draw_element(data, block), draw_element(data, block)
+    f, g = (draw_element(data, BLOCKS[data.draw(st.sampled_from(
+        sorted(BLOCKS)))]) for _ in range(2))
+    z = draw_element(data, DEGREE_ZERO)
+    c, d = data.draw(scalars), data.draw(scalars)
+    i = data.draw(st.integers(1, f.arity))
+    cells = [((t.word, e), Fraction(2 * v.numerator, 2 * v.denominator))
+             for t, v in zip(block, HALVES) for e in (0, 2)]
+    twice = json.dumps(element_records(x) * 2)
+    for out in (x + y, x - y, -x, x.scale(c), (x + y).scale(d),
+                OperadElement.sum([(c, x), (d, y), (-c, x)]),
+                partial_compose(f, i, g), brace(f, [g] * min(f.arity, 2)),
+                gerstenhaber(f, g), CONTRACTION.op.diff_element(x),
+                CONTRACTION.apply(x), REWRITER.normalize(z),
+                REWRITER.normalize(z.scale(c)),
+                OperadElement.from_cells(cells), parse_element(twice)):
+        assert_element_normal_form(out)
+    assert parse_element(twice) == x.scale(2)
+    assert (x.scale(c) - x.scale(c)).is_zero()

@@ -1,7 +1,7 @@
 """The word -> monomial boundary of the tree kernels.
 
 The derivation checks sum raw cells {(word, power of L): rational} and
-build monomials and Coefficients only for a nonzero residual
+regroup them by word into an element only at the end
 (`OperadElement.from_cells`).  On the working operad every residual is
 zero, so here one raw generator image is corrupted and each check must
 report exactly what the element route (`oracles.extend_derivation`) gives
@@ -16,7 +16,7 @@ from operad_forge import koszul_dual
 from operad_forge.coeffs import Coefficient
 from operad_forge.dif_operads import (Difinfty, alphabet, enumerate_monomials,
                                       m_gen)
-from operad_forge.free_operad import OperadElement, raw_terms
+from operad_forge.free_operad import OperadElement
 from operad_forge.koszul_dual import (CoopGenerator, cobar_differential,
                                       cross_check_cobar, mu_gen, nu_gen,
                                       sdif_cobar_d_square)
@@ -98,7 +98,7 @@ def test_cross_check_names_the_corrupted_generator_exactly(monkeypatch):
     assert got == [("d3", OperadElement.from_cells([(key, 2 * old)]))]
 
 
-# -- from_cells inverts raw_terms --------------------------------------------
+# -- from_cells inverts the boundary reader ---------------------------------
 
 BLOCKS = {}
 for _t in enumerate_monomials(4, 3):
@@ -120,15 +120,15 @@ def elements(draw):
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(elements())
-def test_from_cells_inverts_raw_terms(x):
-    cells = [((word, e), v) for word, c in raw_terms(x) for e, v in c]
+def test_from_cells_inverts_the_boundary_reader(x):
+    cells = [((t.word, e), v) for t, c in x for e, v in c.items()]
     zeros = [((word, e + 9), 0) for (word, e), _ in cells]
     y = OperadElement.from_cells(cells + zeros)
-    assert y == x
+    assert y == x == OperadElement(dict(y))
     assert (y.arity, y.degree) == (x.arity, x.degree)
-    for t in y.terms:
+    for t, _ in y:
         assert (t.arity, t.degree, t.weight) == next(
-            (s.arity, s.degree, s.weight) for s in x.terms if s == t)
+            (s.arity, s.degree, s.weight) for s, _ in x if s == t)
 
 
 def test_from_cells_of_zero_cells_is_zero():

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -231,8 +232,9 @@ def test_resumed_order_agrees_on_every_split(monomials_5_4, monkeypatch):
     pairs = []
     split = Contraction._split
 
-    def recording(self, t, an):
-        out = split(self, t, an)
+    def recording(self, word, an):
+        out = split(self, word, an)
+        t = word_monomial(word)
         p = out[2]
         assert t.word[p] and p - t.word[:p].count(0) == an.divisor_root
         pairs.extend((t, word_monomial(w), p)
@@ -288,3 +290,46 @@ def test_monomial_pickles_by_its_nested_form():
 
     t = TreeMonomial(tree("(m3 (d1 _) _ (m2 _ _))"))
     assert pickle.loads(pickle.dumps(t)) == t
+
+
+# Interns 300 generators of its own first, so that every id it gives m_n
+# and d_n differs from this process's, then unpickles from stdin.
+UNPICKLE_ELSEWHERE = """
+import pickle, sys
+from operad_forge.formats import format_element
+from operad_forge.trees import Generator, gen_id
+for k in range(300):
+    gen_id(Generator(f"spare{k}", 1, 0))
+t, x = pickle.loads(sys.stdin.buffer.read())
+print(t.word)
+print(repr(t))
+print(format_element(x))
+"""
+
+
+def test_monomial_and_element_pickle_across_processes():
+    import os
+    import pickle
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from operad_forge.coeffs import Coefficient
+    from operad_forge.formats import format_element
+    from operad_forge.free_operad import OperadElement
+
+    t = TreeMonomial(tree("(m3 (d1 _) _ (m2 _ _))"))
+    x = OperadElement({t: Coefficient.lam(2, Fraction(1, 2)),
+                       TreeMonomial(tree("(m2 (m3 _ _ _) (d1 _))")): -3})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", UNPICKLE_ELSEWHERE],
+                          input=pickle.dumps((t, x)), env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    word, text, element = proc.stdout.decode().split("\n", 2)
+    assert word != str(t.word)
+    assert text == repr(t)
+    assert element == format_element(x) + "\n"
