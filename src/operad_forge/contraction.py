@@ -18,14 +18,16 @@ divisor root in planar order, and recurses on the strictly smaller
 remainder.  `verify` checks diff o H + H o diff = id monomial by monomial.
 
 The memo of H values is the only cache that grows with the input; each
-generator s also keeps its typical shape, the image terms of s_hat -
-diff(s) / c_s and the leaf pieces of its corolla.  The memo keeps only
-nonzero values, keyed by the monomial's word, each one flat tuple (w1, e1,
-v1, w2, e2, v2, ...) of raw Q[L] cells v * L**e * w, w a word, with its
-rationals from one intern table.  `_h_value` runs the recursion on an
-explicit stack of frames that hold words, which `analyze_effective` reads
-(a non-effective word has no memo entry, so it is analysed again on each
-occurrence).  `check_identity` sums diff(H t) + H(diff t) - t as raw cells
+generator s also keeps its typical shape and the image terms of s_hat -
+diff(s) / c_s and of its corolla.  `_split` walks the divisor region of
+a word once (`free_operad.region_splicer`) and splices both images from
+that walk straight into the raw cells of tbar and h_bar.  The memo keeps
+only nonzero values, keyed by the monomial's word, each one flat tuple
+(w1, e1, v1, w2, e2, v2, ...) of raw Q[L] cells v * L**e * w, w a word,
+with its rationals from one intern table.  `_h_value` runs the recursion
+on an explicit stack of frames that hold words, which `analyze_effective`
+reads (a non-effective word has no memo entry, so it is analysed again on
+each occurrence).  `check_identity` sums diff(H t) + H(diff t) - t as raw cells
 in one dict, the differentials through `free_operad.derivation_into` on
 the operad's one cache of generator images (`Difinfty.raw_diff`).
 """
@@ -47,9 +49,8 @@ from .dif_operads import (
     m_gen,
 )
 from .formats import format_tree
-from .free_operad import (OperadElement, TreeMonomial, add_cells,
-                          derivation_into, image_terms, leaf_pieces,
-                          region_splicer, replace_region)
+from .free_operad import (OperadElement, TreeMonomial, derivation_into,
+                          image_terms, region_splicer, replace_region)
 from .trees import (DEGREE, GENS, Generator, Word, decode, gen_id,
                     leaf_keys_from, smaller_from)
 
@@ -98,7 +99,7 @@ class Contraction:
         """Leading monomial of diff(s) and its coefficient, asserted +-1 and
         of the shape base o_1 m2.  The entry kept for s also holds the
         degree and the image terms (`image_terms`) of s_hat - diff(s) /
-        c_s, and the leaf pieces of the corolla of s."""
+        c_s, and those of the corolla of s."""
         cached = self._typical.get(s)
         if cached is not None:
             return cached[:2]
@@ -122,7 +123,7 @@ class Contraction:
         repl = OperadElement.single(lead) - self.op.diff(s).scale(
             Fraction(1, c))
         self._typical[s] = (lead, c, repl.degree, image_terms(repl),
-                            leaf_pieces(TreeMonomial.corolla(s).word))
+                            image_terms(OperadElement.generator(s)))
         return lead, c
 
     # -- effective divisors -------------------------------------------------
@@ -187,21 +188,21 @@ class Contraction:
                ) -> tuple[tuple, dict[tuple, Rat], int]:
         """h_bar and tbar of ``word`` (with its divisor replaced by s_hat -
         diff(s) / c_s, which must have the divisor's degree) as raw cells,
-        from one walk of the divisor region, and the position of the
-        divisor root's token, before which every tbar word agrees."""
-        splice = region_splicer(word, {an.divisor_root, an.divisor_child})
+        both spliced from one walk of the divisor region, and the position
+        of the divisor root's token, before which every tbar word agrees."""
+        splice = region_splicer(word)((an.divisor_root, an.divisor_child))
         _, _, degree, repl, corolla = self._typical[an.s_generator]
         if degree != splice.degree:
             raise InternalInvariantError(
                 f"recursion left its (arity, degree) block at "
                 f"{format_tree(decode(word))}")
         tbar: dict[tuple, Rat] = {}
-        for leaves, cell in repl:
-            odd, w = splice(leaves)
-            add_cells(tbar, ((w, cell),), neg=odd)
-        odd, w = splice(corolla)
-        h_bar = (w, 0), self._generator_coefficient(an, odd)
-        return h_bar, tbar, splice.start
+        splice(tbar, repl)
+        h_bar: dict[tuple, Rat] = {}
+        splice(h_bar, corolla)
+        (key, sign), = h_bar.items()
+        return (key, self._generator_coefficient(an, sign < 0)), tbar, \
+            splice.start
 
     def _h_value(self, word: Word) -> tuple:
         """H of the monomial ``word`` as its memo value, () for zero, by

@@ -25,7 +25,7 @@ import os
 from functools import cache, lru_cache
 from typing import Optional, Sequence
 
-from .coeffs import Coefficient, LAMBDA, Rat, add_into, compositions
+from .coeffs import Coefficient, LAMBDA, Rat, compositions
 from .free_operad import (
     OperadElement,
     TreeMonomial,
@@ -186,6 +186,9 @@ class DifRewriter:
         self._rules = {"assoc": assoc_rhs,
                        "leibniz": md1 + md2 + mdd.scale(lam)}
         self._rhs = {kind: image_terms(x) for kind, x in self._rules.items()}
+        if any(after for rhs in self._rhs.values() for (_, after), _ in rhs):
+            raise InternalInvariantError("a degree-0 rewrite would splice "
+                                         "with a sign")
 
     def _redex_positions(self, word: Word) -> list[tuple[int, int, str]]:
         """(token position, vertex index, kind) of each redex root: an m2
@@ -231,19 +234,24 @@ class DifRewriter:
             for sign, new in [replace_region(t, {v, w}, m)])
 
     def normalize_monomial(self, word: Word) -> OperadElement:
-        """The normal form of the monomial ``word``, rewritten as raw cells
-        {word: {power of L: rational}} with cancelled words dropped."""
+        """The normal form of the monomial ``word``, rewritten as flat raw
+        cells {(word, power of L): rational}: a step rewrites one cell,
+        splicing the rule's right-hand side into the work dict.  Those
+        right-hand sides have degree-0 vertices only, so no splice costs
+        a sign (checked once, on construction)."""
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        work: dict[Word, dict] = {word: {0: 1}}
+        work: dict[tuple, Rat] = {(word, 0): 1}
         done: dict[tuple, Rat] = {}
         steps = 0
         while work:
-            cur, ccur = work.popitem()
+            (cur, e), v = work.popitem()
+            if not v:
+                continue
             redex = self._pick_redex(cur)
             if redex is None:
-                add_cells(done, ((cur, ccur),))
+                done[cur, e] = done.get((cur, e), 0) + v
                 continue
             steps += 1
             if steps > self.max_steps:
@@ -252,16 +260,8 @@ class DifRewriter:
                     "raise OPERAD_FORGE_MAX_STEPS if the input is this large"
                 )
             root, child, kind = redex
-            splice = region_splicer(cur, (root, child))
-            for leaves, cells in self._rhs[kind]:
-                odd, new = splice(leaves)
-                if odd:
-                    raise InternalInvariantError("degree-0 rewrite produced a sign")
-                prod: dict[int, Rat] = {}
-                for ec, vc in ccur.items():
-                    for em, vm in cells.items():
-                        add_into(prod, ec + em, vc * vm)
-                add_into(work, new, prod)
+            region_splicer(cur)((root, child))(work, self._rhs[kind],
+                                               (((e, v),), ((e, -v),)))
         out = self._nf_cache[word] = OperadElement.from_cells(done.items())
         return out
 

@@ -20,14 +20,18 @@ derived from it.
 An `OperadElement` maps each word to a raw cell {power of L: rational}
 (`coeffs.raw_cell`), so the kernels' dicts hash and compare in C; they sum
 flat raw cells {(word, power of L): rational}, which `from_cells`
-regroups.  `region_splicer` walks a region of a word once and returns a
-``splice`` that costs a few tuple concatenations per replacement, given
-by its `leaf_pieces`, which a generator image (`image_terms`) holds.
+regroups.  `region_splicer` is the one word-splicing kernel: it reads a
+word once, shares that pass among all the regions it replaces, and adds
+each replacement term, given by its `leaf_pieces` as a generator image
+(`image_terms`) holds them, with its sign straight into the caller's flat
+accumulator.  The derivation (`derivation_into`), `replace_region`, the
+contraction's split and the rewriting normalizer all splice through it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .coeffs import Coefficient, Combination, Rat, normalize, raw_cell
@@ -114,89 +118,107 @@ class TreeMonomial:
         return format_tree(self.node)
 
 
-def leaf_pieces(word: Word) -> tuple[tuple, tuple[int, ...]]:
-    """The slices of ``word`` between its leaves (arity + 1 of them), and
-    per leaf the parity of the total degree of the vertices after it: a
-    replacement as a splice reads it."""
+def leaf_pieces(word: Word) -> tuple[tuple, int]:
+    """The slices of ``word`` between its leaves (arity + 1 of them), and a
+    mask whose bit i is set when the vertices after leaf i have odd total
+    degree: a replacement as a splice reads it."""
     zeros = [q for q, x in enumerate(word) if not x]
+    pre = list(itertools.accumulate(map(DEGREE.__getitem__, word), initial=0))
     return (tuple(word[a + 1:b] for a, b in zip([-1] + zeros,
                                                  zeros + [len(word)])),
-            tuple(sum(map(DEGREE.__getitem__, word[z:])) & 1 for z in zeros))
+            sum((pre[-1] - pre[z]) % 2 << i for i, z in enumerate(zeros)))
 
 
-def region_splicer(word: Word, region: frozenset[int] | set[int]):
-    """Walk a connected region of vertices of the tree ``word`` once;
-    returns ``splice(leaves)``, which replaces the region by the monomial
-    m whose `leaf_pieces` are ``leaves``.
+def signed(cell: Mapping) -> tuple[tuple, tuple]:
+    """The (power of L, rational) pairs of a raw cell and of its negation,
+    the form in which a splice takes its scalar."""
+    pairs = tuple(cell.items())
+    return pairs, tuple((e, -v) for e, v in pairs)
 
-    The region's external branches are grafted onto m's leaves in planar
-    order; m's arity must match the region's arity.  ``splice`` returns
-    (odd, word), odd when reordering the decoration tensor read as (prefix,
-    m's vertices, remaining old vertices) into planar order costs a sign.
-    ``splice.start`` is the position of the region's root token, before
-    which every spliced word agrees with ``word``, and ``splice.degree``
-    the region's total degree, which m's replaces.
+
+_UNIT = signed({0: 1})
+
+
+def region_splicer(word: Word):
+    """Read ``word`` once, for its vertex positions, degree prefix sums and
+    subtree ends, and return ``at(region)``, which walks a connected region
+    of its vertices and returns ``splice(acc, image, scalar)``.  That adds
+    scalar * (``word`` with the region replaced by m) for each term (m's
+    `leaf_pieces`, raw cell) of ``image`` into the flat raw cells {(word,
+    power of L): rational} of ``acc``, zeros kept; ``scalar`` is a raw
+    cell as `signed` gives it, 1 by default, and its two halves swapped
+    negate it.
+
+    The region's external branches (a leaf or a subtree outside it, each
+    one slice) are grafted onto m's leaves in planar order; m's arity must
+    match the region's.  Reordering the decoration tensor read as (prefix,
+    m's vertices, remaining old vertices) into planar order costs the
+    sign.  ``splice.start`` is the position of the region's root token,
+    before which every spliced word agrees with ``word``, and
+    ``splice.degree`` the region's total degree, which m's replaces.
     """
-    root = min(region)
-    v = -1
-    for p, x in enumerate(word):
-        if x:
-            v += 1
-            if v == root:
-                break
-    else:
-        raise ValueError(f"vertex {root} out of range")
-    # Walk the region's span: region vertices in place, each external branch
-    # (a leaf or a subtree outside the region) skipped as one slice.
-    branches, odd_branches = [], []
-    need, q, rdeg, rsize = 1, p, 0, 0
-    while need:
-        x = word[q]
-        if x and v in region:
-            need += ARITY[x] - 1
-            rdeg += DEGREE[x]
-            rsize += 1
-            v += 1
-            q += 1
-            continue
-        s, bdeg, k = q, 0, 1
-        while k:
-            y = word[q]
-            k += ARITY[y] - 1
-            if y:
-                bdeg += DEGREE[y]
-                v += 1
-            q += 1
-        if bdeg & 1:
-            odd_branches.append(len(branches))
-        branches.append(word[s:q])
-        need -= 1
-    if rsize != len(region):
-        raise ValueError("replacement region is not connected")
-    head, tail, arity = word[:p], word[q:], len(branches)
+    verts = list(itertools.compress(itertools.count(), word))
+    pre = list(itertools.accumulate(map(DEGREE.__getitem__, word), initial=0))
+    # depth[q] = sum of (arity - 1) over the tokens before q: the subtree
+    # at q ends where depth first drops below depth[q], a search in C
+    depth = list(map(operator.sub, itertools.accumulate(
+        map(ARITY.__getitem__, word), initial=0), itertools.count()))
+    index = depth.index
 
-    def splice(leaves: tuple):
-        pieces, after = leaves
-        if len(after) != arity:
-            raise ValueError("replacement arity mismatch")
-        out = head
-        for piece, branch in zip(pieces, branches):
-            out += piece + branch
-        odd = 0
-        for b in odd_branches:
-            odd ^= after[b]
-        return odd, out + pieces[-1] + tail
+    def at(region):
+        root = min(region)
+        if not 0 <= root < len(verts):
+            raise ValueError(f"vertex {root} out of range")
+        try:
+            inside = set(map(verts.__getitem__, region))
+        except IndexError:
+            inside = ()
+        p = q = verts[root]
+        end, seen, degree = index(depth[p] - 1, p + 1), 0, 0
+        # head, then (m's piece, branch) pairs, then m's last piece, tail
+        parts, odd_branches, bit = [word[:p], None], 0, 1
+        while q < end:
+            if q in inside:
+                degree += DEGREE[word[q]]
+                q += 1
+                seen += 1
+                continue
+            stop = index(depth[q] - 1, q + 1)
+            if (pre[stop] - pre[q]) & 1:
+                odd_branches |= bit
+            parts += (word[q:stop], None)
+            bit <<= 1
+            q = stop
+        if seen != len(region):
+            raise ValueError("replacement region is not connected")
+        parts.append(word[end:])
 
-    splice.start, splice.degree = p, rdeg
-    return splice
+        def splice(acc: dict, image, scalar=_UNIT):
+            for (pieces, after), cell in image:
+                try:
+                    parts[1::2] = pieces
+                except ValueError:
+                    raise ValueError("replacement arity mismatch") from None
+                out = sum(parts, ())
+                for es, vs in scalar[(after & odd_branches).bit_count() & 1]:
+                    for e, v in cell.items():
+                        key = (out, e + es)
+                        acc[key] = acc.get(key, 0) + v * vs
+
+        splice.start, splice.degree = p, degree
+        return splice
+
+    return at
 
 
 def replace_region(t: TreeMonomial, region: frozenset[int] | set[int],
                    m: TreeMonomial):
     """Replace a connected region of vertices by the monomial ``m``: one
-    `region_splicer` walk and one splice.  Returns (sign, monomial)."""
-    odd, word = region_splicer(t.word, region)(leaf_pieces(m.word))
-    return (-1 if odd else 1), word_monomial(word)
+    `region_splicer` splice.  Returns (sign, monomial)."""
+    acc: dict[tuple, Rat] = {}
+    region_splicer(t.word)(region)(acc, ((leaf_pieces(m.word), {0: 1}),))
+    ((word, _), v), = acc.items()
+    return v, word_monomial(word)
 
 
 # ---------------------------------------------------------------------------
@@ -431,24 +453,27 @@ def derivation_into(acc: dict, image: Callable[[Generator], Sequence],
     images ``image(gen)``, as raw cells (word, power of L) -> rational,
     zeros kept; ``terms`` are raw (word, cell) pairs, as an element's
     ``terms.items()``, the images as `image_terms` gives them, and each
-    image is looked up once per call.
+    image is looked up once per call.  Each word is read once by
+    `region_splicer`, and each of its vertices with a nonzero image is
+    spliced from that one pass.
     Acts on a monomial as the signed sum over vertices, the sign being
     (-1)**(total degree of vertices preceding the vertex in planar order),
     followed by the Koszul reordering of the substituted decoration tensor.
     """
     images: dict[int, Sequence] = {}
     for word, cell in terms:
-        cell = tuple(cell.items())
+        scalar = signed(cell)
+        flipped = scalar[::-1]
+        at = None
         prefix = 0
         for v, x in enumerate(filter(None, word)):
             img = images.get(x)
             if img is None:
                 img = images[x] = image(GENS[x])
             if img:
-                splice = region_splicer(word, (v,))
-                for leaves, mcell in img:
-                    odd, new = splice(leaves)
-                    add_cells(acc, ((new, mcell),), cell, odd ^ prefix & 1)
+                if at is None:
+                    at = region_splicer(word)
+                at((v,))(acc, img, flipped if prefix & 1 else scalar)
             prefix += DEGREE[x]
 
 

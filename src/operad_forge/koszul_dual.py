@@ -15,6 +15,9 @@ The cobar differential of "difk" reproduces the Difinfty differential under
 sm_n -> m_n, sd_n -> d_n; that of "sdif" squares to zero on generators.
 Both facts are machine-checked, which is how the homotopy-cooperad axioms
 are verified here, on raw cells summed from `delta_table` (`cobar_cells`).
+The decorations are interned (`coop_gen`, as `m_gen` and `d_gen` are),
+`delta_table` takes each power of L once for all its shapes, and
+`cobar_cells` writes each tree's cells straight into its accumulator.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Union
+from typing import Literal, Optional, Union
 
 from .coeffs import Coefficient, LAMBDA, Rat, compositions, sign_coeff
 from .dif_operads import Difinfty, alphabet, d_gen, m_gen
@@ -118,6 +121,12 @@ def shapes_for_arity(n: int) -> tuple[TreeShape, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def coop_gen(kind: Kind, n: int) -> CoopGenerator:
+    """The interned generator of the given kind and arity."""
+    return CoopGenerator(kind, n)
+
+
 def delta(c: CoopGenerator, shape: TreeShape,
           lam: Coefficient = LAMBDA) -> list[tuple[Coefficient, tuple[CoopGenerator, ...]]]:
     """Value of the decomposition map at `c` over the given tree shape.
@@ -125,30 +134,37 @@ def delta(c: CoopGenerator, shape: TreeShape,
     Each summand is (coefficient, decorations in planar order: root first,
     then upper vertices left to right).  The empty list encodes zero.
     """
+    power = (lam ** (len(shape.ks) - 1) if isinstance(shape, TypeII)
+             else Coefficient.one())
+    return _delta(c, shape, (power, -power))
+
+
+def _delta(c: CoopGenerator, shape: TreeShape, power: tuple
+           ) -> list[tuple[Coefficient, tuple[CoopGenerator, ...]]]:
+    """`delta`, given ``power`` = (L**(q-1), -L**(q-1)) for a type II
+    shape with q upper vertices."""
     n = c.arity
     if isinstance(shape, TypeI):
         if shape.n != n:
             raise ValueError("shape arity mismatch")
         j, i = shape.j, shape.i
+        one = Coefficient.one()
         if c.kind == "mt":
-            return [(Coefficient.one(),
-                     (CoopGenerator("mt", n - j + 1), CoopGenerator("mt", j)))]
+            return [(one, (coop_gen("mt", n - j + 1), coop_gen("mt", j)))]
         if c.kind == "dt":
             return [
-                (Coefficient.one(),
-                 (CoopGenerator("dt", n - j + 1), CoopGenerator("mt", j))),
-                (Coefficient.one(),
-                 (CoopGenerator("mt", n - j + 1), CoopGenerator("dt", j))),
+                (one, (coop_gen("dt", n - j + 1), coop_gen("mt", j))),
+                (one, (coop_gen("mt", n - j + 1), coop_gen("dt", j))),
             ]
         if c.kind == "sm":
             s = sign_coeff((j - 1) * (n - i - j + 1))
-            return [(s, (CoopGenerator("sm", n - j + 1), CoopGenerator("sm", j)))]
+            return [(s, (coop_gen("sm", n - j + 1), coop_gen("sm", j)))]
         if c.kind == "sd":
             s1 = sign_coeff((j - 1) * (n - j - i + 1))
             s2 = sign_coeff((j - 1) * (n - i - j + 1) + n - j)
             return [
-                (s1, (CoopGenerator("sd", n - j + 1), CoopGenerator("sm", j))),
-                (s2, (CoopGenerator("sm", n - j + 1), CoopGenerator("sd", j))),
+                (s1, (coop_gen("sd", n - j + 1), coop_gen("sm", j))),
+                (s2, (coop_gen("sm", n - j + 1), coop_gen("sd", j))),
             ]
         raise ValueError(f"unknown kind {c.kind}")
     if isinstance(shape, TypeII):
@@ -158,29 +174,30 @@ def delta(c: CoopGenerator, shape: TreeShape,
             return []
         p, ks, ls = shape.p, shape.ks, shape.ls
         q = len(ks)
-        lam_q = lam ** (q - 1)
         if c.kind == "dt":
-            coeff = lam_q * sign_coeff(q * (q - 1) // 2)
-            decs = (CoopGenerator("mt", p),) + tuple(
-                CoopGenerator("dt", l) for l in ls)
-            return [(coeff, decs)]
+            decs = (coop_gen("mt", p),) + tuple(coop_gen("dt", l) for l in ls)
+            return [(power[q * (q - 1) // 2 & 1], decs)]
         alpha = (
             sum((ls[s] - 1) * (p - ks[s]) for s in range(q))
             + q * (p - 1)
             + sum((q - t) * ls[t - 1] for t in range(1, q))
         )
-        coeff = lam_q * sign_coeff(alpha)
-        decs = (CoopGenerator("sm", p),) + tuple(
-            CoopGenerator("sd", l) for l in ls)
-        return [(coeff, decs)]
+        decs = (coop_gen("sm", p),) + tuple(coop_gen("sd", l) for l in ls)
+        return [(power[alpha & 1], decs)]
     raise TypeError("unknown shape")
 
 
 def delta_table(c: CoopGenerator, lam: Coefficient = LAMBDA):
-    """All nonzero decompositions of `c`: (shape, coefficient, decorations)."""
+    """All nonzero decompositions of `c`: (shape, coefficient, decorations),
+    each power of L taken once."""
+    powers = [Coefficient.one()]
+    for _ in range(1, c.arity):
+        powers.append(powers[-1] * lam)
+    signed = [(x, -x) for x in powers]
     out = []
     for shape in shapes_for_arity(c.arity):
-        for coeff, decs in delta(c, shape, lam):
+        q = len(shape.ks) if isinstance(shape, TypeII) else 1
+        for coeff, decs in _delta(c, shape, signed[q - 1]):
             if not coeff.is_zero():
                 out.append((shape, coeff, decs))
     return out
@@ -204,38 +221,38 @@ def nu_gen(n: int) -> Generator:
     return Generator(f"nu{n}", n, 0)
 
 
-def _desuspended(c: CoopGenerator) -> Generator:
-    if c.kind == "sm":
-        return m_gen(c.arity)
-    if c.kind == "sd":
-        return d_gen(c.arity)
-    if c.kind == "mt":
-        return mu_gen(c.arity)
-    if c.kind == "dt":
-        return nu_gen(c.arity)
-    raise ValueError(c.kind)
+_DESUSPENSIONS = {"sm": m_gen, "sd": d_gen, "mt": mu_gen, "dt": nu_gen}
 
 
-def _is_counit(c: CoopGenerator) -> bool:
-    return c.arity == 1 and c.kind in ("mt", "sm")
+@lru_cache(maxsize=None)
+def _desuspended(kind: Kind, n: int) -> Optional[Generator]:
+    """s^-1 of the cooperad generator of the given kind and arity, whose
+    degree is one less; None for the counit."""
+    if kind not in _DESUSPENSIONS:
+        raise ValueError(kind)
+    return None if n == 1 and kind in ("mt", "sm") else \
+        _DESUSPENSIONS[kind](n)
 
 
 def cobar_cells(c: CoopGenerator, lam: Coefficient = LAMBDA
                 ) -> dict[tuple, Rat]:
     """`cobar_differential` as raw cells {(word, power of L): rational},
     each tree's word the root's with the upper corollas grafted in."""
-    if _is_counit(c):
+    if _desuspended(c.kind, c.arity) is None:
         raise ValueError("the counit is not a cobar generator")
     acc: dict[tuple, Rat] = {}
     for shape, coeff, decs in delta_table(c, lam):
-        if any(_is_counit(x) for x in decs):
+        gens = [_desuspended(x.kind, x.arity) for x in decs]
+        if None in gens:
             continue
-        r = len(decs)
-        exp = sum((r - pos) * decs[pos - 1].degree for pos in range(1, r))
+        r = len(gens)
+        # the Koszul sign of the desuspensions, deg c_i = deg s^-1 c_i + 1
+        exp = sum((r - pos) * (gens[pos - 1].degree + 1)
+                  for pos in range(1, r))
         ks = (shape.i,) if isinstance(shape, TypeI) else shape.ks
-        gens = [_desuspended(x) for x in decs]
         word = two_level_word(gens[0], zip(ks, gens[1:]))
-        add_cells(acc, ((word, coeff),), neg=not exp & 1)
+        for e, v in coeff.items():
+            acc[word, e] = acc.get((word, e), 0) + (v if exp & 1 else -v)
     return acc
 
 
@@ -274,7 +291,7 @@ def sdif_cobar_d_square(max_arity: int, lam: Coefficient = LAMBDA
     diffs: dict[Generator, OperadElement] = {}
     for gen in alphabet(max_arity):     # mt_n, dt_n for m_n, d_n
         c = CoopGenerator(gen.symbol[0] + "t", gen.arity)
-        diffs[_desuspended(c)] = cobar_differential(c, lam)
+        diffs[_desuspended(c.kind, c.arity)] = cobar_differential(c, lam)
     if not {x for y in diffs.values() for w in y.terms for x in w} <= {
             0, *map(gen_id, diffs)}:
         raise ValueError("increase max_arity")

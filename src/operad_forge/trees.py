@@ -21,8 +21,7 @@ tests, in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 Node = tuple  # (label, tuple_of_children); child is Node or None
 Word = tuple  # of ints: generator ids in Polish notation, 0 per leaf
@@ -32,15 +31,21 @@ class ForeignGeneratorError(ValueError):
     """Raised when ordering monomials decorated outside the m_n/d_n alphabet."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class _GeneratorFields(NamedTuple):
     symbol: str
     arity: int
     degree: int
 
-    def __post_init__(self):
-        if self.arity < 1:
+
+class Generator(_GeneratorFields):
+    """A vertex decoration: a tuple, so it hashes and compares in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, symbol: str, arity: int, degree: int):
+        if arity < 1:
             raise ValueError("generator arity must be >= 1")
+        return super().__new__(cls, symbol, arity, degree)
 
     def __repr__(self):
         return self.symbol

@@ -4,8 +4,9 @@ the tests check the kernel against it.
 
 * Trees as nested nodes ``(gen, children)``, a child being a node or
   ``None`` for a leaf (`operad_forge.trees.encode`/`decode` convert to and
-  from words): grafting, divisors T' of T, the quotient T/T', the
-  reordering sigma(T, T') and its Koszul sign, path sequences and the
+  from words): grafting, the substitution of a tree for one vertex,
+  divisors T' of T, the quotient T/T', the reordering sigma(T, T') and
+  its Koszul sign, path sequences and the
   graded path-lexicographic order (`monomial_order_key`), against which the
   word kernels of `free_operad` and `trees.word_order_key` are checked.
 * `eta_sign_exponent_long`, the unsimplified eta sign of the weighted
@@ -95,6 +96,32 @@ class Divisor:
     def __post_init__(self):
         if self.root not in self.vertices:
             raise ValueError("divisor root must belong to the vertex set")
+
+
+def substitute(node: Node, v: int, m_node: Node) -> Node:
+    """``node`` with its vertex ``v`` replaced by the tree ``m_node``, the
+    children of ``v`` grafted at the leaves of ``m_node`` in order."""
+    counter = 0
+
+    def fill(m: Node, children) -> Node:
+        return (m[0], tuple(next(children) if c is None else fill(c, children)
+                            for c in m[1]))
+
+    def walk(n: Node) -> Node:
+        nonlocal counter
+        me = counter
+        counter += 1
+        children = tuple(None if c is None else walk(c) for c in n[1])
+        if me != v:
+            return (n[0], children)
+        if node_arity(m_node) != len(children):
+            raise ValueError("substituted tree has the wrong arity")
+        return fill(m_node, iter(children))
+
+    out = walk(node)
+    if not 0 <= v < counter:
+        raise ValueError(f"vertex {v} out of range")
+    return out
 
 
 def _parents(node: Node) -> list[Optional[int]]:

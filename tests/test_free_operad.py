@@ -34,6 +34,8 @@ from oracles import (
     graft,
     node_weight,
     sigma_koszul_sign,
+    substitute,
+    vertex_labels,
 )
 
 
@@ -299,23 +301,42 @@ def _embedded_vertices(node, root, pattern):
     return out
 
 
+def _regions(t, op, pool):
+    """(region, monomials) pairs to replace in t: each vertex with the
+    monomials of its differential, and each vertex with the vertex at its
+    first input, the divisor shape `Contraction._split` replaces, with the
+    monomials of ``pool`` of the region's arity."""
+    out = []
+    positions = [q for q, x in enumerate(t.word) if x]
+    for v, gen in enumerate(t.gens):
+        out.append(({v}, [m for m, _ in op.diff(gen)]))
+        if t.word[positions[v] + 1]:
+            arity = gen.arity + t.gens[v + 1].arity - 1
+            out.append(({v, v + 1}, pool.get(arity, [])))
+    return out
+
+
 def test_replace_region_sign_is_the_sigma_koszul_sign():
     op = Difinfty()
-    checked = 0
+    pool = {}
+    for m in enumerate_monomials(4, 2):
+        pool.setdefault(m.arity, []).append(m)
+    checked = {1: 0, 2: 0}
     for t in enumerate_monomials(4, 3):
-        for v, gen in enumerate(t.gens):
-            for m, _ in op.diff(gen):
-                sign, out = replace_region(t, {v}, m)
+        for region, monomials in _regions(t, op, pool):
+            root = min(region)
+            for m in monomials:
+                sign, out = replace_region(t, region, m)
                 node = out.node
-                verts = _embedded_vertices(node, v, m.node)
-                d = Divisor(v, frozenset(verts))
+                verts = _embedded_vertices(node, root, m.node)
+                d = Divisor(root, frozenset(verts))
                 assert divisor_subtree(node, d) == m.node
                 assert contract(node, d, "s") == contract(
-                    t.node, Divisor(v, frozenset({v})), "s")
+                    t.node, Divisor(root, frozenset(region)), "s")
                 degrees = [g.degree for g in out.gens]
                 assert sign == sigma_koszul_sign(node, d, degrees)
-                checked += 1
-    assert checked > 1000
+                checked[len(region)] += 1
+    assert checked[1] > 1000 and checked[2] > 1000
 
 
 def _vertices_before_leaf(node, i):
@@ -422,18 +443,21 @@ def test_scale_by_units_returns_or_negates():
 # ---------------------------------------------------------------------------
 
 def _derivation_oracle(images, x):
-    """extend_derivation with one `replace_region` call and one Coefficient
-    product and sum per image term, as before the one-walk kernel."""
+    """extend_derivation on nested nodes, with one Coefficient product and
+    sum per image term: vertex v of each monomial is replaced by each
+    image monomial m (`substitute`), at the sign (-1)**(degree of the
+    vertices before v) times the Koszul sign of sigma(T, m's vertices)."""
     acc = {}
     for t, c in x:
         prefix = 0
         for v, gen in enumerate(t.gens):
             for m, w in images[gen]:
-                sign, new_t = replace_region(t, {v}, m)
-                if prefix % 2:
-                    sign = -sign
+                node = substitute(t.node, v, m.node)
+                d = Divisor(v, frozenset(_embedded_vertices(node, v, m.node)))
+                degrees = [g.degree for g in vertex_labels(node)]
+                sign = sigma_koszul_sign(node, d, degrees) * (-1) ** prefix
                 w = c * w
-                add_into(acc, new_t, -w if sign < 0 else w)
+                add_into(acc, TreeMonomial(node), -w if sign < 0 else w)
             prefix += gen.degree
     return OperadElement(acc)
 
@@ -483,14 +507,17 @@ def test_extend_derivation_equals_per_term_oracle(lam):
 def test_splicer_matches_replace_region_and_its_errors():
     t = TreeMonomial(parse_tree("(m3 (d2 _ (m2 _ _)) _ (d1 _))"))
     region = {1, 2}                     # d2 and its second input m2
-    splice = region_splicer(t.word, region)
+    splice = region_splicer(t.word)(region)
     for m in enumerate_monomials(3, 2):
         if m.arity == 3:
-            odd, word = splice(leaf_pieces(m.word))
+            acc = {}
+            splice(acc, ((leaf_pieces(m.word), {0: 1}),))
+            ((word, e), v), = acc.items()
             sign, r = replace_region(t, region, m)
-            assert (-1 if odd else 1, word) == (sign, r.word)
+            assert e == 0 and (v, word) == (sign, r.word)
             assert r == TreeMonomial(r.node)
             assert r.degree == t.degree - splice.degree + m.degree
+            assert word[:splice.start] == t.word[:splice.start] == t.word[:1]
     cases = [({0, 2}, TreeMonomial.corolla(m_gen(2)),
               "replacement region is not connected"),
              ({4}, TreeMonomial.corolla(d_gen(1)), "vertex 4 out of range"),
@@ -500,4 +527,5 @@ def test_splicer_matches_replace_region_and_its_errors():
         with pytest.raises(ValueError, match=message):
             replace_region(t, bad_region, m)
         with pytest.raises(ValueError, match=message):
-            region_splicer(t.word, bad_region)(leaf_pieces(m.word))
+            region_splicer(t.word)(bad_region)(
+                {}, ((leaf_pieces(m.word), {0: 1}),))

@@ -13,6 +13,7 @@ from operad_forge.trees import (
     Generator,
     decode,
     encode,
+    gen_id,
     leaf_keys_from,
     smaller_from,
     subtree_end,
@@ -283,6 +284,15 @@ def test_foreign_generator_builds_but_does_not_order():
         t.order_key()
     with pytest.raises(ForeignGeneratorError):
         t.order_key()
+
+
+def test_generator_checks_its_arity_and_interns_by_value():
+    with pytest.raises(ValueError, match="arity must be >= 1"):
+        Generator("x0", 0, 0)
+    a, b = Generator("x3", 3, 1), Generator("x3", 3, 1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert gen_id(a) == gen_id(b) and repr(b) == "x3"
+    assert gen_id(Generator("x3", 3, 2)) != gen_id(a)
 
 
 def test_monomial_pickles_by_its_nested_form():
