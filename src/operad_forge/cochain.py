@@ -17,9 +17,15 @@ The differentials are evaluated entry by entry, in push form: each entry
 (key, x, c) is sent, through the nonzero structure constants, to the output
 keys its terms reach, and summed there into the output rows by
 `coeffs.add_into`.  The cost is entries x terms, not output keys x table
-entries.  The matrix of the total differential at level n is the list of
-images of the basis cochains, each a sparse {coordinate: coefficient}
-vector, and its rank is the rank of `echelon` on those images.
+entries.  Phi, a sum over every subset of input positions, is pushed in
+sigma form: sigma = id + L d is an algebra map exactly when d has weight
+L, and Phi(f) = (f o sigma^(x)n - f) / L - d_M f, so each entry goes once
+to the keys of the product of its key's sigma-preimage lists.  At L = 0
+only the subsets of one position count, and each entry goes to the keys
+with d-preimages at one position.  The matrix of the total differential
+at level n is the list of images of the basis cochains, each a sparse
+{coordinate: coefficient} vector, and its rank is the rank of `echelon`
+on those images.
 """
 
 from __future__ import annotations
@@ -33,14 +39,12 @@ from .algebras import (
     DifAlgebraData,
     DifBimoduleData,
     Vec,
-    add_vec,
     associativity_defects,
     bimodule_defects,
     leibniz_defects,
     regular_bimodule,
-    scale_vec,
 )
-from .coeffs import Rat, add_into
+from .coeffs import Rat, add_into, normalize
 
 Table = dict[tuple, dict[int, Rat]]   # sparse rows, as above
 
@@ -79,13 +83,21 @@ class CochainComplexes:
         if problems:
             raise ValueError("invalid input data:\n  " +
                              "\n  ".join(map(str, problems[:10])))
-        self.vdash_bim = self._shifted_bimodule()
-        # by the basis e_k they reach: e_p e_q = c e_k + ..., d(e_a) = c e_k
         r = range(alg.dim)
+        # sigma = id + L d, an algebra map as d has weight L
+        sigma = [tuple(normalize((a == k) + alg.lam * alg.d[a][k])
+                       for k in r) for a in r]
+        self.vdash_bim = self._shifted_bimodule(sigma)
+        # by the basis e_k they reach: e_p e_q = c e_k + ..., and d(e_a),
+        # sigma(e_a) = c e_k + ...
         self._mult_pre = [[(p, q, alg.mult[p][q][k]) for p in r for q in r
                            if alg.mult[p][q][k]] for k in r]
         self._d_pre = [[(a, alg.d[a][k]) for a in r if alg.d[a][k]]
                        for k in r]
+        self._sigma_pre = [[(a, sigma[a][k]) for a in r if sigma[a][k]]
+                           for k in r]
+        self._inv_lam = normalize(1 / Fraction(alg.lam)) if alg.lam else 0
+        self._bim_d = [_nonzero(v) for v in self.bim.d]
         actions = []
         for bim in (self.bim, self.vdash_bim):
             left = [[(a, _nonzero(bim.left[a][x])) for a in r
@@ -95,15 +107,14 @@ class CochainComplexes:
             actions.append((left, right))
         self._bim_actions, self._vdash_actions = actions
 
-    def _shifted_bimodule(self) -> DifBimoduleData:
-        """The actions a |- x = (a + L d_A(a)) x and x -| a."""
-        alg, bim = self.alg, self.bim
-        shifted = [add_vec(alg.unit_vec(i), scale_vec(alg.lam, alg.d[i]))
-                   for i in range(alg.dim)]
-        left = [[bim.act_left(shifted[i], bim.unit_vec(x))
-                 for x in range(bim.dim)] for i in range(alg.dim)]
-        right = [[bim.act_right(bim.unit_vec(x), shifted[i])
-                  for i in range(alg.dim)] for x in range(bim.dim)]
+    def _shifted_bimodule(self, sigma) -> DifBimoduleData:
+        """The actions a |- x = sigma(a) x and x -| a = x sigma(a), for the
+        rows sigma[a] = a + L d_A(a)."""
+        bim = self.bim
+        left = [[bim.act_left(row, bim.unit_vec(x)) for x in range(bim.dim)]
+                for row in sigma]
+        right = [[bim.act_right(bim.unit_vec(x), row) for row in sigma]
+                 for x in range(bim.dim)]
         return DifBimoduleData.build(left, right, list(bim.d), basis=bim.basis)
 
     # -- the three differentials -------------------------------------------
@@ -134,23 +145,31 @@ class CochainComplexes:
         return rows
 
     def _phi(self, rows: Table, n: int, f: Table, sign: int = 1) -> Table:
-        """Add sign * Phi(f) into rows (see `phi`); at L = 0 only the
-        subsets of one position contribute."""
+        """Add sign * Phi(f) into rows (see `phi`): each entry of f is
+        pushed once to the keys of the product of its key's sigma-preimage
+        lists, or at L = 0 of its d-preimage lists at one position."""
+        lam, d_m = self.alg.lam, self._bim_d
+        scale = sign * self._inv_lam if lam else sign
         for key, row in f.items():
             entries = row.items()
+            own: dict[int, Rat] = {}     # -f / L - d_M f, at key itself
             for x, c in entries:
-                add_into(rows, key, {t: -sign * c * y
-                                     for t, y in _nonzero(self.bim.d[x])})
-            for k in range(1, n + 1 if self.alg.lam else 2):
-                for subset in itertools.combinations(range(n), k):
-                    for choice in itertools.product(
-                            *(self._d_pre[key[i]] for i in subset)):
-                        out, s = list(key), sign * self.alg.lam ** (k - 1)
-                        for i, (a, c) in zip(subset, choice):
-                            out[i] = a
-                            s *= c
-                        add_into(rows, tuple(out),
-                                 {t: s * y for t, y in entries})
+                if lam:
+                    add_into(own, x, -scale * c)
+                for t, y in d_m[x]:
+                    add_into(own, t, -sign * c * y)
+            add_into(rows, key, own)
+            if lam:
+                images = [((), scale)]
+                for k in key:
+                    images = [(out + (a,), s * c) for out, s in images
+                              for a, c in self._sigma_pre[k]]
+            else:
+                images = [(key[:i] + (a,) + key[i + 1:], sign * c)
+                          for i, k in enumerate(key)
+                          for a, c in self._d_pre[k]]
+            for out, s in images:
+                add_into(rows, out, {t: s * y for t, y in entries})
         return rows
 
     def hochschild_diff(self, n: int, f: Table) -> Table:
@@ -161,7 +180,9 @@ class CochainComplexes:
 
     def phi(self, n: int, f: Table) -> Table:
         """Phi(f)(a_1..a_n) = sum_k L^{k-1} sum_{i_1<..<i_k}
-        f(.. d(a_{i_t}) ..) - d_M(f(a_1..a_n))."""
+        f(.. d(a_{i_t}) ..) - d_M(f(a_1..a_n)), which is
+        (f(sigma a_1, .., sigma a_n) - f(a_1..a_n)) / L - d_M(f(a_1..a_n))
+        for L != 0, and the sum over one position i_1 at L = 0."""
         return self._phi({}, n, f)
 
     def da_diff(self, x: DaCochain) -> DaCochain:
@@ -251,30 +272,34 @@ class CochainComplexes:
 def echelon(rows) -> list[tuple[int, dict[int, Rat]]]:
     """Gaussian elimination on sparse rational rows {column: value}.
 
-    Returns the pivots, as (column, row) with the row reduced against the
-    earlier pivots and scaled to 1 at its column, so that their number is
-    the rank.  A row whose pivot is 1 is kept and one whose pivot is -1
-    negated, so integer rows stay integer; any other row is divided
-    through a Fraction, never by int / int.
+    Returns the pivots, as (column, row) with the row scaled to 1 at its
+    column, its smallest one, so that their number is the rank.  Each row
+    is reduced at its smallest column by the pivot of that column, looked
+    up by column, until that column has no pivot yet: the rows are left in
+    echelon form, not reduced form.  A row whose pivot is 1 is kept and one
+    whose pivot is -1 negated, so integer rows stay integer; any other row
+    is divided through a Fraction, never by int / int.
     """
-    pivots: list[tuple[int, dict[int, Rat]]] = []
+    by_column: dict[int, dict[int, Rat]] = {}
     for row in rows:
         row = dict(row)
-        for pc, prow in pivots:
-            factor = row.get(pc)
-            if factor:
-                for c, val in prow.items():
-                    add_into(row, c, -factor * val)
-        if row:
+        while row:
             pc = min(row)
+            prow = by_column.get(pc)
+            if prow is None:
+                break
+            factor = row[pc]
+            for c, val in prow.items():
+                add_into(row, c, -factor * val)
+        if row:
             scale = row[pc]
             if scale == -1:
                 row = {c: -val for c, val in row.items()}
             elif scale != 1:
                 scale = Fraction(scale)
                 row = {c: val / scale for c, val in row.items()}
-            pivots.append((pc, row))
-    return pivots
+            by_column[pc] = row
+    return list(by_column.items())
 
 
 def rank_dense_oracle(matrix: Sequence[Sequence[Fraction]]) -> int:

@@ -61,7 +61,11 @@ def da_twist_mismatches(alg: DifAlgebraData, max_level: int) -> list[str]:
         for basis_cochain in cx._da_basis(n):
             lhs = twisted_l1(space, lam, alpha,
                              da_cochain_to_cda(alg, basis_cochain))
-            rhs = da_cochain_to_cda(alg, cx.da_diff(basis_cochain)).scale(-1)
+            image = cx.da_diff(basis_cochain)    # negated on its plain rows
+            rhs = da_cochain_to_cda(alg, DaCochain(n + 1, *(
+                {key: {t: -c for t, c in row.items()}
+                 for key, row in table.items()}
+                for table in (image.f, image.g))))
             if lhs != rhs:
                 bad.append(f"level {n}: twisted l1 != -dDA on a basis cochain")
     return bad

@@ -311,16 +311,23 @@ def mc_residual(space: GradedSpace, lam: Coefficient,
     return out
 
 
+def twist_width(alpha: CdaElement, args: Sequence[CdaElement]) -> int:
+    """max(A + 1, 2) for A the largest arity of an alg part among alpha and
+    args: a wider component braces more maps into its alg part than it has
+    inputs, or has two alg parts at width >= 3, so it vanishes."""
+    return max(2, 1 + max((n for a in [alpha, *args]
+                           for n, flag in a.parts if flag == ALG), default=0))
+
+
 def twisted_bracket(space: GradedSpace, lam: Coefficient, alpha: CdaElement,
                     args: Sequence[CdaElement]) -> CdaElement:
     """l_n^alpha(args) = sum_i 1/i! (-1)^(in + i(i-1)/2)
-    l_{n+i}(alpha^i, args)."""
+    l_{n+i}(alpha^i, args), summed up to the width `twist_width`."""
     n = len(args)
-    cap = max(a.max_arity() for a in list(args) + [alpha]) + 2
     return _bracket_sum(space, lam, (
         (normalize(Fraction((-1) ** (i * n + i * (i - 1) // 2),
                             factorial(i))), [alpha] * i + list(args))
-        for i in range(max(0, 2 - n), cap + 1)))
+        for i in range(max(0, 2 - n), twist_width(alpha, args) - n + 1)))
 
 
 def twisted_l1(space: GradedSpace, lam: Coefficient, alpha: CdaElement,
@@ -360,8 +367,10 @@ def multimap_to_table(mm: MultiMap):
     return {key: row for key, row in rows.items() if row}
 
 
+@cache
 def algebra_maps(alg: DifAlgebraData) -> tuple[MultiMap, MultiMap]:
-    """The plain maps m: A^2 -> A and d: A -> A of the algebra's tables."""
+    """The plain maps m: A^2 -> A and d: A -> A of the algebra's tables,
+    built once per algebra (a map is never changed)."""
     pairs = itertools.product(range(alg.dim), repeat=2)
     mult = {(i, j): alg.mult[i][j] for i, j in pairs}
     d = {(i,): row for i, row in enumerate(alg.d)}
@@ -412,7 +421,8 @@ def mc_residual_of_algebra(alg: DifAlgebraData) -> CdaElement:
 class CdoDgla:
     """Once the multiplication is fixed (as the MC element beta = (m, 0)),
     the operator part closes under the twisted brackets and they vanish in
-    arity >= 3, leaving a dg Lie algebra."""
+    arity >= 3, leaving a dg Lie algebra.  Each of its sums (l1 - l2 in the
+    twisted differential and the MC residual) is one bracket sum."""
 
     def __init__(self, alg: DifAlgebraData):
         self.alg = alg
@@ -421,35 +431,34 @@ class CdoDgla:
         self.beta = CdaElement(self.space,
                                {(2, ALG): iso1_up(algebra_maps(alg)[0])})
 
-    def _wrap(self, g: MultiMap) -> CdaElement:
-        return CdaElement(self.space, {(g.arity, DO): g})
+    def _do_sum(self, terms, arity: int, degree: int) -> MultiMap:
+        """The do part of the given arity of the sum of c * l(beta, *gs)
+        over the (c, gs) terms, which must be its only part; the zero map
+        of the given degree if the sum vanishes."""
+        x = _bracket_sum(self.space, self.lam, [
+            (c, [self.beta] + [CdaElement(self.space, {(g.arity, DO): g})
+                               for g in gs]) for c, gs in terms])
+        if set(x.parts) - {(arity, DO)}:
+            raise AssertionError("operator part escaped")
+        return x.parts.get((arity, DO)) or MultiMap.zero(
+            self.space.shift(1), self.space, arity, degree)
 
     def l1(self, g: MultiMap) -> MultiMap:
-        out = _bracket_sum(self.space, self.lam,
-                           [(-1, [self.beta, self._wrap(g)])])
-        return self._do_of(out, g.arity + 1, g.degree - 1)
+        return self._do_sum([(-1, [g])], g.arity + 1, g.degree - 1)
 
     def l2(self, g: MultiMap, h: MultiMap) -> MultiMap:
-        out = cda_bracket(self.space, self.lam,
-                          [self.beta, self._wrap(g), self._wrap(h)])
-        return self._do_of(out, g.arity + h.arity, g.degree + h.degree - 1)
-
-    def _do_of(self, x: CdaElement, arity: int, degree: int) -> MultiMap:
-        for (n, flag), mm in x.parts.items():
-            if flag != DO:
-                raise AssertionError("operator part escaped")
-        mm = x.parts.get((arity, DO))
-        if mm is None:
-            return MultiMap.zero(self.space.shift(1), self.space, arity,
-                                 degree)
-        return mm
+        return self._do_sum([(1, [g, h])], g.arity + h.arity,
+                            g.degree + h.degree)
 
     def mc_residual_of(self, tau: MultiMap) -> MultiMap:
         """l1(tau) - 1/2 l2(tau, tau) for a degree -1 operator candidate."""
-        return self.l1(tau) - self.l2(tau, tau).scale(Fraction(1, 2))
+        return self._do_sum([(-1, [tau]), (Fraction(-1, 2), [tau, tau])],
+                            tau.arity + 1, tau.degree - 1)
 
     def twisted_l1(self, tau: MultiMap, g: MultiMap) -> MultiMap:
-        return self.l1(g) - self.l2(tau, g)
+        """l1(g) - l2(tau, g)."""
+        return self._do_sum([(-1, [g]), (-1, [tau, g])], g.arity + 1,
+                            g.degree - 1)
 
 
 def remark_bracket(alg: DifAlgebraData, f_plain: MultiMap, g_plain: MultiMap

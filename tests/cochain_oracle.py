@@ -1,4 +1,4 @@
-"""Gather-form cochain differentials, an oracle for `operad_forge.cochain`.
+"""Two oracles for the cochain differentials of `operad_forge.cochain`.
 
 `GatherComplexes` computes each differential key by key: for every output
 basis tuple it evaluates the cochain at unit vectors through `eval_table`,
@@ -7,6 +7,10 @@ exactly as the formulas are displayed, on dense coordinate vectors.
 the tests compare the two on seeded tables, and `da_matrix` of this class is
 the gather-form matrix.  Both take and return tables of sparse rows; this
 class turns its dense results into rows at the boundary (`to_rows`).
+
+`SubsetComplexes` is the push form with Phi in subset form, the sum over
+every subset of positions and every choice of d-preimages at them, where
+`CochainComplexes` pushes each entry once through sigma = id + L d.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from operad_forge.algebras import (
     scale_vec,
     zero_vec,
 )
-from operad_forge.cochain import CochainComplexes, DaCochain, Table
+from operad_forge.cochain import CochainComplexes, DaCochain, Table, _nonzero
+from operad_forge.coeffs import add_into
 
 Dense = dict[tuple, Vec]     # {basis tuple: coordinate vector}
 
@@ -137,3 +142,28 @@ class GatherComplexes(CochainComplexes):
             new_g = table_add(new_g, table_scale(-1, self._gather_hochschild(
                 n - 1, x.g, self.vdash_bim)), self.bim.dim)
         return DaCochain(n + 1, new_f, to_rows(new_g))
+
+
+class SubsetComplexes(CochainComplexes):
+    """Phi pushed through every subset of positions and every choice of
+    d-preimages at them, with the power L^(k-1) of a k-subset."""
+
+    def _phi(self, rows: Table, n: int, f: Table, sign: int = 1) -> Table:
+        """Add sign * Phi(f) into rows (see `phi`); at L = 0 only the
+        subsets of one position contribute."""
+        for key, row in f.items():
+            entries = row.items()
+            for x, c in entries:
+                add_into(rows, key, {t: -sign * c * y
+                                     for t, y in _nonzero(self.bim.d[x])})
+            for k in range(1, n + 1 if self.alg.lam else 2):
+                for subset in itertools.combinations(range(n), k):
+                    for choice in itertools.product(
+                            *(self._d_pre[key[i]] for i in subset)):
+                        out, s = list(key), sign * self.alg.lam ** (k - 1)
+                        for i, (a, c) in zip(subset, choice):
+                            out[i] = a
+                            s *= c
+                        add_into(rows, tuple(out),
+                                 {t: s * y for t, y in entries})
+        return rows

@@ -20,7 +20,7 @@ from operad_forge.cochain import (
     echelon,
     rank_dense_oracle,
 )
-from cochain_oracle import GatherComplexes, eval_table
+from cochain_oracle import GatherComplexes, SubsetComplexes, eval_table
 
 IDEMPOTENT = DifAlgebraData.build([[[1]]], [[-1]], 1)
 SQUARE_ZERO = DifAlgebraData.build([[[0]]], [[0]], 0)
@@ -346,6 +346,9 @@ ORACLE_CASES = {
     "two dim in A + A": (TWO_DIM, doubled_bimodule(TWO_DIM)),
     "dual numbers": (DUAL_NUMBERS, None),
     "dual numbers, gauge P = [[1, 1], [0, 2]]": (GAUGE_DUAL_NUMBERS, None),
+    # weight 0 with d(x) = x: Phi is the one-position sum
+    "dual numbers, L = 0": (DifAlgebraData.build(
+        DUAL_NUMBERS.mult, DUAL_NUMBERS.d, 0), None),
 }
 
 
@@ -425,6 +428,61 @@ def test_da_matrix_equals_gather_form(name):
         assert push.da_matrix(n) == gather.da_matrix(n)
 
 
+@pytest.mark.parametrize("name", ["two dim", "dual numbers",
+                                  "dual numbers, gauge P = [[1, 1], [0, 2]]",
+                                  "dual numbers, L = 0"])
+def test_sigma_form_equals_subset_and_gather_forms(name):
+    """Phi through sigma = id + L d (or at L = 0 through d at one
+    position) against the subset form and the gather form, on seeded
+    tables at levels <= 5, and on the whole total differential: at levels
+    <= 5 against the subset form and <= 4 against the gather form, whose
+    level-5 matrix alone takes about 4 s."""
+    alg, bim = ORACLE_CASES[name]
+    push = CochainComplexes(alg, bim)
+    subset, gather = SubsetComplexes(alg, bim), GatherComplexes(alg, bim)
+    rng = random.Random(name)
+    for n in range(6):
+        f = rational_table(rng, alg.dim, n, alg.dim, 0.5)
+        g = None if n == 0 else rational_table(rng, alg.dim, n - 1, alg.dim,
+                                               0.5)
+        x = DaCochain(n, f, g)
+        for oracle in (subset, gather):
+            assert push.phi(n, f) == oracle.phi(n, f)
+            assert push.da_diff(x) == oracle.da_diff(x)
+        matrix = push.da_matrix(n)
+        assert matrix == subset.da_matrix(n)
+        if n <= 4:
+            assert matrix == gather.da_matrix(n)
+
+
+def rescale(alg, c):
+    """(A, d, L) -> (A, c d, L / c): d' has weight L' and sigma = id + L' d'
+    is unchanged, so (f, g) -> (f, c g) maps the total complex of alg onto
+    that of the result."""
+    return DifAlgebraData.build(alg.mult, [[c * x for x in row]
+                                           for row in alg.d],
+                                Fraction(alg.lam) / c)
+
+
+@pytest.mark.parametrize("c", [2, -1, Fraction(1, 3)], ids=str)
+@pytest.mark.parametrize("alg", [TWO_DIM, DUAL_NUMBERS, GAUGE_DUAL_NUMBERS],
+                         ids=["two dim", "dual numbers",
+                              "gauge dual numbers"])
+def test_rescaling_keeps_the_cohomology(alg, c):
+    cx, scaled = CochainComplexes(alg), CochainComplexes(rescale(alg, c))
+    assert scaled.alg.lam == Fraction(alg.lam) / c
+    assert scaled.cohomology_ranks(5) == cx.cohomology_ranks(5)
+    for n in range(4):
+        for b in cx._da_basis(n):
+            image = cx.da_diff(b)
+            scaled_g = None if b.g is None else {
+                key: {t: c * y for t, y in row.items()}
+                for key, row in b.g.items()}
+            assert scaled.da_diff(DaCochain(n, b.f, scaled_g)) == DaCochain(
+                n + 1, image.f, {key: {t: c * y for t, y in row.items()}
+                                 for key, row in image.g.items()})
+
+
 def _composes_to_zero(outer, inner) -> bool:
     """outer . inner == 0 exactly, for matrices given as sparse columns:
     each inner column, pushed through the outer columns, cancels."""
@@ -438,18 +496,27 @@ def _composes_to_zero(outer, inner) -> bool:
     return True
 
 
-@pytest.mark.parametrize("alg, dims", [
-    (TWO_DIM, [0] * 7),
-    (SQUARE_ZERO, [1, 2, 2, 2, 2, 2]),
-    (DUAL_NUMBERS, [1, 2, 1, 0, 0, 0, 0]),
-    (GAUGE_DUAL_NUMBERS, [1, 2, 1, 0, 0, 0]),
-], ids=["two dim", "square zero", "dual numbers", "gauge dual numbers"])
-def test_frontier_level_five_and_d_squared(alg, dims):
+@pytest.mark.parametrize("alg, dims, oracle_top", [
+    (TWO_DIM, [0] * 7, 6),
+    (SQUARE_ZERO, [1, 2, 2, 2, 2, 2], 5),
+    (DUAL_NUMBERS, [1, 2, 1, 0, 0, 0, 0], 6),
+    (GAUGE_DUAL_NUMBERS, [1, 2, 1, 0, 0, 0], 5),
+    (TWO_DIM, [0] * 9, 5),
+    (DUAL_NUMBERS, [1, 2, 1] + [0] * 6, 5),
+    (GAUGE_DUAL_NUMBERS, [1, 2, 1] + [0] * 5, 5),
+], ids=["two dim", "square zero", "dual numbers", "gauge dual numbers",
+        "two dim to 8", "dual numbers to 8", "gauge dual numbers to 7"])
+def test_frontier_level_five_and_d_squared(alg, dims, oracle_top):
+    """Pinned dims to level 5 and beyond (8, or 7 for the gauge dual
+    numbers, whose ranks cost most), the same dims from the dense oracle's
+    ranks up to level oracle_top, and D_(n+1) D_n = 0 at every level."""
     cx = CochainComplexes(alg)
     top = len(dims) - 1
     columns = [cx.da_matrix(n) for n in range(top + 1)]
-    assert cx.cohomology_dims(columns) == dims == \
-        cx.cohomology_dims(columns, rank_fn=rank_dense_oracle)
+    assert cx.cohomology_dims(columns) == dims
+    assert cx.dims_from_ranks([
+        cx.level_rank(n, columns[n], rank_dense_oracle)
+        for n in range(oracle_top + 1)]) == dims[:oracle_top + 1]
     for n in range(top):
         assert len(columns[n + 1]) == cx.da_dim(n + 1)
         assert all(i < cx.da_dim(n + 1) for col in columns[n] for i in col)

@@ -8,6 +8,7 @@ from operad_forge.algebras import DifAlgebraData
 from operad_forge.cochain import CochainComplexes, DaCochain, echelon
 from operad_forge.coeffs import Coefficient
 from operad_forge.compare import (
+    da_cochain_to_cda,
     da_twist_mismatches,
     do_bracket_mismatches,
     do_twist_mismatches,
@@ -20,7 +21,10 @@ from operad_forge.linf import (
     CdaElement,
     CdoDgla,
     algebra_maps,
+    cda_bracket,
+    mc_from_algebra,
     transported_do_bracket,
+    twist_width,
 )
 from test_cochain import (
     DUAL_NUMBERS,
@@ -54,6 +58,28 @@ def test_twisted_l1_is_minus_total_differential_at_level_five():
 @pytest.mark.parametrize("alg", DUAL)
 def test_twisted_l1_of_dual_numbers_at_level_five(alg):
     assert da_twist_mismatches(alg, 5) == []
+
+
+@pytest.mark.parametrize("alg, top", [(IDEMPOTENT, 4), (HALF_WEIGHT, 4),
+                                      (TWO_DIM, 5), *((a, 5) for a in DUAL)],
+                         ids=["idempotent", "half weight", "two dim",
+                              "dual numbers", "gauge dual numbers"])
+def test_twist_width_is_exact_on_basis_cochains(alg, top):
+    """l_n^alpha stops at `twist_width`: one more copy of alpha gives zero
+    on every basis cochain of the twist tests above, and the top width is
+    nonzero on some, so a width one short drops live terms."""
+    space, alpha = mc_from_algebra(alg)
+    lam = Coefficient.rational(alg.lam)
+    cx = CochainComplexes(alg)
+    live = 0
+    for n in range(1, top + 1):
+        for cochain in cx._da_basis(n):
+            x = da_cochain_to_cda(alg, cochain)
+            width = twist_width(alpha, [x])
+            assert cda_bracket(space, lam, [alpha] * width + [x]).is_zero()
+            live += not cda_bracket(space, lam,
+                                    [alpha] * (width - 1) + [x]).is_zero()
+    assert live
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS + DUAL)
@@ -118,6 +144,21 @@ def test_transported_bracket_on_every_pair_of_basis_maps(alg):
                 != multimap_to_table(transported_do_bracket(alg, f, g))):
             bad.append((f.table, g.table))
     assert bad == []
+
+
+def test_operator_brackets_have_one_degree_zero_or_not():
+    # l1 lowers the degree by one and l2 adds the degrees, also where the
+    # bracket of two basis maps vanishes
+    dgla = CdoDgla(TWO_DIM)
+    maps = [iso2_up(m) for m in basis_operator_maps(TWO_DIM, 2)]
+    zero = 0
+    for f in maps:
+        assert dgla.l1(f).degree == f.degree - 1
+        for g in maps:
+            out = dgla.l2(f, g)
+            assert out.degree == f.degree + g.degree
+            zero += out.is_zero()
+    assert 0 < zero < len(maps) ** 2
 
 
 def displayed_bracket(alg, tf, tg, n, k, fg_sign, gf_sign):
