@@ -18,6 +18,17 @@ sg = s o g their target suspension):
   (v)   everything else vanishes (including l_1 and any component with two
         alg arguments in arity >= 3).
 
+So whether a component vanishes depends on its parts (arity, ALG|DO)
+alone, and `component_part` is that rule, written once: at width 2 one
+alg part is enough, and the part is (a + b - 1, ALG if both are alg else
+DO); at width n >= 3 it takes exactly one alg part sf, with the other
+n - 1 parts do and n - 1 <= arity of sf, and the part is (sum of the
+arities - (n - 1), DO).  `live_components` applies it to every product of
+the arguments' parts, so a bracket walks only the components it keeps,
+and `jacobi_residual` builds an inner bracket l_i(x_S) only when the outer
+l(l_i(x_S), x_rest) has a live component on the inner's predicted parts
+(`live_parts`): every term it drops is exactly zero.
+
 Item (iii) is not summed ordering by ordering: a `hom_complex.Walk` places
 the g's in one left-to-right pass over sf's inputs, whose nodes are the
 subsets of placed maps (2^m of them instead of m! orderings).  Placing g_t
@@ -91,9 +102,6 @@ class CdaElement(MapFamily):
             raise ValueError(f"element not homogeneous: degrees {degs}")
         return next(iter(degs))
 
-    def max_arity(self) -> int:
-        return max((n for n, _ in self.parts), default=0)
-
     def __repr__(self):
         if not self.parts:
             return "CdaElement(0)"
@@ -102,10 +110,42 @@ class CdaElement(MapFamily):
         return "CdaElement(" + ", ".join(bits) + ")"
 
 
+@cache
+def component_part(parts: tuple[tuple[int, str], ...]
+                   ) -> Optional[tuple[int, str]]:
+    """The part (arity, ALG|DO) a component of l_n on arguments with the
+    given parts can have, None if it vanishes by shape (items (iii) and
+    (v)); the arity is the sum of theirs less n - 1 either way."""
+    n = len(parts)
+    algs = [a for a, flag in parts if flag == ALG]
+    if n == 2 and algs or n > 2 and len(algs) == 1 and algs[0] >= n - 1:
+        return (sum(a for a, _ in parts) - n + 1,
+                ALG if len(algs) == 2 else DO)
+    return None
+
+
+def live_components(parts: Sequence[Iterable[tuple[int, str]]]):
+    """(combination, part) for every combination of one part per argument
+    that `component_part` keeps, with the part it lands in."""
+    for combo in itertools.product(*parts):
+        part = component_part(combo)
+        if part is not None:
+            yield combo, part
+
+
+@cache
+def live_parts(parts: tuple[tuple[tuple[int, str], ...], ...]
+               ) -> tuple[tuple[int, str], ...]:
+    """The parts l_n can have on arguments with the given parts (one tuple
+    per argument), sorted; empty if it vanishes by shape."""
+    return tuple(sorted({part for _, part in live_components(parts)}))
+
+
 def _component_into(walks: dict, lam: Coefficient, c,
                     comps: Sequence[tuple[str, MultiMap]]) -> None:
-    """Add c times one multilinear component of l_n to ``walks``; a do part
-    is walked on the suspended maps sg."""
+    """Add c times one multilinear component of l_n, which
+    `component_part` keeps, to ``walks``; a do part is walked on the
+    suspended maps sg."""
     flags = [f for f, _ in comps]
     if flags.count(ALG) == 2:
         for term in gerstenhaber_terms(c, comps[0][1], comps[1][1]):
@@ -125,8 +165,6 @@ def _component_into(walks: dict, lam: Coefficient, c,
     if m == 1:
         for term in gerstenhaber_terms(c, sf, sgs[0]):
             add_term(walks, DO, *term)
-        return
-    if m > sf.arity:
         return
     # item (iii), with L^(m-1) folded into the scalar and step[S][t] the
     # sign exponent of placing g_t after the set S (see the module
@@ -164,23 +202,9 @@ def _bracket_sum(space: GradedSpace, lam: Coefficient,
     are; a do part is desuspended there."""
     walks: dict = {}
     for c, args in terms:
-        if len(args) < 2 or any(a.is_zero() for a in args):
-            continue
-        # item (v): only a component with one alg part, or two at width 2,
-        # can be nonzero, so each product fixes its alg slots
-        algs, dos = [], []
-        for a in args:
-            alg, do = [], []
-            for (_, flag), mm in a.parts.items():
-                (alg if flag == ALG else do).append((flag, mm))
-            algs.append(alg)
-            dos.append(do)
-        combos = [itertools.product(*dos[:k], alg, *dos[k + 1:])
-                  for k, alg in enumerate(algs) if alg]
-        if len(args) == 2:
-            combos.append(itertools.product(*algs))
-        for comps in itertools.chain.from_iterable(combos):
-            _component_into(walks, lam, c, comps)
+        for combo, _ in live_components([a.parts for a in args]):
+            _component_into(walks, lam, c, [
+                (key[1], a.parts[key]) for a, key in zip(args, combo)])
         for walk in walks.values():
             walk.walk()
     return CdaElement(space, {part: walk.result() if part[1] == ALG
@@ -196,20 +220,29 @@ def cda_bracket(space: GradedSpace, lam: Coefficient,
 
 def jacobi_residual(space: GradedSpace, lam: Coefficient,
                     args: Sequence[CdaElement]) -> CdaElement:
-    """The generalized Jacobi sum; zero iff the identity holds on args."""
+    """The generalized Jacobi sum; zero iff the identity holds on args.
+    A term whose outer bracket has no live component on the inner
+    bracket's `live_parts` is zero, and its inner bracket is not built."""
     n = len(args)
+    if any(a.is_zero() for a in args):
+        return CdaElement(space)
     degs = [a.degree() for a in args]
+    parts = [tuple(a.parts) for a in args]
     # i = 1 and i = n give l_1 terms, and l_1 = 0
     return _bracket_sum(space, lam, (
         (chi_sign(degs, sigma) * (-1) ** (i * (n - i)),
          [cda_bracket(space, lam, [args[t] for t in sigma[:i]])]
          + [args[t] for t in sigma[i:]])
-        for i in range(2, n) for sigma in shuffles(i, n - i)))
+        for i in range(2, n) for sigma in shuffles(i, n - i)
+        if live_parts((live_parts(tuple(parts[t] for t in sigma[:i])),
+                       *(parts[t] for t in sigma[i:])))))
 
 
 def antisymmetry_residual(space: GradedSpace, lam: Coefficient,
                           args: Sequence[CdaElement],
                           sigma: Sequence[int]) -> CdaElement:
+    if any(a.is_zero() for a in args):
+        return CdaElement(space)
     degs = [a.degree() for a in args]
     return _bracket_sum(space, lam, [(1, [args[s] for s in sigma]),
                                      (-chi_sign(degs, sigma), args)])
@@ -252,7 +285,9 @@ def random_component(rng, space: GradedSpace, flag: str,
 
 
 #: flag patterns per bracket width; chosen so every defining case of the
-#: brackets is exercised, including ones that vanish identically.
+#: brackets is exercised, including ones that vanish identically.  On a
+#: pattern with one alg part every Jacobi term vanishes by shape
+#: (`live_parts`), so `jacobi_residual` builds no inner bracket there.
 JACOBI_PATTERNS = {
     1: [(ALG,), (DO,)],
     2: [(ALG, ALG), (ALG, DO), (DO, ALG), (DO, DO)],
@@ -295,13 +330,13 @@ def jacobi_check(space: GradedSpace, lam: Coefficient, n: int, trials: int,
 
 def mc_residual(space: GradedSpace, lam: Coefficient,
                 alpha: CdaElement) -> CdaElement:
-    """sum_n 1/n! (-1)^(n(n-1)/2) l_n(alpha^n), with the structurally exact
-    cutoff n <= max arity + 1 (components with two alg arguments vanish)."""
+    """sum_n 1/n! (-1)^(n(n-1)/2) l_n(alpha^n), cut at the exact width
+    `twist_width(alpha, [])`."""
     if alpha.is_zero():
         return CdaElement(space)
     if alpha.degree() != -1:
         raise ValueError("Maurer-Cartan candidates must have degree -1")
-    cap = max(2, alpha.max_arity() + 1)
+    cap = twist_width(alpha, [])
     out = _bracket_sum(space, lam, (
         (Fraction((-1) ** (n * (n - 1) // 2), factorial(n)), [alpha] * n)
         for n in range(2, cap + 1)))
@@ -312,11 +347,16 @@ def mc_residual(space: GradedSpace, lam: Coefficient,
 
 
 def twist_width(alpha: CdaElement, args: Sequence[CdaElement]) -> int:
-    """max(A + 1, 2) for A the largest arity of an alg part among alpha and
-    args: a wider component braces more maps into its alg part than it has
-    inputs, or has two alg parts at width >= 3, so it vanishes."""
-    return max(2, 1 + max((n for a in [alpha, *args]
-                           for n, flag in a.parts if flag == ALG), default=0))
+    """The largest width n + i at which l_{n+i}(alpha^i, args) has a live
+    component (`live_parts`), 1 if none has (l_1 = 0).  A live component
+    of width w >= 3 braces w - 1 maps into an alg part, so the search
+    starts at 1 + the largest arity A of an alg part (at 2 if A < 2)."""
+    n, a = len(args), tuple(alpha.parts)
+    parts = tuple(tuple(x.parts) for x in args)
+    top = max(2, 1 + max((k for x in [alpha, *args]
+                          for k, flag in x.parts if flag == ALG), default=0))
+    return next((w for w in range(top, max(n, 2) - 1, -1)
+                 if live_parts((a,) * (w - n) + parts)), 1)
 
 
 def twisted_bracket(space: GradedSpace, lam: Coefficient, alpha: CdaElement,

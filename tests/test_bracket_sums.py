@@ -116,7 +116,7 @@ def test_twisted_bracket_on_basis_cochains(lam):
         for cochain in cx._da_basis(level):
             x = da_cochain_to_cda(TWO_DIM, cochain)
             got = twisted_bracket(space, lam, alpha, [x])
-            cap = max(x.max_arity(), alpha.max_arity()) + 2
+            cap = max(n for y in (x, alpha) for n, _ in y.parts) + 2
             want = CdaElement.sum(space, [
                 (c, cda_bracket(space, lam, args))
                 for c, args in twisted_terms(alpha, [x], cap)])
@@ -131,7 +131,7 @@ def test_mc_residual_of_a_nonassociative_algebra(lam):
     assert associativity_defects(NONASSOCIATIVE)
     space, alpha = mc_from_algebra(NONASSOCIATIVE)
     got = mc_residual(space, lam, alpha)
-    cap = alpha.max_arity() + 1
+    cap = max(n for n, _ in alpha.parts) + 1
     want = CdaElement.sum(space, [
         (Fraction((-1) ** (n * (n - 1) // 2), factorial(n)),
          cda_bracket(space, lam, [alpha] * n)) for n in range(2, cap + 1)])
